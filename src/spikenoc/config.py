@@ -12,7 +12,7 @@ import configparser
 import dataclasses
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import CoreTiming, MODE_BASELINE, MODE_UNISPIKE
 from .graph import (ConvLayerSpec, SnnGraph, build_brunel, build_conv_topology,

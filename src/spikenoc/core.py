@@ -8,7 +8,7 @@ spike addresses merged into one packet (unispike).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .artifact import ArtifactError, CoreArtifact
 from .neurons import ModelParams, NeuronState, rest_state, step_neuron

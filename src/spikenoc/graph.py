@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .neurons import (ModelParams, LifParams, model_kind, params_from_fields,
                       params_to_fields)

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 Coord = tuple[int, int]
 
@@ -21,7 +21,7 @@ METRICS = ("injected_flits", "ejected_flits", "flit_hops", "packets",
 
 
 class TrafficLedger:
-    """Flit/packet counters, total and per (core, timestep).
+    """Flit/packet counters, total, per (core, timestep) and per timestep.
 
     Injected flits, packets and flit-hops are attributed to the packet's
     source core; ejected flits to the destination core.  A hop is one link
@@ -31,33 +31,32 @@ class TrafficLedger:
     def __init__(self):
         self.totals = {m: 0 for m in METRICS}
         self.per_core_step: dict[str, Counter] = {m: Counter() for m in METRICS}
+        self.per_step: dict[str, Counter] = {m: Counter() for m in METRICS}
 
-    def _bump(self, metric: str, core: Coord, timestep: int, n: int = 1) -> None:
+    def _bump(self, metric: str, core: Coord, timestep: int, n: int) -> None:
         self.totals[metric] += n
         self.per_core_step[metric][(core, timestep)] += n
+        self.per_step[metric][timestep] += n
 
-    def count_injected(self, core: Coord, timestep: int, is_head: bool) -> None:
-        self._bump("injected_flits", core, timestep)
-        self._bump("head_flits" if is_head else "body_flits", core, timestep)
+    def count_injected(self, core: Coord, timestep: int, body_flits: int,
+                       hops: int) -> None:
+        """One packet leaves ``core``: a head and ``body_flits`` body flits,
+        each crossing ``hops`` links."""
+        flits = 1 + body_flits
+        self._bump("packets", core, timestep, 1)
+        self._bump("head_flits", core, timestep, 1)
+        self._bump("body_flits", core, timestep, body_flits)
+        self._bump("injected_flits", core, timestep, flits)
+        self._bump("flit_hops", core, timestep, flits * hops)
 
-    def count_ejected(self, core: Coord, timestep: int) -> None:
-        self._bump("ejected_flits", core, timestep)
-
-    def count_hop(self, core: Coord, timestep: int) -> None:
-        self._bump("flit_hops", core, timestep)
-
-    def count_packet(self, core: Coord, timestep: int) -> None:
-        self._bump("packets", core, timestep)
+    def count_ejected(self, core: Coord, timestep: int, flits: int) -> None:
+        self._bump("ejected_flits", core, timestep, flits)
 
     def timestep_total(self, metric: str, timestep: int) -> int:
-        return sum(n for (_, t), n in self.per_core_step[metric].items()
-                   if t == timestep)
+        return self.per_step[metric][timestep]
 
     def by_timestep(self, metric: str) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for (_, t), n in self.per_core_step[metric].items():
-            out[t] = out.get(t, 0) + n
-        return out
+        return dict(self.per_step[metric])
 
     def core_total(self, metric: str, core: Coord) -> int:
         return sum(n for (c, _), n in self.per_core_step[metric].items()

@@ -11,7 +11,7 @@ trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class NumericError(Exception):

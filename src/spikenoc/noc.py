@@ -10,20 +10,26 @@ arriving at their destination router are consumed immediately.
 Each core-side interface owns the packet generator pipeline and its bounded
 output queue, so back-pressure from the network stalls packet generation
 without ever stalling the neuron update engine.
+
+Traffic is accounted per packet: under XY routing every flit of a packet
+crosses the same ``manhattan(src, dest)`` links, so a packet contributes
+``flit_count * manhattan(src, dest)`` flit-hops.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import CoreTiming, GenJob, SpikePacket
 
 Coord = tuple[int, int]
 
 DIRS = ("E", "W", "N", "S")
+PORTS = ("L",) + DIRS       # input ports; L is the local injection port
 _DELTA = {"E": (1, 0), "W": (-1, 0), "N": (0, -1), "S": (0, 1)}
 _OPP = {"E": "W", "W": "E", "N": "S", "S": "N"}
+_OUT = {d: o for o, d in enumerate(DIRS)}
 
 HEAD = "H"
 BODY = "B"
@@ -71,7 +77,7 @@ def manhattan(a: Coord, b: Coord) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-@dataclass
+@dataclass(slots=True)
 class Flit:
     packet: SpikePacket
     kind: str
@@ -99,83 +105,117 @@ def packet_flits(packet: SpikePacket) -> list[Flit]:
 
 
 class _Router:
-    __slots__ = ("coord", "cfg", "in_q", "route", "out_credit", "out_alloc",
-                 "rr", "slots", "buffered")
+    """One router's buffers and allocation state in flat lists.
+
+    Input slot ``s = port * vcs + vc`` indexes ``PORTS``; output slot
+    ``o * vcs + vc`` indexes ``DIRS``.  An input buffer holds flits of one
+    packet at a time, because the upstream VC feeding it stays allocated to
+    that packet until its tail has left the buffer.  So the output port
+    computed when a head enters (``out_of[s]``) holds for every flit behind
+    it, and ``route[s]`` is the downstream VC the head was granted.
+    """
+
+    __slots__ = ("coord", "rid", "vcs", "nslots", "in_q", "occupied",
+                 "out_of", "route", "out_credit", "out_alloc", "rr", "buffered",
+                 "up", "down", "link")
 
     def __init__(self, coord: Coord, cfg: MeshConfig):
+        vcs = cfg.vcs
         self.coord = coord
-        self.cfg = cfg
-        ports = ("L",) + DIRS
-        self.in_q = {(d, v): deque() for d in ports for v in range(cfg.vcs)}
-        self.route: dict[tuple[str, int], tuple[str, int]] = {}
-        self.out_credit = {(d, v): cfg.vc_buffer_depth
-                           for d in DIRS for v in range(cfg.vcs)}
-        self.out_alloc: dict[tuple[str, int], int | None] = {
-            (d, v): None for d in DIRS for v in range(cfg.vcs)}
-        self.rr = {d: 0 for d in DIRS}
-        self.slots = [(p, v) for p in ports for v in range(cfg.vcs)]
+        # ascending ids are (y, x) order, the order routers tick in
+        self.rid = coord[1] * cfg.width + coord[0]
+        self.vcs = vcs
+        self.nslots = len(PORTS) * vcs
+        self.in_q = [deque() for _ in range(self.nslots)]
+        self.occupied: set[int] = set()     # slots with a non-empty buffer
+        self.out_of = [0] * self.nslots
+        self.route = [0] * self.nslots
+        self.out_credit = [cfg.vc_buffer_depth] * (len(DIRS) * vcs)
+        self.out_alloc: list[int | None] = [None] * (len(DIRS) * vcs)
+        self.rr = [0] * len(DIRS)
         self.buffered = 0
+        # wired by NocSim: per input slot, the (owner, output slot) whose
+        # credit this buffer returns; per output, the neighbour router with
+        # the base of its facing input port, and the trace label of the link
+        self.up: list[tuple[object, int] | None] = [None] * self.nslots
+        self.down: list[tuple[_Router, int] | None] = [None] * len(DIRS)
+        self.link: list[str | None] = [None] * len(DIRS)
 
-    def tick(self, cycle: int, noc: "NocSim") -> bool:
-        moved = False
-        granted_inputs: set[str] = set()
-        nslots = len(self.slots)
-        for out_dir in DIRS:
-            start = self.rr[out_dir]
-            for k in range(nslots):
-                in_dir, vc = self.slots[(start + k) % nslots]
-                if in_dir in granted_inputs:
-                    continue
-                q = self.in_q[(in_dir, vc)]
-                if not q:
-                    continue
-                flit, eligible = q[0]
-                if eligible > cycle:
-                    continue
-                if flit.kind == HEAD:
-                    if xy_route(self.coord, flit.packet.dest) != out_dir:
-                        continue
-                    dvc = None
-                    for v in range(self.cfg.vcs):
-                        if (self.out_alloc[(out_dir, v)] is None
-                                and self.out_credit[(out_dir, v)] > 0):
-                            dvc = v
-                            break
-                    if dvc is None:
-                        continue
+    def accept(self, s: int, flit: Flit, eligible: int) -> None:
+        """Buffer ``flit`` in input slot ``s``; a head computes its route."""
+        q = self.in_q[s]
+        if not q:
+            self.occupied.add(s)
+        if flit.kind == HEAD:
+            self.out_of[s] = _OUT[xy_route(self.coord, flit.packet.dest)]
+        q.append((flit, eligible))
+        self.buffered += 1
+
+    def tick(self, cycle: int, noc: "NocSim") -> None:
+        """Switch allocation: each output grants at most one flit and each
+        input port wins at most one grant.  Outputs go in ``DIRS`` order; an
+        output's winner is the first ready slot at or after ``rr[o]`` in
+        cyclic slot order whose head can advance."""
+        in_q = self.in_q
+        out_of = self.out_of
+        rr = self.rr
+        nslots = self.nslots
+        ready = []
+        for s in self.occupied:
+            if in_q[s][0][1] <= cycle:
+                o = out_of[s]
+                ready.append((o, (s - rr[o]) % nslots, s))
+        if not ready:
+            return
+        if len(ready) > 1:
+            ready.sort()
+        vcs = self.vcs
+        credit = self.out_credit
+        alloc = self.out_alloc
+        granted_ports = 0
+        won = -1
+        for o, _, s in ready:
+            port_bit = 1 << (s // vcs)
+            if o == won or granted_ports & port_bit:
+                continue
+            q = in_q[s]
+            flit = q[0][0]
+            base = o * vcs
+            if flit.kind == HEAD:
+                for dvc in range(vcs):
+                    if alloc[base + dvc] is None and credit[base + dvc] > 0:
+                        break
                 else:
-                    rt = self.route.get((in_dir, vc))
-                    if rt is None or rt[0] != out_dir:
-                        continue
-                    dvc = rt[1]
-                    if self.out_credit[(out_dir, dvc)] <= 0:
-                        continue
-                q.popleft()
-                self.buffered -= 1
-                if flit.kind == HEAD:
-                    self.out_alloc[(out_dir, dvc)] = flit.packet.pid
-                    self.route[(in_dir, vc)] = (out_dir, dvc)
-                if flit.is_tail:
-                    self.route.pop((in_dir, vc), None)
-                self.out_credit[(out_dir, dvc)] -= 1
-                self.rr[out_dir] = (start + k + 1) % nslots
-                granted_inputs.add(in_dir)
-                noc._send(self, in_dir, vc, out_dir, dvc, flit, cycle)
-                moved = True
-                break
-        return moved
+                    continue
+                alloc[base + dvc] = flit.packet.pid
+                self.route[s] = dvc
+            else:
+                dvc = self.route[s]
+                if credit[base + dvc] <= 0:
+                    continue
+            q.popleft()
+            if not q:
+                self.occupied.discard(s)
+            self.buffered -= 1
+            credit[base + dvc] -= 1
+            rr[o] = (s + 1) % nslots
+            granted_ports |= port_bit
+            won = o
+            noc._send(self, s, o, dvc, flit, cycle)
 
 
 class _Ni:
     """Network interface: generator pipeline, bounded output queue, injector."""
 
-    __slots__ = ("coord", "cfg", "gen_ps_per_flit", "queue_cap", "gen_jobs",
-                 "gen_busy_until", "gen_blocked", "gen_done_ps", "queue",
-                 "current", "cur_vc", "out_credit", "out_alloc")
+    __slots__ = ("coord", "cfg", "router", "gen_ps_per_flit", "queue_cap",
+                 "gen_jobs", "gen_busy_until", "gen_blocked", "gen_done_ps",
+                 "queue", "current", "cur_vc", "out_credit", "out_alloc")
 
-    def __init__(self, coord: Coord, cfg: MeshConfig, timing: CoreTiming):
+    def __init__(self, coord: Coord, cfg: MeshConfig, timing: CoreTiming,
+                 router: _Router):
         self.coord = coord
         self.cfg = cfg
+        self.router = router
         self.gen_ps_per_flit = timing.gen_cycles_per_flit * timing.core_period_ps
         self.queue_cap = timing.output_queue_packets
         self.gen_jobs: deque[GenJob] = deque()
@@ -194,7 +234,8 @@ class _Ni:
                 and not self.queue and self.current is None)
 
     def set_jobs(self, jobs: list[GenJob], start_ps: int) -> None:
-        assert self.idle, "sources must drain before the next timestep"
+        if not self.idle:
+            raise RuntimeError("sources must drain before the next timestep")
         self.gen_jobs = deque(sorted(jobs, key=lambda j: j.create_ps))
         self.gen_busy_until = start_ps
         self.gen_done_ps = start_ps
@@ -253,9 +294,9 @@ class _Ni:
         if self.current is not None and self.out_credit[self.cur_vc] > 0:
             flit = self.current.popleft()
             self.out_credit[self.cur_vc] -= 1
-            if self.current is not None and not self.current:
+            if not self.current:
                 self.current = None
-            noc._on_flit_injection(self.coord, self.cur_vc, flit, cycle)
+            noc._on_flit_injection(self, flit, cycle)
 
 
 class NocSim:
@@ -270,17 +311,36 @@ class NocSim:
         self.packet_records = packet_records if packet_records is not None else []
         self.flit_trace = flit_trace
         self.coords = [(x, y) for y in range(cfg.height) for x in range(cfg.width)]
-        self.routers = {c: _Router(c, cfg) for c in self.coords}
-        self.nis = {c: _Ni(c, cfg, timing) for c in self.coords}
-        self.active: set[Coord] = set()
-        self.arrivals: dict[int, list[tuple[Coord, str, int, Flit]]] = {}
-        self.credits: dict[int, list[tuple[str, Coord, str, int, bool]]] = {}
+        self.routers = [_Router(c, cfg) for c in self.coords]
+        self.nis = [_Ni(c, cfg, timing, r)
+                    for c, r in zip(self.coords, self.routers)]
+        self._wire()
+        self.active: set[int] = set()       # ids of routers holding flits
+        self.arrivals: dict[int, list[tuple[_Router, int, Flit]]] = {}
+        self.credits: dict[int, list[tuple[tuple[object, int], bool]]] = {}
         self.in_flight = 0
         self.pid_counter = 0
         self.timestep = 0
         self._records_by_pid: dict[int, PacketRecord] = {}
         self._delivered: list[tuple[SpikePacket, int]] = []
         self._progress = 0
+
+    def _wire(self) -> None:
+        vcs = self.cfg.vcs
+        for router, ni in zip(self.routers, self.nis):
+            for vc in range(vcs):
+                router.up[vc] = (ni, vc)
+            x, y = router.coord
+            for o, d in enumerate(DIRS):
+                nx, ny = x + _DELTA[d][0], y + _DELTA[d][1]
+                if not (0 <= nx < self.cfg.width and 0 <= ny < self.cfg.height):
+                    continue
+                nbr = self.routers[ny * self.cfg.width + nx]
+                base = PORTS.index(_OPP[d]) * vcs
+                router.down[o] = (nbr, base)
+                router.link[o] = f"{x},{y}>{nx},{ny}"
+                for vc in range(vcs):
+                    nbr.up[base + vc] = (router, o * vcs + vc)
 
     # -- bookkeeping hooks ----------------------------------------------------
 
@@ -295,74 +355,55 @@ class NocSim:
         self.packet_records.append(rec)
         self._records_by_pid[packet.pid] = rec
         if self.ledger is not None:
-            self.ledger.count_packet(packet.src, packet.timestep)
+            self.ledger.count_injected(packet.src, packet.timestep,
+                                       len(packet.indices),
+                                       manhattan(packet.src, packet.dest))
 
-    def _on_flit_injection(self, coord: Coord, vc: int, flit: Flit, cycle: int) -> None:
-        router = self.routers[coord]
-        router.in_q[("L", vc)].append((flit, cycle + self.cfg.router_pipeline_cycles))
-        router.buffered += 1
-        self.active.add(coord)
+    def _on_flit_injection(self, ni: _Ni, flit: Flit, cycle: int) -> None:
         self.in_flight += 1
         self._progress += 1
-        if self.ledger is not None:
-            self.ledger.count_injected(flit.packet.src, flit.packet.timestep,
-                                       flit.kind == HEAD)
+        ni.router.accept(ni.cur_vc, flit,
+                         cycle + self.cfg.router_pipeline_cycles)
+        self.active.add(ni.router.rid)
 
-    def _send(self, router: _Router, in_dir: str, vc: int, out_dir: str,
-              dvc: int, flit: Flit, cycle: int) -> None:
+    def _send(self, router: _Router, s: int, o: int, dvc: int, flit: Flit,
+              cycle: int) -> None:
         self._progress += 1
         # free the input slot: credit back to whoever fills this buffer
-        self.credits.setdefault(cycle + 1, []).append(
-            ("ni" if in_dir == "L" else "router", router.coord, in_dir, vc,
-             flit.is_tail))
-        target = (router.coord[0] + _DELTA[out_dir][0],
-                  router.coord[1] + _DELTA[out_dir][1])
+        self.credits.setdefault(cycle + 1, []).append((router.up[s],
+                                                       flit.is_tail))
+        target, base = router.down[o]
         self.arrivals.setdefault(cycle + self.cfg.link_cycles, []).append(
-            (target, _OPP[out_dir], dvc, flit))
-        if self.ledger is not None:
-            self.ledger.count_hop(flit.packet.src, flit.packet.timestep)
+            (target, base + dvc, flit))
         if self.flit_trace is not None:
             self.flit_trace.append((cycle * self.cfg.noc_period_ps,
-                                    f"{router.coord[0]},{router.coord[1]}>"
-                                    f"{target[0]},{target[1]}",
-                                    flit.packet.pid, flit.kind))
+                                    router.link[o], flit.packet.pid, flit.kind))
 
-    def _apply_credit(self, kind: str, coord: Coord, in_dir: str, vc: int,
-                      was_tail: bool) -> None:
-        if kind == "ni":
-            ni = self.nis[coord]
-            ni.out_credit[vc] += 1
-            if was_tail:
-                ni.out_alloc[vc] = None
-        else:
-            up = (coord[0] + _DELTA[in_dir][0], coord[1] + _DELTA[in_dir][1])
-            router = self.routers[up]
-            out_dir = _OPP[in_dir]
-            router.out_credit[(out_dir, vc)] += 1
-            if was_tail:
-                router.out_alloc[(out_dir, vc)] = None
+    def _apply_credit(self, up: tuple[object, int], was_tail: bool) -> None:
+        """Return one buffer slot to the router or interface output ``up``."""
+        owner, idx = up
+        owner.out_credit[idx] += 1
+        if was_tail:
+            owner.out_alloc[idx] = None
 
-    def _arrive(self, coord: Coord, in_dir: str, vc: int, flit: Flit,
-                cycle: int) -> None:
+    def _arrive(self, router: _Router, s: int, flit: Flit, cycle: int) -> None:
         self._progress += 1
-        if coord == flit.packet.dest:
-            self.in_flight -= 1
+        packet = flit.packet
+        if router.coord != packet.dest:
+            router.accept(s, flit, cycle + self.cfg.router_pipeline_cycles)
+            self.active.add(router.rid)
+            return
+        self.in_flight -= 1
+        # consumed on arrival: the buffer slot frees right away
+        self.credits.setdefault(cycle + 1, []).append((router.up[s],
+                                                       flit.is_tail))
+        if flit.is_tail:
             eject_ps = cycle * self.cfg.noc_period_ps
+            self._records_by_pid.pop(packet.pid).eject_ps = eject_ps
+            self._delivered.append((packet, eject_ps))
             if self.ledger is not None:
-                self.ledger.count_ejected(coord, flit.packet.timestep)
-            # consumed on arrival: the buffer slot frees right away
-            self.credits.setdefault(cycle + 1, []).append(
-                ("router", coord, in_dir, vc, flit.is_tail))
-            if flit.is_tail:
-                rec = self._records_by_pid.pop(flit.packet.pid)
-                rec.eject_ps = eject_ps
-                self._delivered.append((flit.packet, eject_ps))
-        else:
-            router = self.routers[coord]
-            router.in_q[(in_dir, vc)].append(
-                (flit, cycle + self.cfg.router_pipeline_cycles))
-            router.buffered += 1
-            self.active.add(coord)
+                self.ledger.count_ejected(packet.dest, packet.timestep,
+                                          packet.flit_count)
 
     # -- main loop --------------------------------------------------------------
 
@@ -371,36 +412,46 @@ class NocSim:
                                              dict[Coord, int]]:
         """Feed per-core generation jobs, advance until every packet has been
         delivered; returns (delivered packets, drain time, generator-done times)."""
+        for jobs in jobs_by_core.values():
+            for job in jobs:
+                if job.packet.src == job.packet.dest:
+                    raise ValueError("self-addressed packets bypass the mesh")
+                if not job.packet.indices:
+                    raise ValueError("a packet carries at least one address")
         self.timestep = timestep
         self._delivered = []
         period = self.cfg.noc_period_ps
         live = []
         for coord in sorted(jobs_by_core, key=lambda c: (c[1], c[0])):
             jobs = jobs_by_core[coord]
-            for job in jobs:
-                if job.packet.src == job.packet.dest:
-                    raise ValueError("self-addressed packets bypass the mesh")
-            self.nis[coord].set_jobs(jobs, start_ps)
+            ni = self.nis[coord[1] * self.cfg.width + coord[0]]
+            ni.set_jobs(jobs, start_ps)
             if jobs:
-                live.append(coord)
+                live.append(ni)
+        routers = self.routers
+        active = self.active
+        arrivals = self.arrivals
+        credits = self.credits
         cycle = -(-start_ps // period)
         drain_ps = start_ps
         last_progress_cycle = cycle
         last_progress = self._progress
 
         while True:
-            for coord, in_dir, vc, flit in self.arrivals.pop(cycle, ()):
-                self._arrive(coord, in_dir, vc, flit, cycle)
-            for item in self.credits.pop(cycle, ()):
-                self._apply_credit(*item)
-            for coord in live:
-                self.nis[coord].step(cycle, self)
-            for coord in sorted(self.active, key=lambda c: (c[1], c[0])):
-                self.routers[coord].tick(cycle, self)
-            self.active = {c for c in self.active if self.routers[c].buffered}
+            for router, s, flit in arrivals.pop(cycle, ()):
+                self._arrive(router, s, flit, cycle)
+            for up, was_tail in credits.pop(cycle, ()):
+                self._apply_credit(up, was_tail)
+            for ni in live:
+                ni.step(cycle, self)
+            for rid in sorted(active):
+                router = routers[rid]
+                router.tick(cycle, self)
+                if not router.buffered:
+                    active.discard(rid)
 
-            if (self.in_flight == 0 and not self.arrivals
-                    and all(self.nis[c].idle for c in live)):
+            if (self.in_flight == 0 and not arrivals
+                    and all(ni.idle for ni in live)):
                 drain_ps = cycle * period
                 break
 
@@ -408,19 +459,22 @@ class NocSim:
                 last_progress = self._progress
                 last_progress_cycle = cycle
             elif cycle - last_progress_cycle > self.cfg.watchdog_cycles:
-                stuck = {str(c): r.buffered for c, r in self.routers.items()
+                stuck = {str(r.coord): r.buffered for r in routers
                          if r.buffered}
                 raise DeadlockError(
                     f"no flit progress for {self.cfg.watchdog_cycles} cycles at "
                     f"t={timestep}; buffered flits per router: {stuck}")
 
-            cand = [cycle + 1] if self.active else []
-            if self.arrivals:
-                cand.append(min(self.arrivals))
-            if self.credits:
-                cand.append(min(self.credits))
-            for coord in live:
-                ni = self.nis[coord]
+            if active:
+                # a router holding flits ticks next cycle; no event is sooner
+                cycle += 1
+                continue
+            cand = []
+            if arrivals:
+                cand.append(min(arrivals))
+            if credits:
+                cand.append(min(credits))
+            for ni in live:
                 if ni.current is not None:
                     cand.append(cycle + 1)
                 elif ni.queue:
@@ -431,11 +485,11 @@ class NocSim:
             cycle = max(cycle + 1, min(cand)) if cand else cycle + 1
 
         # flits are all delivered; apply the credit echoes left in flight
-        for c in sorted(self.credits):
-            for item in self.credits.pop(c):
-                self._apply_credit(*item)
+        for c in sorted(credits):
+            for up, was_tail in credits.pop(c):
+                self._apply_credit(up, was_tail)
         if self._delivered:
             drain_ps = max(drain_ps, max(ps for _, ps in self._delivered))
-        gen_done = {c: self.nis[c].gen_done_ps for c in live}
+        gen_done = {ni.coord: ni.gen_done_ps for ni in live}
         delivered = sorted(self._delivered, key=lambda pe: (pe[1], pe[0].pid))
         return delivered, drain_ps, gen_done

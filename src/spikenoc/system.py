@@ -9,7 +9,7 @@ execution time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .artifact import DeploymentBundle, build_bundle
 from .core import CoreState, CoreTiming, MODE_BASELINE, MODE_UNISPIKE

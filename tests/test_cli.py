@@ -6,6 +6,7 @@ from spikenoc.cli import main
 from spikenoc.config import parse_config_text
 from spikenoc.graph import SpikeTrain, load_graph
 from spikenoc.metrics import parse_report
+from spikenoc.noc import NocSim
 
 CONFIG = """
 [workload]
@@ -173,3 +174,14 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(other), "--bundle", bundle_dir,
                      "--out", str(tmp_path / "run")]) == 2
         assert "mesh" in capsys.readouterr().err
+
+    def test_network_stall_exits_1(self, tmp_path, monkeypatch, capsys):
+        # credits never come back, so the mesh stalls and the watchdog fires
+        monkeypatch.setattr(NocSim, "_apply_credit",
+                            lambda self, up, was_tail: None)
+        stall = tmp_path / "stall.ini"
+        stall.write_text(CONFIG + "watchdog_cycles = 200\n")   # into [mesh]
+        assert main(["simulate", "--config", str(stall),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "runtime error: no flit progress for 200 cycles" in err

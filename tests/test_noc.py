@@ -2,10 +2,16 @@ import random
 from itertools import groupby
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spikenoc.core import CoreTiming, GenJob, SpikePacket
+from spikenoc.core import (CoreTiming, GenJob, MODE_BASELINE, MODE_UNISPIKE,
+                           SpikePacket)
+from spikenoc.graph import build_brunel, reference_simulate
 from spikenoc.metrics import TrafficLedger
-from spikenoc.noc import MeshConfig, NocSim, manhattan, xy_route
+from spikenoc.noc import DeadlockError, MeshConfig, NocSim, manhattan, xy_route
+from spikenoc.partition import MemoryBudget
+from spikenoc.stimulus import StimulusSpec, build_stimulus
+from spikenoc.system import SystemConfig, deploy, run_experiment
 
 
 def job(src, dest, body, create_ps=0, timestep=0):
@@ -90,14 +96,16 @@ class TestSinglePacket:
         assert not any(link.startswith("2,1>") for _, link, _, _ in trace)
 
 
-def random_jobs(rng, cfg, count, max_body=16, spread_ps=50000):
+def random_jobs(rng, cfg, count, max_body=16, spread_ps=50000, start_ps=0,
+                timestep=0):
     jobs_by_core = {}
     for _ in range(count):
         src = (rng.randrange(cfg.width), rng.randrange(cfg.height))
         dest = src
         while dest == src:
             dest = (rng.randrange(cfg.width), rng.randrange(cfg.height))
-        j = job(src, dest, rng.randint(1, max_body), rng.randrange(spread_ps))
+        j = job(src, dest, rng.randint(1, max_body),
+                start_ps + rng.randrange(spread_ps), timestep)
         jobs_by_core.setdefault(src, []).append(j)
     return jobs_by_core
 
@@ -174,6 +182,23 @@ class TestInjection:
         with pytest.raises(ValueError, match="bypass"):
             run_one(cfg, {(0, 0): [job((0, 0), (0, 0), 1)]})
 
+    def test_rejected_step_hands_no_jobs_to_any_source(self):
+        # the bad packet sits on a later core than a good one: the good
+        # core's interface must not keep its jobs when the step is refused
+        sim = NocSim(MeshConfig(2, 2), CoreTiming(), TrafficLedger())
+        with pytest.raises(ValueError, match="bypass"):
+            sim.run_timestep({(0, 0): [job((0, 0), (1, 0), 2)],
+                              (1, 1): [job((1, 1), (1, 1), 1)]}, 0, 0)
+        delivered, _, _ = sim.run_timestep(
+            {(0, 0): [job((0, 0), (0, 1), 3)]}, 0, 0)
+        assert [(p.dest, len(p.indices)) for p, _ in delivered] == [((0, 1), 3)]
+        assert sim.ledger.totals["packets"] == 1
+
+    def test_empty_packet_rejected(self):
+        # a packet with no address has no tail flit to release its VCs
+        with pytest.raises(ValueError, match="at least one address"):
+            run_one(MeshConfig(2, 2), {(0, 0): [job((0, 0), (1, 0), 0)]})
+
     def test_bounded_output_queue_serializes(self):
         cfg = MeshConfig(4, 1)
         timing = CoreTiming(output_queue_packets=1)
@@ -198,3 +223,89 @@ class TestDeterminism:
                            r.inject_ps, r.eject_ps) for r in records],
                          trace))
         assert outs[0] == outs[1]
+
+
+def starve_credits(monkeypatch):
+    """Drop every credit the mesh returns, so buffers never free up."""
+    monkeypatch.setattr(NocSim, "_apply_credit", lambda self, up, tail: None)
+
+
+class TestWatchdog:
+    # one VC of depth 4: (1,0)'s own packet takes the only VC east, and the
+    # packet from (0,0) queues behind it in (1,0)'s west buffer; with
+    # credits flowing, the same jobs drain (TestWormhole)
+    CFG = MeshConfig(3, 1, vcs=1, vc_buffer_depth=4, watchdog_cycles=30)
+    JOBS = {(0, 0): [job((0, 0), (2, 0), 6)], (1, 0): [job((1, 0), (2, 0), 6)]}
+
+    def test_starved_credits_raise_deadlock_naming_stuck_routers(
+            self, monkeypatch):
+        starve_credits(monkeypatch)
+        with pytest.raises(DeadlockError) as err:
+            run_one(self.CFG, self.JOBS)
+        msg = str(err.value)
+        assert "no flit progress for 30 cycles at t=0" in msg
+        assert msg.endswith("buffered flits per router: {'(1, 0)': 4}")
+
+    def test_interrupted_step_blocks_the_next_one(self, monkeypatch):
+        starve_credits(monkeypatch)
+        sim = NocSim(self.CFG, CoreTiming(), TrafficLedger())
+        with pytest.raises(DeadlockError):
+            sim.run_timestep(self.JOBS, 0, 0)
+        with pytest.raises(RuntimeError, match="must drain"):
+            sim.run_timestep({(0, 0): [job((0, 0), (1, 0), 1)]}, 10**9, 1)
+
+
+# every buffer knob from 1 up, including the all-ones edge
+buffer_knobs = dict(vcs=st.integers(1, 4), depth=st.integers(1, 4),
+                    queue=st.integers(1, 4), max_body=st.integers(1, 4))
+
+
+class TestBufferSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 60),
+           **buffer_knobs)
+    def test_random_jobs_drain_within_bounds(self, seed, count, vcs, depth,
+                                             queue, max_body):
+        cfg = MeshConfig(4, 3, vcs=vcs, vc_buffer_depth=depth)
+        timing = CoreTiming(output_queue_packets=queue, max_body=max_body)
+        rng = random.Random(seed)
+        ledger, records, trace = TrafficLedger(), [], []
+        sim = NocSim(cfg, timing, ledger, records, trace)
+        start_ps, flits, hops = 0, 0, 0
+        for t in range(2):
+            jobs_by_core = random_jobs(rng, cfg, count, max_body, 20000,
+                                       start_ps, t)
+            flat = [j.packet for js in jobs_by_core.values() for j in js]
+            delivered, start_ps, _ = sim.run_timestep(jobs_by_core, start_ps, t)
+            assert sorted(id(p) for p, _ in delivered) == sorted(map(id, flat))
+            assert ledger.timestep_total("packets", t) == count
+            flits += sum(p.flit_count for p in flat)
+            hops += sum(p.flit_count * manhattan(p.src, p.dest) for p in flat)
+        assert ledger.totals["injected_flits"] == flits
+        assert ledger.totals["ejected_flits"] == flits
+        # the trace logs each link crossing, so it checks the hop formula
+        assert len(trace) == ledger.totals["flit_hops"] == hops
+        for rec in records:
+            floor = 3 * manhattan(rec.src, rec.dest) + rec.body_count
+            assert rec.eject_ps - rec.inject_ps >= floor * cfg.noc_period_ps
+
+    @settings(max_examples=12, deadline=None)
+    @given(mode=st.sampled_from([MODE_BASELINE, MODE_UNISPIKE]), **buffer_knobs)
+    def test_spike_trains_match_reference(self, mode, vcs, depth, queue,
+                                          max_body):
+        g = build_brunel(40, 10, conn_prob=0.15, w_exc=0.4, w_inh=-0.3, seed=4)
+        cfg = SystemConfig(
+            mesh=MeshConfig(3, 3, vcs=vcs, vc_buffer_depth=depth),
+            timing=CoreTiming(output_queue_packets=queue, max_body=max_body),
+            budget=MemoryBudget(neuron_bytes=6 * 24),
+            stimulus=StimulusSpec(kind="poisson", amplitude=12.0, rate=0.2,
+                                  seed=4),
+            timesteps=8, partitioner="hsfc", mode=mode)
+        stim = build_stimulus(cfg.stimulus, g.neuron_count, cfg.timesteps,
+                              g.frac_bits)
+        result = run_experiment(deploy(g, cfg), cfg, stim)
+        want = reference_simulate(g, stim, cfg.timesteps, cfg.dt)
+        assert want.total_spikes() > 0
+        assert result.train.digest() == want.digest()
+        traffic = result.report.traffic
+        assert traffic["injected_flits"] == traffic["ejected_flits"] > 0
