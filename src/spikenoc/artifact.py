@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass, asdict
 
 from .graph import SnnGraph, load_binary, save_binary
-from .partition import CoreMap, MemoryBudget, Partition, memory_cost
+from .partition import CoreMap, MemoryBudget, Partition
 from .schedule import build_checking_table, complete_queue, validate_schedule
 
 Coord = tuple[int, int]
@@ -38,6 +38,16 @@ class SizeReport:
     checking_table_fits: bool
 
 
+def iter_bits(mask: int):
+    """Indices of set bits, ascending."""
+    idx = 0
+    while mask:
+        if mask & 1:
+            yield idx
+        mask >>= 1
+        idx += 1
+
+
 @dataclass
 class CoreArtifact:
     coord: Coord
@@ -45,7 +55,7 @@ class CoreArtifact:
     # (src core coord, src local index) -> ((local post index, raw weight), ...)
     # the core's own coord keys its intra-core fan-out
     synapse_table: dict[tuple[Coord, int], tuple[tuple[int, int], ...]]
-    dest_map: dict[Coord, frozenset[int]]
+    # remote destination -> bitmap of the local neurons connected to it
     conn_bitmaps: dict[Coord, int]
     exec_queue: tuple[int, ...]
     checking_table: dict[int, tuple[Coord, ...]]
@@ -55,9 +65,15 @@ class CoreArtifact:
     def local_count(self) -> int:
         return len(self.neuron_ids)
 
+    @property
+    def dest_map(self) -> dict[Coord, frozenset[int]]:
+        """Remote destination -> connected local neurons, from the bitmaps."""
+        return {c: frozenset(iter_bits(mask))
+                for c, mask in self.conn_bitmaps.items()}
+
     def local_dests(self, idx: int) -> tuple[Coord, ...]:
         """Remote destinations of one local neuron, row-major order."""
-        out = [c for c, members in self.dest_map.items() if idx in members]
+        out = [c for c, mask in self.conn_bitmaps.items() if mask >> idx & 1]
         return tuple(sorted(out, key=lambda c: (c[1], c[0])))
 
 
@@ -78,10 +94,19 @@ class DeploymentBundle:
         raise KeyError(coord)
 
 
-def _checking_table_bytes(table: dict[int, tuple[Coord, ...]]) -> int:
+def _size_report(synapse_table, local_count: int, n_dests: int,
+                 checking_table, budget: MemoryBudget) -> SizeReport:
+    syn = (sum(len(v) for v in synapse_table.values())
+           * budget.bytes_per_synapse)
+    neu = local_count * budget.bytes_per_neuron_state
+    post_b = n_dests * budget.dest_entry_bytes
     # 2-byte entry count; per entry a 2-byte neuron index, 2-byte destination
     # count and 4 bytes (x, y as u16) per bound destination
-    return 2 + sum(4 + 4 * len(v) for v in table.values())
+    ct_bytes = 2 + sum(4 + 4 * len(v) for v in checking_table.values())
+    return SizeReport(syn, neu, post_b, ct_bytes,
+                      syn <= budget.synapse_bytes, neu <= budget.neuron_bytes,
+                      post_b <= budget.post_conn_bytes,
+                      ct_bytes <= budget.checking_table_bytes)
 
 
 def build_bundle(graph: SnnGraph, partition: Partition, core_map: CoreMap,
@@ -125,32 +150,17 @@ def build_bundle(graph: SnnGraph, partition: Partition, core_map: CoreMap,
         if problems:
             raise ArtifactError(f"core {coord}: {problems[0]}")
         bitmaps = {}
-        for c, members in dest_map.items():
-            mask = 0
-            for i in members:
-                mask |= 1 << i
-            bitmaps[c] = mask
-
-        cost = memory_cost(cluster, graph, budget, partition.cluster_of)
-        if not cost.fits:
-            raise ArtifactError(f"core {coord}: cluster exceeds memory budget")
+        for c in sorted(dest_sets, key=lambda c: (c[1], c[0])):
+            bitmaps[c] = sum(1 << i for i in dest_sets[c])
+        synapse_table = {k: tuple(v) for k, v in sorted(table.items())}
         check_t = {n: tuple(v) for n, v in check.items()}
-        ct_bytes = _checking_table_bytes(check_t)
-        report = SizeReport(
-            cost.synapse_bytes, cost.neuron_bytes, cost.post_conn_bytes, ct_bytes,
-            cost.synapse_bytes <= budget.synapse_bytes,
-            cost.neuron_bytes <= budget.neuron_bytes,
-            cost.post_conn_bytes <= budget.post_conn_bytes,
-            ct_bytes <= budget.checking_table_bytes)
-        cores.append(CoreArtifact(
-            coord=coord,
-            neuron_ids=tuple(cluster),
-            synapse_table={k: tuple(v) for k, v in sorted(table.items())},
-            dest_map=dict(sorted(dest_map.items(), key=lambda kv: (kv[0][1], kv[0][0]))),
-            conn_bitmaps=dict(sorted(bitmaps.items(), key=lambda kv: (kv[0][1], kv[0][0]))),
-            exec_queue=tuple(queue),
-            checking_table=check_t,
-            size_report=report))
+        report = _size_report(synapse_table, len(cluster), len(bitmaps),
+                              check_t, budget)
+        if not (report.synapse_fits and report.neuron_fits
+                and report.post_conn_fits):
+            raise ArtifactError(f"core {coord}: cluster exceeds memory budget")
+        cores.append(CoreArtifact(coord, tuple(cluster), synapse_table,
+                                  bitmaps, tuple(queue), check_t, report))
 
     return DeploymentBundle(core_map.mesh_width, core_map.mesh_height,
                             graph.frac_bits, graph.digest(), budget, cores, graph)
@@ -187,66 +197,54 @@ def core_to_bytes(core: CoreArtifact) -> bytes:
 
 
 def core_from_bytes(buf: bytes, budget: MemoryBudget) -> CoreArtifact:
+    """Parse one core image.  Raises ArtifactError if the image is truncated,
+    has trailing bytes, or names a local neuron index out of range."""
     if buf[:4] != _CORE_MAGIC:
         raise ArtifactError("bad core image magic")
     off = 4
-    version, x, y, n_local = struct.unpack_from("<HHHI", buf, off)
-    off += 10
+
+    def take(fmt: str) -> tuple:
+        nonlocal off
+        try:
+            values = struct.unpack_from(fmt, buf, off)
+        except struct.error:
+            raise ArtifactError(
+                f"core image truncated at byte {off}") from None
+        off += struct.calcsize(fmt)
+        return values
+
+    version, x, y, n_local = take("<HHHI")
     if version != 1:
         raise ArtifactError(f"unsupported core image version {version}")
-    ids = struct.unpack_from(f"<{n_local}I", buf, off)
-    off += 4 * n_local
-    (n_entries,) = struct.unpack_from("<I", buf, off)
-    off += 4
+    ids = take(f"<{n_local}I")
     table = {}
-    for _ in range(n_entries):
-        sx, sy, idx, n_pairs = struct.unpack_from("<HHHH", buf, off)
-        off += 8
-        pairs = []
-        for _ in range(n_pairs):
-            post, raw = struct.unpack_from("<Hh", buf, off)
-            off += 4
-            pairs.append((post, raw))
-        table[((sx, sy), idx)] = tuple(pairs)
-    bitmap_len = (n_local + 7) // 8
-    (n_dests,) = struct.unpack_from("<I", buf, off)
-    off += 4
+    for _ in range(take("<I")[0]):
+        sx, sy, idx, n_pairs = take("<HHHH")
+        flat = take("<" + "Hh" * n_pairs)
+        table[((sx, sy), idx)] = tuple(zip(flat[::2], flat[1::2]))
+    bitmap_fmt = f"<{(n_local + 7) // 8}s"
     bitmaps = {}
-    for _ in range(n_dests):
-        dx, dy = struct.unpack_from("<HH", buf, off)
-        off += 4
-        mask = int.from_bytes(buf[off:off + bitmap_len], "little")
-        off += bitmap_len
-        bitmaps[(dx, dy)] = mask
-    (qlen,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    queue = struct.unpack_from(f"<{qlen}H", buf, off)
-    off += 2 * qlen
-    (n_check,) = struct.unpack_from("<H", buf, off)
-    off += 2
+    for _ in range(take("<I")[0]):
+        dx, dy = take("<HH")
+        bitmaps[(dx, dy)] = int.from_bytes(take(bitmap_fmt)[0], "little")
+    queue = take(f"<{take('<I')[0]}H")
     check = {}
-    for _ in range(n_check):
-        n, n_coords = struct.unpack_from("<HH", buf, off)
-        off += 4
-        coords = []
-        for _ in range(n_coords):
-            cx, cy = struct.unpack_from("<HH", buf, off)
-            off += 4
-            coords.append((cx, cy))
-        check[n] = tuple(coords)
+    for _ in range(take("<H")[0]):
+        n, n_coords = take("<HH")
+        flat = take("<" + "HH" * n_coords)
+        check[n] = tuple(zip(flat[::2], flat[1::2]))
+    if off != len(buf):
+        raise ArtifactError(f"{len(buf) - off} trailing bytes in core image")
 
-    dest_map = {c: frozenset(i for i in range(n_local) if mask >> i & 1)
-                for c, mask in bitmaps.items()}
-    syn = sum(len(v) for v in table.values()) * budget.bytes_per_synapse
-    neu = n_local * budget.bytes_per_neuron_state
-    post_b = len(bitmaps) * budget.dest_entry_bytes
-    ct_bytes = _checking_table_bytes(check)
-    report = SizeReport(syn, neu, post_b, ct_bytes,
-                        syn <= budget.synapse_bytes, neu <= budget.neuron_bytes,
-                        post_b <= budget.post_conn_bytes,
-                        ct_bytes <= budget.checking_table_bytes)
-    return CoreArtifact((x, y), tuple(ids), table, dest_map, bitmaps,
-                        tuple(queue), check, report)
+    if (any(post >= n_local for pairs in table.values() for post, _ in pairs)
+            or any(mask >> n_local for mask in bitmaps.values())
+            or any(i >= n_local for i in queue)
+            or any(n >= n_local for n in check)):
+        raise ArtifactError(f"core ({x}, {y}): local index out of range "
+                            f"for {n_local} neurons")
+    report = _size_report(table, n_local, len(bitmaps), check, budget)
+    return CoreArtifact((x, y), tuple(ids), table, bitmaps, tuple(queue),
+                        check, report)
 
 
 def save_bundle(bundle: DeploymentBundle, path: str) -> None:
@@ -300,31 +298,47 @@ def load_bundle(path: str) -> DeploymentBundle:
 
 
 def validate_bundle(bundle: DeploymentBundle) -> list[str]:
-    """Cross-check every core's schedule, bitmaps and sizes; returns violations."""
+    """Cross-check every core's schedule, sizes, and connection bitmaps
+    against the bundle's graph; returns violations."""
     problems = []
+    graph = bundle.graph
     seen: dict[int, Coord] = {}
     for core in bundle.cores:
-        prefix = f"core {core.coord}"
         for nid in core.neuron_ids:
-            if nid in seen:
-                problems.append(f"{prefix}: neuron {nid} also on core {seen[nid]}")
+            if not 0 <= nid < graph.neuron_count:
+                problems.append(f"core {core.coord}: neuron {nid} is not in "
+                                f"the graph")
+            elif nid in seen:
+                problems.append(f"core {core.coord}: neuron {nid} also on "
+                                f"core {seen[nid]}")
             seen[nid] = core.coord
-        for coord, members in core.dest_map.items():
+    for core in bundle.cores:
+        prefix = f"core {core.coord}"
+        # destination -> bitmap of the local neurons the graph connects to it
+        want: dict[Coord, int] = {}
+        for i, nid in enumerate(core.neuron_ids):
+            if not 0 <= nid < graph.neuron_count:
+                continue
+            for post, _ in graph.posts(nid):
+                dest = seen.get(post)
+                if dest is not None and dest != core.coord:
+                    want[dest] = want.get(dest, 0) | 1 << i
+        for coord, mask in core.conn_bitmaps.items():
             if coord == core.coord:
-                problems.append(f"{prefix}: destination map points at itself")
-            mask = core.conn_bitmaps.get(coord)
-            want = 0
-            for i in members:
-                want |= 1 << i
-            if mask != want:
-                problems.append(f"{prefix}: bitmap for {coord} disagrees with map")
+                problems.append(f"{prefix}: connection bitmap points at "
+                                f"itself")
+            elif mask != want.get(coord):
+                problems.append(f"{prefix}: bitmap for {coord} disagrees with "
+                                f"the graph")
+        for coord in want.keys() - core.conn_bitmaps.keys():
+            problems.append(f"{prefix}: destination {coord} has no bitmap")
         problems += [f"{prefix}: {v}" for v in validate_schedule(
             list(core.exec_queue), {k: list(v) for k, v in core.checking_table.items()},
             core.dest_map, core.local_count)]
         r = core.size_report
         if not (r.synapse_fits and r.neuron_fits and r.post_conn_fits):
             problems.append(f"{prefix}: memory budget exceeded")
-    missing = [n for n in range(bundle.graph.neuron_count) if n not in seen]
+    missing = [n for n in range(graph.neuron_count) if n not in seen]
     if missing:
         problems.append(f"neurons {missing[:8]} not deployed on any core")
     return problems

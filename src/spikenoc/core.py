@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .artifact import ArtifactError, CoreArtifact
+from .artifact import ArtifactError, CoreArtifact, iter_bits
 from .neurons import ModelParams, NeuronState, rest_state, step_neuron
 
 Coord = tuple[int, int]
@@ -37,7 +37,7 @@ class CoreTiming:
             raise ValueError("max_body and output queue must be at least 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpikePacket:
     """One head flit (route + source) plus one body flit per spike address."""
 
@@ -45,21 +45,10 @@ class SpikePacket:
     dest: Coord
     timestep: int
     indices: tuple[int, ...]
-    pid: int = -1
 
     @property
     def flit_count(self) -> int:
         return 1 + len(self.indices)
-
-
-def iter_bits(mask: int):
-    """Indices of set bits, ascending."""
-    idx = 0
-    while mask:
-        if mask & 1:
-            yield idx
-        mask >>= 1
-        idx += 1
 
 
 @dataclass
@@ -100,7 +89,6 @@ class CoreState:
         self.dt = dt
         self.acc = [0] * n
         self.act_bitmap = 0
-        self.cursor = 0
         self.self_pending: list[int] = []   # local fires awaiting next-step decode
         # per-local-neuron remote destinations, row-major, for baseline emission
         self._dests = [artifact.local_dests(i) for i in range(n)]
@@ -136,19 +124,6 @@ class CoreState:
         """Raw external current indexed by global neuron id; free of charge."""
         for i, nid in enumerate(self.artifact.neuron_ids):
             self.acc[i] += row[nid]
-
-    # -- update pass ----------------------------------------------------------
-
-    def update_next_neuron(self) -> tuple[int, bool, tuple[Coord, ...]]:
-        """Advance the neuron at the queue cursor; returns its local index,
-        whether it fired, and the destinations its barrier releases."""
-        idx = self.artifact.exec_queue[self.cursor]
-        self.cursor += 1
-        fired = step_neuron(self.states[idx], self.params[idx],
-                            self.acc[idx] * self.scale, self.dt)
-        if fired:
-            self.act_bitmap |= 1 << idx
-        return idx, fired, self.artifact.checking_table.get(idx, ())
 
     # -- packet generation ----------------------------------------------------
 
@@ -189,29 +164,30 @@ class CoreState:
         jobs: list[GenJob] = []
         fired_globals: list[int] = []
         next_self: list[int] = []
-        queue = self.artifact.exec_queue
-        for _ in range(len(queue)):
-            idx, fired, binds = self.update_next_neuron()
+        art = self.artifact
+        baseline = self.mode == MODE_BASELINE
+        for idx in art.exec_queue:
             t_cycles += timing.update_cycles
             t_ps = t_start_ps + t_cycles * timing.core_period_ps
-            if fired:
-                fired_globals.append(self.artifact.neuron_ids[idx])
+            if step_neuron(self.states[idx], self.params[idx],
+                           self.acc[idx] * self.scale, self.dt):
+                self.act_bitmap |= 1 << idx
+                fired_globals.append(art.neuron_ids[idx])
                 if self._self_fanout.get(idx):
                     next_self.append(idx)
-            if self.mode == MODE_BASELINE:
-                if fired:
+                if baseline:
                     for packet in self.generate_baseline_packets(idx, timestep):
                         jobs.append(GenJob(t_ps, packet))
-            else:
-                for dest in binds:
+            if not baseline:
+                # the barrier neuron has updated: its destinations go out
+                for dest in art.checking_table.get(idx, ()):
                     for packet in self.generate_merged_packets(dest, timestep):
                         jobs.append(GenJob(t_ps, packet))
 
         busy_ps = t_cycles * timing.core_period_ps
-        update_count = len(queue)
+        update_count = len(art.exec_queue)
         self.acc = [0] * len(self.acc)
         self.act_bitmap = 0
-        self.cursor = 0
         self.self_pending = next_self
         fired_globals.sort()
         return CoreStepResult(jobs, busy_ps, fired_globals, events, update_count)

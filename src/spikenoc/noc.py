@@ -9,7 +9,8 @@ arriving at their destination router are consumed immediately.
 
 Each core-side interface owns the packet generator pipeline and its bounded
 output queue, so back-pressure from the network stalls packet generation
-without ever stalling the neuron update engine.
+without ever stalling the neuron update engine.  A generated packet enters
+the queue only while it has room, no earlier than the moment room last opened.
 
 Traffic is accounted per packet: under XY routing every flit of a packet
 crosses the same ``manhattan(src, dest)`` links, so a packet contributes
@@ -22,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .core import CoreTiming, GenJob, SpikePacket
+from .metrics import TrafficLedger
 
 Coord = tuple[int, int]
 
@@ -80,9 +82,9 @@ def manhattan(a: Coord, b: Coord) -> int:
 @dataclass(slots=True)
 class Flit:
     packet: SpikePacket
+    record: PacketRecord
     kind: str
     is_tail: bool
-    seq: int
 
 
 @dataclass
@@ -96,12 +98,10 @@ class PacketRecord:
     eject_ps: int = -1
 
 
-def packet_flits(packet: SpikePacket) -> list[Flit]:
-    flits = [Flit(packet, HEAD, False, 0)]
+def packet_flits(packet: SpikePacket, record: PacketRecord) -> list[Flit]:
     n = len(packet.indices)
-    for i in range(n):
-        flits.append(Flit(packet, BODY, i == n - 1, i + 1))
-    return flits
+    return [Flit(packet, record, HEAD, False)] + [
+        Flit(packet, record, BODY, i == n - 1) for i in range(n)]
 
 
 class _Router:
@@ -131,7 +131,7 @@ class _Router:
         self.out_of = [0] * self.nslots
         self.route = [0] * self.nslots
         self.out_credit = [cfg.vc_buffer_depth] * (len(DIRS) * vcs)
-        self.out_alloc: list[int | None] = [None] * (len(DIRS) * vcs)
+        self.out_alloc = [False] * (len(DIRS) * vcs)
         self.rr = [0] * len(DIRS)
         self.buffered = 0
         # wired by NocSim: per input slot, the (owner, output slot) whose
@@ -183,11 +183,11 @@ class _Router:
             base = o * vcs
             if flit.kind == HEAD:
                 for dvc in range(vcs):
-                    if alloc[base + dvc] is None and credit[base + dvc] > 0:
+                    if not alloc[base + dvc] and credit[base + dvc] > 0:
                         break
                 else:
                     continue
-                alloc[base + dvc] = flit.packet.pid
+                alloc[base + dvc] = True
                 self.route[s] = dvc
             else:
                 dvc = self.route[s]
@@ -208,8 +208,8 @@ class _Ni:
     """Network interface: generator pipeline, bounded output queue, injector."""
 
     __slots__ = ("coord", "cfg", "router", "gen_ps_per_flit", "queue_cap",
-                 "gen_jobs", "gen_busy_until", "gen_blocked", "gen_done_ps",
-                 "queue", "current", "cur_vc", "out_credit", "out_alloc")
+                 "gen_jobs", "gen_busy_until", "room_ps", "queue", "current",
+                 "cur_vc", "out_credit", "out_alloc")
 
     def __init__(self, coord: Coord, cfg: MeshConfig, timing: CoreTiming,
                  router: _Router):
@@ -219,56 +219,39 @@ class _Ni:
         self.gen_ps_per_flit = timing.gen_cycles_per_flit * timing.core_period_ps
         self.queue_cap = timing.output_queue_packets
         self.gen_jobs: deque[GenJob] = deque()
-        self.gen_busy_until = 0
-        self.gen_blocked: tuple[int, SpikePacket] | None = None
-        self.gen_done_ps = 0
+        self.gen_busy_until = 0     # queue entry time of the last packet
+        self.room_ps = 0            # when the full queue last freed a slot
         self.queue: deque[tuple[int, SpikePacket]] = deque()
         self.current: deque[Flit] | None = None
         self.cur_vc = 0
         self.out_credit = [cfg.vc_buffer_depth] * cfg.vcs
-        self.out_alloc: list[int | None] = [None] * cfg.vcs
+        self.out_alloc = [False] * cfg.vcs
 
     @property
     def idle(self) -> bool:
-        return (not self.gen_jobs and self.gen_blocked is None
-                and not self.queue and self.current is None)
+        return not self.gen_jobs and not self.queue and self.current is None
 
     def set_jobs(self, jobs: list[GenJob], start_ps: int) -> None:
         if not self.idle:
             raise RuntimeError("sources must drain before the next timestep")
         self.gen_jobs = deque(sorted(jobs, key=lambda j: j.create_ps))
         self.gen_busy_until = start_ps
-        self.gen_done_ps = start_ps
 
     def advance_gen(self, now_ps: int) -> None:
-        while True:
-            if self.gen_blocked is not None:
-                finish, packet = self.gen_blocked
-                if len(self.queue) >= self.queue_cap:
-                    return
-                ready = max(finish, now_ps)
-                self.queue.append((ready, packet))
-                self.gen_busy_until = ready
-                self.gen_done_ps = max(self.gen_done_ps, ready)
-                self.gen_blocked = None
-            if not self.gen_jobs:
-                return
-            job = self.gen_jobs[0]
-            start = max(self.gen_busy_until, job.create_ps)
-            finish = start + job.packet.flit_count * self.gen_ps_per_flit
+        """Queue every packet generated by ``now_ps``, while the queue has
+        room; one that waited for room enters when room opened."""
+        while self.gen_jobs and len(self.queue) < self.queue_cap:
+            finish = self.next_gen_event_ps()
             if finish > now_ps:
                 return
-            self.gen_jobs.popleft()
-            if len(self.queue) < self.queue_cap:
-                self.queue.append((finish, job.packet))
-                self.gen_busy_until = finish
-                self.gen_done_ps = max(self.gen_done_ps, finish)
-            else:
-                self.gen_blocked = (finish, job.packet)
-                self.gen_busy_until = finish
+            ready = max(finish, self.room_ps)
+            self.queue.append((ready, self.gen_jobs.popleft().packet))
+            self.gen_busy_until = ready
 
     def next_gen_event_ps(self) -> int | None:
-        if self.gen_blocked is not None or not self.gen_jobs:
+        """When the next packet finishes generating; None while the queue
+        is full or nothing is left to generate."""
+        if not self.gen_jobs or len(self.queue) >= self.queue_cap:
             return None
         job = self.gen_jobs[0]
         start = max(self.gen_busy_until, job.create_ps)
@@ -280,17 +263,18 @@ class _Ni:
         if self.current is None and self.queue and self.queue[0][0] <= now_ps:
             vc = None
             for v in range(self.cfg.vcs):
-                if self.out_alloc[v] is None and self.out_credit[v] > 0:
+                if not self.out_alloc[v] and self.out_credit[v] > 0:
                     vc = v
                     break
             if vc is not None:
+                if len(self.queue) == self.queue_cap:
+                    self.room_ps = now_ps
                 _, packet = self.queue.popleft()
-                self.advance_gen(now_ps)  # a queue slot just freed
-                packet.pid = noc._next_pid()
-                self.current = deque(packet_flits(packet))
+                self.advance_gen(now_ps)
+                record = noc._on_packet_injection(packet, now_ps)
+                self.current = deque(packet_flits(packet, record))
                 self.cur_vc = vc
-                self.out_alloc[vc] = packet.pid
-                noc._on_packet_injection(packet, now_ps)
+                self.out_alloc[vc] = True
         if self.current is not None and self.out_credit[self.cur_vc] > 0:
             flit = self.current.popleft()
             self.out_credit[self.cur_vc] -= 1
@@ -302,11 +286,11 @@ class _Ni:
 class NocSim:
     """Whole-mesh state, advanced timestep by timestep until drained."""
 
-    def __init__(self, cfg: MeshConfig, timing: CoreTiming, ledger=None,
+    def __init__(self, cfg: MeshConfig, timing: CoreTiming,
+                 ledger: TrafficLedger,
                  packet_records: list[PacketRecord] | None = None,
                  flit_trace: list | None = None):
         self.cfg = cfg
-        self.timing = timing
         self.ledger = ledger
         self.packet_records = packet_records if packet_records is not None else []
         self.flit_trace = flit_trace
@@ -320,9 +304,7 @@ class NocSim:
         self.credits: dict[int, list[tuple[tuple[object, int], bool]]] = {}
         self.in_flight = 0
         self.pid_counter = 0
-        self.timestep = 0
-        self._records_by_pid: dict[int, PacketRecord] = {}
-        self._delivered: list[tuple[SpikePacket, int]] = []
+        self._delivered: list[tuple[int, int, SpikePacket]] = []
         self._progress = 0
 
     def _wire(self) -> None:
@@ -344,20 +326,17 @@ class NocSim:
 
     # -- bookkeeping hooks ----------------------------------------------------
 
-    def _next_pid(self) -> int:
-        pid = self.pid_counter
+    def _on_packet_injection(self, packet: SpikePacket,
+                             now_ps: int) -> PacketRecord:
+        """Number the packet in injection order and account for it."""
+        rec = PacketRecord(self.pid_counter, packet.src, packet.dest,
+                           packet.timestep, len(packet.indices), now_ps)
         self.pid_counter += 1
-        return pid
-
-    def _on_packet_injection(self, packet: SpikePacket, now_ps: int) -> None:
-        rec = PacketRecord(packet.pid, packet.src, packet.dest, packet.timestep,
-                           len(packet.indices), now_ps)
         self.packet_records.append(rec)
-        self._records_by_pid[packet.pid] = rec
-        if self.ledger is not None:
-            self.ledger.count_injected(packet.src, packet.timestep,
-                                       len(packet.indices),
-                                       manhattan(packet.src, packet.dest))
+        self.ledger.count_injected(packet.src, packet.timestep,
+                                   len(packet.indices),
+                                   manhattan(packet.src, packet.dest))
+        return rec
 
     def _on_flit_injection(self, ni: _Ni, flit: Flit, cycle: int) -> None:
         self.in_flight += 1
@@ -377,14 +356,15 @@ class NocSim:
             (target, base + dvc, flit))
         if self.flit_trace is not None:
             self.flit_trace.append((cycle * self.cfg.noc_period_ps,
-                                    router.link[o], flit.packet.pid, flit.kind))
+                                    router.link[o], flit.record.pid,
+                                    flit.kind))
 
     def _apply_credit(self, up: tuple[object, int], was_tail: bool) -> None:
         """Return one buffer slot to the router or interface output ``up``."""
         owner, idx = up
         owner.out_credit[idx] += 1
         if was_tail:
-            owner.out_alloc[idx] = None
+            owner.out_alloc[idx] = False
 
     def _arrive(self, router: _Router, s: int, flit: Flit, cycle: int) -> None:
         self._progress += 1
@@ -398,12 +378,11 @@ class NocSim:
         self.credits.setdefault(cycle + 1, []).append((router.up[s],
                                                        flit.is_tail))
         if flit.is_tail:
-            eject_ps = cycle * self.cfg.noc_period_ps
-            self._records_by_pid.pop(packet.pid).eject_ps = eject_ps
-            self._delivered.append((packet, eject_ps))
-            if self.ledger is not None:
-                self.ledger.count_ejected(packet.dest, packet.timestep,
-                                          packet.flit_count)
+            rec = flit.record
+            rec.eject_ps = cycle * self.cfg.noc_period_ps
+            self._delivered.append((rec.eject_ps, rec.pid, packet))
+            self.ledger.count_ejected(packet.dest, packet.timestep,
+                                      packet.flit_count)
 
     # -- main loop --------------------------------------------------------------
 
@@ -418,7 +397,6 @@ class NocSim:
                     raise ValueError("self-addressed packets bypass the mesh")
                 if not job.packet.indices:
                     raise ValueError("a packet carries at least one address")
-        self.timestep = timestep
         self._delivered = []
         period = self.cfg.noc_period_ps
         live = []
@@ -433,7 +411,6 @@ class NocSim:
         arrivals = self.arrivals
         credits = self.credits
         cycle = -(-start_ps // period)
-        drain_ps = start_ps
         last_progress_cycle = cycle
         last_progress = self._progress
 
@@ -488,8 +465,6 @@ class NocSim:
         for c in sorted(credits):
             for up, was_tail in credits.pop(c):
                 self._apply_credit(up, was_tail)
-        if self._delivered:
-            drain_ps = max(drain_ps, max(ps for _, ps in self._delivered))
-        gen_done = {ni.coord: ni.gen_done_ps for ni in live}
-        delivered = sorted(self._delivered, key=lambda pe: (pe[1], pe[0].pid))
+        gen_done = {ni.coord: ni.gen_busy_until for ni in live}
+        delivered = [(p, ps) for ps, _, p in sorted(self._delivered)]
         return delivered, drain_ps, gen_done

@@ -46,28 +46,6 @@ class SystemConfig:
     trace: bool = False
 
 
-class TimestepBarrier:
-    """Tracks one timestep's completion: every core done, network drained."""
-
-    def __init__(self, core_coords, start_ps: int):
-        self.waiting = set(core_coords)
-        self.drained = False
-        self.t_end = start_ps
-
-    def core_done(self, coord: Coord, at_ps: int) -> None:
-        self.waiting.discard(coord)
-        self.t_end = max(self.t_end, at_ps)
-
-    def noc_drained(self, at_ps: int) -> None:
-        self.drained = True
-        self.t_end = max(self.t_end, at_ps)
-
-    def advance(self) -> int:
-        if self.waiting or not self.drained:
-            raise RuntimeError("barrier released early")
-        return self.t_end
-
-
 def make_partition(graph: SnnGraph, cfg: SystemConfig) -> Partition:
     if cfg.partitioner not in PARTITIONERS:
         raise ValueError(f"unknown partitioner {cfg.partitioner!r}")
@@ -127,7 +105,6 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
     for t in range(cfg.timesteps):
         stim_row = stimulus_rows[t - 1] if (stimulus_rows is not None and t > 0) \
             else None
-        barrier = TimestepBarrier([c.coord for c in cores], t_start)
         jobs_by_core = {}
         fired: list[int] = []
         busy_max = 0
@@ -143,14 +120,11 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
             updates += res.update_count
             accum_events += res.accum_events
             busy_max = max(busy_max, res.busy_ps)
-            barrier.core_done(core.coord, t_start + res.busy_ps)
 
         delivered, drain_ps, gen_done = noc.run_timestep(jobs_by_core, t_start, t)
-        for coord, done_ps in gen_done.items():
+        for done_ps in gen_done.values():
             busy_max = max(busy_max, done_ps - t_start)
-            barrier.core_done(coord, done_ps)
-        barrier.noc_drained(drain_ps)
-        t_end = barrier.advance()
+        t_end = max(t_start + busy_max, drain_ps)
 
         inbox = {}
         for packet, _ in delivered:

@@ -273,7 +273,7 @@ def test_08_network_conserves_flits_and_meets_timing():
     exact = True
     for dest, body in [((1, 0), 1), ((7, 7), 16), ((0, 5), 4), ((3, 2), 9)]:
         recs = []
-        solo = NocSim(cfg, CoreTiming(), None, recs)
+        solo = NocSim(cfg, CoreTiming(), TrafficLedger(), recs)
         solo.run_timestep(
             {(0, 0): [GenJob(0, SpikePacket((0, 0), dest, 0,
                                             tuple(range(body))))]}, 0, 0)

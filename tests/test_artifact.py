@@ -97,6 +97,46 @@ class TestCoreBytes:
             core_from_bytes(b"XXXX" + blob[4:], bundle.budget)
 
 
+def local_indices_in_range(core) -> bool:
+    n = core.local_count
+    return (all(post < n for pairs in core.synapse_table.values()
+                for post, _ in pairs)
+            and all(mask >> n == 0 for mask in core.conn_bitmaps.values())
+            and all(i < n for i in core.exec_queue)
+            and all(i < n for i in core.checking_table))
+
+
+class TestCoreBytesFuzz:
+    """Malformed images raise ArtifactError, never struct.error or
+    IndexError, and never parse into a core that indexes past its neurons."""
+
+    BUNDLE = two_core_bundle(extra_edges=[(0, 1), (4, 3), (2, 4)])
+    BLOBS = [core_to_bytes(core) for core in BUNDLE.cores]
+
+    def test_every_prefix_rejected(self):
+        for blob in self.BLOBS:
+            for end in range(len(blob)):
+                with pytest.raises(ArtifactError):
+                    core_from_bytes(blob[:end], self.BUNDLE.budget)
+
+    def test_trailing_bytes_rejected(self):
+        for blob in self.BLOBS:
+            with pytest.raises(ArtifactError, match="trailing"):
+                core_from_bytes(blob + b"\0", self.BUNDLE.budget)
+
+    def test_every_byte_flip_rejected_or_in_range(self):
+        for blob in self.BLOBS:
+            for pos in range(len(blob)):
+                for bits in (0x01, 0x80, 0xFF):
+                    bad = bytearray(blob)
+                    bad[pos] ^= bits
+                    try:
+                        core = core_from_bytes(bytes(bad), self.BUNDLE.budget)
+                    except ArtifactError:
+                        continue
+                    assert local_indices_in_range(core), (pos, bits)
+
+
 class TestBundleIo:
     def test_save_load_round_trip(self, tmp_path):
         bundle = two_core_bundle(extra_edges=[(0, 1)])
@@ -141,6 +181,18 @@ class TestValidateBundle:
         bundle.core_at(A).conn_bitmaps[B] = 0b101
         assert any("bitmap" in v for v in validate_bundle(bundle))
 
+    def test_missing_bitmap_detected(self):
+        bundle = two_core_bundle()
+        del bundle.core_at(A).conn_bitmaps[B]
+        assert any("has no bitmap" in v for v in validate_bundle(bundle))
+
+    def test_neuron_outside_graph_detected(self):
+        bundle = two_core_bundle()
+        bundle.core_at(A).neuron_ids = (0, 1, 99)
+        problems = validate_bundle(bundle)
+        assert any("99 is not in the graph" in v for v in problems)
+        assert any("not deployed" in v for v in problems)
+
     def test_duplicate_deployment_detected(self):
         bundle = two_core_bundle()
         bundle.core_at(B).neuron_ids = (0, 4, 5)
@@ -151,6 +203,5 @@ class TestValidateBundle:
     def test_self_destination_detected(self):
         bundle = two_core_bundle()
         a = bundle.core_at(A)
-        a.dest_map[A] = frozenset({0})
         a.conn_bitmaps[A] = 0b1
         assert any("itself" in v for v in validate_bundle(bundle))

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from spikenoc.artifact import core_to_bytes, load_bundle
 from spikenoc.cli import main
 from spikenoc.config import parse_config_text
 from spikenoc.graph import SpikeTrain, load_graph
@@ -31,6 +33,17 @@ sss_iters = 300
 width = 3
 height = 3
 """
+
+
+def resign(bundle_dir, name: str, blob: bytes) -> None:
+    """Replace one bundle file and update its checksum in the manifest."""
+    (bundle_dir / name).write_bytes(blob)
+    manifest_path = bundle_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for entry in manifest["cores"]:
+        if entry["file"] == name:
+            entry["sha256"] = hashlib.sha256(blob).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
 
 
 @pytest.fixture
@@ -163,6 +176,28 @@ class TestExitCodes:
         victim.write_bytes(blob[:-1] + bytes([blob[-1] ^ 0xFF]))
         assert main(["validate", "--bundle", str(bundle_dir)]) == 2
         assert "checksum" in capsys.readouterr().err
+
+    def test_resigned_bitmap_corruption(self, tmp_path, config_path, capsys):
+        bundle_dir = tmp_path / "bundle"
+        assert main(["partition", "--config", config_path,
+                     "--out", str(bundle_dir)]) == 0
+        core = load_bundle(str(bundle_dir)).core_at((0, 0))
+        assert core.conn_bitmaps
+        # keep only the highest-index neuron in each destination's bitmap
+        for coord, mask in core.conn_bitmaps.items():
+            core.conn_bitmaps[coord] = 1 << (mask.bit_length() - 1)
+        resign(bundle_dir, "cores/core_0_0.bin", core_to_bytes(core))
+        assert main(["validate", "--bundle", str(bundle_dir)]) == 2
+        assert "disagrees with the graph" in capsys.readouterr().err
+
+    def test_resigned_truncated_core(self, tmp_path, config_path, capsys):
+        bundle_dir = tmp_path / "bundle"
+        assert main(["partition", "--config", config_path,
+                     "--out", str(bundle_dir)]) == 0
+        blob = (bundle_dir / "cores" / "core_0_0.bin").read_bytes()
+        resign(bundle_dir, "cores/core_0_0.bin", blob[:-3])
+        assert main(["validate", "--bundle", str(bundle_dir)]) == 2
+        assert "truncated" in capsys.readouterr().err
 
     def test_mesh_mismatch_between_bundle_and_config(self, tmp_path,
                                                      config_path, capsys):

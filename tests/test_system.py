@@ -1,16 +1,19 @@
+from dataclasses import replace
+
 import pytest
 
 from spikenoc.core import CoreTiming, MODE_BASELINE, MODE_UNISPIKE
 from spikenoc.graph import (SnnGraph, build_brunel, build_conv_topology,
                             quantize_weight, reference_simulate)
-from spikenoc.config import parse_layers
+from spikenoc.config import (build_graph, parse_config_text, parse_layers,
+                             to_system_config)
 from spikenoc.neurons import LifParams
 from spikenoc.noc import MeshConfig
 from spikenoc.partition import MemoryBudget
 from spikenoc.stimulus import StimulusSpec, build_stimulus
-from spikenoc.system import (PARTITIONERS, SystemConfig, TimestepBarrier,
-                             deploy, make_partition, run_comparison,
-                             run_experiment)
+from spikenoc.system import (PARTITIONERS, SystemConfig, deploy,
+                             make_partition, run_comparison, run_experiment)
+from test_golden import _config as golden_config
 
 W = quantize_weight(1.0, 8)
 FAST = LifParams(tau_m=1.0, refractory_steps=0)
@@ -33,23 +36,24 @@ def brunel_cfg(**kw):
     return SystemConfig(**defaults)
 
 
-class TestBarrier:
-    def test_early_release_rejected(self):
-        barrier = TimestepBarrier([(0, 0), (1, 0)], 100)
-        with pytest.raises(RuntimeError, match="released early"):
-            barrier.advance()
-        barrier.core_done((0, 0), 500)
-        barrier.core_done((1, 0), 300)
-        with pytest.raises(RuntimeError, match="released early"):
-            barrier.advance()
-        barrier.noc_drained(400)
-        assert barrier.advance() == 500
+class TestTimestepTime:
+    """A step ends once its cores, generators and network are all done: it
+    never ends before its busy time, and time never runs backward."""
 
-    def test_time_never_runs_backward(self):
-        barrier = TimestepBarrier([(0, 0)], 1000)
-        barrier.core_done((0, 0), 200)
-        barrier.noc_drained(0)
-        assert barrier.advance() == 1000
+    @pytest.mark.parametrize("buffers", ["default", "edge"])
+    @pytest.mark.parametrize("mode", [MODE_BASELINE, MODE_UNISPIKE])
+    def test_step_rows_add_up_to_modeled_time(self, mode, buffers):
+        cfg = parse_config_text(golden_config("brunel", buffers))
+        sys_cfg = replace(to_system_config(cfg), mode=mode)
+        graph = build_graph(cfg)
+        stimulus = build_stimulus(sys_cfg.stimulus, graph.neuron_count,
+                                  sys_cfg.timesteps, graph.frac_bits)
+        report = run_experiment(deploy(graph, sys_cfg), sys_cfg,
+                                stimulus).report
+        rows = report.per_timestep
+        assert len(rows) == sys_cfg.timesteps
+        assert all(r.drain_ps >= r.busy_ps >= 0 for r in rows)
+        assert sum(r.drain_ps for r in rows) == report.modeled_time_ps
 
 
 class TestPartitionerSelection:
