@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Stages hand off through files: `generate` writes a network, `partition`
-deploys it into a bundle directory, `simulate` runs a deployed bundle and
-writes reports, `profile` post-processes a packet log, `compare` runs the
-whole mode/partitioner matrix, and `validate` re-checks a bundle on disk.
+deploys it into a bundle directory, `simulate` validates and runs a deployed
+bundle and writes reports, `profile` post-processes a packet log, `compare`
+runs the whole mode/partitioner matrix, and `validate` re-checks a bundle on
+disk.
 
 Exit codes: 0 success, 1 runtime failure (deadlock, numeric blow-up),
 2 configuration or validation failure.
@@ -139,6 +140,10 @@ def cmd_simulate(args) -> int:
                 f"bundle was deployed on a {bundle.mesh_width}x"
                 f"{bundle.mesh_height} mesh but the config says "
                 f"{sys_cfg.mesh.width}x{sys_cfg.mesh.height}")
+        problems = validate_bundle(bundle)
+        if problems:
+            raise ArtifactError(f"{args.bundle}: invalid bundle\n"
+                                + "\n".join(problems))
     else:
         bundle = deploy(build_graph(cfg), sys_cfg)
     stimulus = build_stimulus(sys_cfg.stimulus, bundle.graph.neuron_count,

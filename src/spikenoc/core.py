@@ -8,10 +8,12 @@ spike addresses merged into one packet (unispike).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import add
 
 from .artifact import ArtifactError, CoreArtifact, iter_bits
-from .neurons import ModelParams, NeuronState, rest_state, step_neuron
+from .neurons import ModelParams, NumericError, rest_state, step_population
 
 Coord = tuple[int, int]
 
@@ -79,10 +81,27 @@ class CoreState:
         n = artifact.local_count
         if len(params) != n:
             raise ValueError("one parameter record per local neuron required")
+        if sorted(artifact.exec_queue) != list(range(n)):
+            raise ArtifactError(f"core {artifact.coord}: execution queue is "
+                                f"not a permutation of its {n} neurons")
         self.artifact = artifact
         self.coord = artifact.coord
-        self.params = list(params)
-        self.states: list[NeuronState] = [rest_state(p) for p in params]
+        # neuron state, one entry per local index
+        rest = [rest_state(p) for p in params]
+        self.v = [s.v for s in rest]
+        self.w = [s.w for s in rest]
+        self.refrac = [s.refrac_left for s in rest]
+        # local indices per parameter set, each stepped by one kernel call
+        groups: dict[ModelParams, list[int]] = {}
+        for i, p in enumerate(params):
+            groups.setdefault(p, []).append(i)
+        self._groups = list(groups.items())
+        self._pos = [0] * n                 # local index -> queue position
+        for pos, idx in enumerate(artifact.exec_queue):
+            self._pos[idx] = pos
+        # barrier neurons in queue order, with the destinations they release
+        self._barriers = sorted((self._pos[idx], dests) for idx, dests
+                                in artifact.checking_table.items())
         self.scale = 1.0 / (1 << frac_bits)
         self.timing = timing
         self.mode = mode
@@ -94,7 +113,7 @@ class CoreState:
         self._dests = [artifact.local_dests(i) for i in range(n)]
         self._self_fanout = {
             idx: pairs for (src, idx), pairs in artifact.synapse_table.items()
-            if src == artifact.coord}
+            if src == artifact.coord and pairs}
 
     # -- decode -------------------------------------------------------------
 
@@ -122,8 +141,8 @@ class CoreState:
 
     def load_stimulus(self, row: list[int]) -> None:
         """Raw external current indexed by global neuron id; free of charge."""
-        for i, nid in enumerate(self.artifact.neuron_ids):
-            self.acc[i] += row[nid]
+        self.acc = list(map(add, self.acc,
+                            map(row.__getitem__, self.artifact.neuron_ids)))
 
     # -- packet generation ----------------------------------------------------
 
@@ -151,43 +170,75 @@ class CoreState:
                           stimulus_row: list[int] | None, timestep: int,
                           t_start_ps: int) -> CoreStepResult:
         """Decode arrivals from the previous step, update every neuron in
-        queue order, and emit generation jobs; state is cleared at the end."""
+        queue order, and emit generation jobs; state is cleared at the end.
+
+        The neurons of each parameter set are stepped together; the queue
+        order only times the jobs.  The neuron at queue position ``pos``
+        finishes its update ``events * decode_cycles_per_accum +
+        (pos + 1) * update_cycles`` core cycles after ``t_start_ps``, so only
+        fired and barrier neurons are walked to emit jobs."""
         events = self._decode_local(self.self_pending)
-        self.self_pending = []
         for packet in arrived:
             events += self.decode_packet(packet)
         if stimulus_row is not None:
             self.load_stimulus(stimulus_row)
 
+        fired: list[int] = []
+        for params, members in self._groups:
+            fired += step_population(params, members, self.v, self.w,
+                                     self.refrac, self.acc, self.scale, self.dt)
+        self._check_finite()
+        pos = self._pos
+        fired.sort(key=pos.__getitem__)
+
         timing = self.timing
-        t_cycles = events * timing.decode_cycles_per_accum
+        period = timing.core_period_ps
+        update = timing.update_cycles
+        t0 = t_start_ps + events * timing.decode_cycles_per_accum * period
         jobs: list[GenJob] = []
-        fired_globals: list[int] = []
-        next_self: list[int] = []
-        art = self.artifact
-        baseline = self.mode == MODE_BASELINE
-        for idx in art.exec_queue:
-            t_cycles += timing.update_cycles
-            t_ps = t_start_ps + t_cycles * timing.core_period_ps
-            if step_neuron(self.states[idx], self.params[idx],
-                           self.acc[idx] * self.scale, self.dt):
-                self.act_bitmap |= 1 << idx
-                fired_globals.append(art.neuron_ids[idx])
-                if self._self_fanout.get(idx):
-                    next_self.append(idx)
-                if baseline:
-                    for packet in self.generate_baseline_packets(idx, timestep):
-                        jobs.append(GenJob(t_ps, packet))
-            if not baseline:
-                # the barrier neuron has updated: its destinations go out
-                for dest in art.checking_table.get(idx, ()):
+        if self.mode == MODE_BASELINE:
+            for idx in fired:
+                t_ps = t0 + (pos[idx] + 1) * update * period
+                for packet in self.generate_baseline_packets(idx, timestep):
+                    jobs.append(GenJob(t_ps, packet))
+        else:
+            # a barrier's payload holds the fires at or before its position
+            n_fired = len(fired)
+            k = 0
+            for bpos, dests in self._barriers:
+                while k < n_fired and pos[fired[k]] <= bpos:
+                    self.act_bitmap |= 1 << fired[k]
+                    k += 1
+                if not self.act_bitmap:
+                    continue
+                t_ps = t0 + (bpos + 1) * update * period
+                for dest in dests:
                     for packet in self.generate_merged_packets(dest, timestep):
                         jobs.append(GenJob(t_ps, packet))
 
-        busy_ps = t_cycles * timing.core_period_ps
-        update_count = len(art.exec_queue)
-        self.acc = [0] * len(self.acc)
+        n = len(pos)
+        busy_ps = t0 - t_start_ps + n * update * period
+        self.acc = [0] * n
         self.act_bitmap = 0
-        self.self_pending = next_self
-        fired_globals.sort()
-        return CoreStepResult(jobs, busy_ps, fired_globals, events, update_count)
+        fanout = self._self_fanout
+        self.self_pending = [idx for idx in fired if idx in fanout]
+        ids = self.artifact.neuron_ids
+        fired_globals = sorted(ids[idx] for idx in fired)
+        return CoreStepResult(jobs, busy_ps, fired_globals, events, n)
+
+    def _check_finite(self) -> None:
+        """Raise NumericError, naming the first neuron in queue order, if an
+        input or a state value is not finite."""
+        # a sum is finite only if every term is; a finite sum clears the list
+        if (math.isfinite(sum(self.acc)) and math.isfinite(sum(self.v))
+                and math.isfinite(sum(self.w))):
+            return
+        isfinite = math.isfinite
+        for idx in self.artifact.exec_queue:
+            i_in = self.acc[idx] * self.scale
+            where = f"core {self.coord}: neuron {self.artifact.neuron_ids[idx]}"
+            if not isfinite(i_in):
+                raise NumericError(f"{where}: non-finite input current {i_in}")
+            if not (isfinite(self.v[idx]) and isfinite(self.w[idx])):
+                raise NumericError(f"{where}: non-finite state "
+                                   f"v={self.v[idx]} w={self.w[idx]}")

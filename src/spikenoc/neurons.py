@@ -2,10 +2,11 @@
 
 All models advance with forward-Euler integration at a fixed timestep ``dt``
 (milliseconds).  A neuron fires when its membrane potential reaches threshold
-(``v >= v_th``), after which the model's reset rule is applied.  The same
-``step_neuron`` function is used everywhere so that the golden single-process
-simulation and the per-core simulation produce bit-identical floating point
-trajectories.
+(``v >= v_th``), after which the model's reset rule is applied.  The golden
+single-process simulation steps one neuron at a time with ``step_neuron``; the
+per-core simulation steps a core's neurons of one parameter set together with
+``step_population``, which performs the same floating-point operations in the
+same order, so both produce bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -144,6 +145,80 @@ def step_neuron(state: NeuronState, params: ModelParams, i_in: float,
 
     if not (math.isfinite(state.v) and math.isfinite(state.w)):
         raise NumericError(f"non-finite neuron state v={state.v} w={state.w}")
+    return fired
+
+
+def step_population(params: ModelParams, members: list[int], v: list[float],
+                    w: list[float], refrac: list[int], acc: list[int],
+                    scale: float, dt: float = 1.0) -> list[int]:
+    """Advance the neurons ``members``, which all share ``params``, one
+    timestep in place; return the members that fired, in ``members`` order.
+
+    ``v``, ``w`` and ``refrac`` hold the state of neuron ``i`` at index ``i``,
+    and its input current is ``acc[i] * scale``.  Each neuron goes through the
+    same floating-point operations in the same order as ``step_neuron``, so
+    the results are bit-identical.  Unlike ``step_neuron`` this does not check
+    for non-finite values: the caller checks inputs and states afterwards.
+    """
+    fired = []
+    if isinstance(params, LifParams):
+        k = dt / params.tau_m
+        v_rest, v_reset, v_th = params.v_rest, params.v_reset, params.v_th
+        refractory_steps = params.refractory_steps
+        for i in members:
+            if refrac[i] > 0:
+                refrac[i] -= 1
+                v[i] = v_reset
+                continue
+            x = v[i]
+            x += k * (-(x - v_rest) + acc[i] * scale)
+            if x >= v_th:
+                v[i] = v_reset
+                refrac[i] = refractory_steps
+                fired.append(i)
+            else:
+                v[i] = x
+    elif isinstance(params, IzhikevichParams):
+        a, b, c, d = params.a, params.b, params.c, params.d
+        v_peak = params.v_peak
+        for i in members:
+            x, u = v[i], w[i]
+            nx = x + dt * (0.04 * x * x + 5.0 * x + 140.0 - u + acc[i] * scale)
+            nu = u + dt * (a * (b * x - u))
+            if nx >= v_peak:
+                v[i] = c
+                w[i] = nu + d
+                fired.append(i)
+            else:
+                v[i] = nx
+                w[i] = nu
+    elif isinstance(params, AdexParams):
+        c_m, e_l, v_t = params.c_m, params.e_l, params.v_t
+        delta_t, a, b, tau_w = params.delta_t, params.a, params.b, params.tau_w
+        v_th, v_reset = params.v_th, params.v_reset
+        # step_neuron evaluates -g_l and g_l * delta_t first (unary minus
+        # binds tighter, and * runs left to right), so these are its floats
+        neg_g_l = -params.g_l
+        g_l_delta_t = params.g_l * params.delta_t
+        exp = math.exp
+        for i in members:
+            x, y = v[i], w[i]
+            exp_arg = (x - v_t) / delta_t
+            if exp_arg > _EXP_CLAMP:    # min(exp_arg, clamp), NaN kept
+                exp_arg = _EXP_CLAMP
+            dv = (neg_g_l * (x - e_l) + g_l_delta_t * exp(exp_arg) - y
+                  + acc[i] * scale)
+            nx = x + dt * dv / c_m
+            ny = y + dt * (a * (x - e_l) - y) / tau_w
+            if nx >= v_th:
+                v[i] = v_reset
+                w[i] = ny + b
+                fired.append(i)
+            else:
+                v[i] = nx
+                w[i] = ny
+    else:
+        raise TypeError(f"unknown model params: {params!r}")
     return fired
 
 

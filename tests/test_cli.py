@@ -6,8 +6,10 @@ import pytest
 from spikenoc.artifact import core_to_bytes, load_bundle
 from spikenoc.cli import main
 from spikenoc.config import parse_config_text
-from spikenoc.graph import SpikeTrain, load_graph
+from spikenoc.graph import (SnnGraph, SpikeTrain, build_brunel, load_graph,
+                            save_text)
 from spikenoc.metrics import parse_report
+from spikenoc.neurons import IzhikevichParams
 from spikenoc.noc import NocSim
 
 CONFIG = """
@@ -190,6 +192,35 @@ class TestExitCodes:
         assert main(["validate", "--bundle", str(bundle_dir)]) == 2
         assert "disagrees with the graph" in capsys.readouterr().err
 
+    def test_simulate_rejects_resigned_bitmap_corruption(self, tmp_path,
+                                                         config_path, capsys):
+        bundle_dir = tmp_path / "bundle"
+        assert main(["partition", "--config", config_path,
+                     "--out", str(bundle_dir)]) == 0
+        core = load_bundle(str(bundle_dir)).core_at((0, 0))
+        # keep only the highest-index neuron in each destination's bitmap
+        for coord, mask in core.conn_bitmaps.items():
+            core.conn_bitmaps[coord] = 1 << (mask.bit_length() - 1)
+        resign(bundle_dir, "cores/core_0_0.bin", core_to_bytes(core))
+        out_dir = tmp_path / "run"
+        assert main(["simulate", "--config", config_path, "--bundle",
+                     str(bundle_dir), "--mode", "unispike",
+                     "--out", str(out_dir)]) == 2
+        assert "disagrees with the graph" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_simulate_rejects_neuron_outside_graph(self, tmp_path,
+                                                   config_path, capsys):
+        bundle_dir = tmp_path / "bundle"
+        assert main(["partition", "--config", config_path,
+                     "--out", str(bundle_dir)]) == 0
+        core = load_bundle(str(bundle_dir)).core_at((0, 0))
+        core.neuron_ids = core.neuron_ids[:-1] + (50,)   # the graph has 50
+        resign(bundle_dir, "cores/core_0_0.bin", core_to_bytes(core))
+        assert main(["simulate", "--config", config_path, "--bundle",
+                     str(bundle_dir), "--out", str(tmp_path / "run")]) == 2
+        assert "neuron 50 is not in the graph" in capsys.readouterr().err
+
     def test_resigned_truncated_core(self, tmp_path, config_path, capsys):
         bundle_dir = tmp_path / "bundle"
         assert main(["partition", "--config", config_path,
@@ -220,3 +251,35 @@ class TestExitCodes:
                      "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert "runtime error: no flit progress for 200 cycles" in err
+
+    def test_numeric_blow_up_exits_1(self, tmp_path, capsys):
+        # d=1e308 drives neuron 3's recovery variable past the float range
+        graph = build_brunel(40, 10, 0.1, 0.4, -0.3, seed=6)
+        graph = SnnGraph(graph.neuron_count, graph.adjacency,
+                         model_overrides={3: IzhikevichParams(d=1e308)})
+        save_text(graph, str(tmp_path / "net.snn"))
+        cfg = tmp_path / "blow.ini"
+        cfg.write_text(f"""
+[workload]
+kind = file
+path = {tmp_path / "net.snn"}
+
+[run]
+timesteps = 10
+stimulus = constant
+stim_amplitude = 50.0
+stim_neurons = 3
+
+[partition]
+neuron_bytes = 384
+sss_iters = 300
+
+[mesh]
+width = 3
+height = 3
+""")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "runtime error: core (" in err
+        assert "neuron 3: non-finite state" in err

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from spikenoc.artifact import ArtifactError, build_bundle
@@ -13,9 +15,9 @@ MODEL = LifParams(tau_m=1.0, refractory_steps=0)
 
 
 def make_core(adjacency, clusters, coords, which=0, mode=MODE_UNISPIKE,
-              timing=None, n=None):
+              timing=None, n=None, overrides=None):
     n = n if n is not None else sum(len(c) for c in clusters)
-    g = SnnGraph(n, adjacency, model=MODEL)
+    g = SnnGraph(n, adjacency, model=MODEL, model_overrides=overrides)
     part = Partition.from_clusters(clusters, n)
     cm = CoreMap(2, 2, tuple(coords))
     cap = max(len(c) for c in clusters)
@@ -32,11 +34,11 @@ def fanin_core(mode=MODE_UNISPIKE, timing=None):
                      mode=mode, timing=timing)
 
 
-def fanout_core(mode, timing=None):
+def fanout_core(mode, timing=None, overrides=None):
     """Core A holds 0..2; B sees {0, 1} and C sees {0, 2}."""
     adjacency = [[(3, W), (5, W)], [(4, W)], [(5, W)], [], [], []]
     return make_core(adjacency, [(0, 1, 2), (3, 4), (5,)], [A, B, C],
-                     which=0, mode=mode, timing=timing)
+                     which=0, mode=mode, timing=timing, overrides=overrides)
 
 
 def test_iter_bits():
@@ -54,6 +56,14 @@ def test_timing_validation():
 def test_mode_validation():
     with pytest.raises(ValueError):
         fanin_core(mode="turbo")
+
+
+def test_queue_must_hold_every_neuron_once():
+    art = fanin_core().artifact
+    for queue in ((0, 1), (0, 1, 1), (0, 1, 2, 0)):
+        with pytest.raises(ArtifactError, match="permutation"):
+            CoreState(replace(art, exec_queue=queue), [MODEL] * 3, 8,
+                      CoreTiming(), MODE_UNISPIKE)
 
 
 class TestDecode:
@@ -134,6 +144,20 @@ class TestRunTimestep:
         # fires at the (i+1)-th update: 1000 + (i+1)*4*2000
         times = sorted({j.create_ps for j in res.jobs})
         assert times == [1000 + 4 * 2000, 1000 + 8 * 2000, 1000 + 12 * 2000]
+
+    def test_jobs_follow_queue_order_across_parameter_sets(self):
+        # neuron 1 is stepped with its own parameter set, apart from 0 and 2,
+        # but its jobs still sit between theirs in queue order
+        core = fanout_core(MODE_BASELINE,
+                           overrides={1: LifParams(tau_m=0.5,
+                                                   refractory_steps=0)})
+        assert core.artifact.exec_queue == (0, 1, 2)
+        stim = [quantize_weight(2.0, 8)] * 6
+        res = core.run_core_timestep([], stim, 0, t_start_ps=1000)
+        assert [(j.create_ps, j.packet.indices, j.packet.dest)
+                for j in res.jobs] == [
+            (1000 + 4 * 2000, (0,), B), (1000 + 4 * 2000, (0,), C),
+            (1000 + 8 * 2000, (1,), B), (1000 + 12 * 2000, (2,), C)]
 
     def test_fired_globals_sorted_and_offset(self):
         # arrivals handed to this call integrate in this call; the one-step

@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spikenoc.neurons import (AdexParams, IzhikevichParams, LifParams,
-                              NumericError, model_kind, params_from_fields,
-                              params_to_fields, rest_state, step_neuron)
+                              NeuronState, NumericError, model_kind,
+                              params_from_fields, params_to_fields, rest_state,
+                              step_neuron, step_population)
 
 
 def run_trace(params, currents, dt=1.0):
@@ -178,3 +180,89 @@ def test_params_from_fields_rejects_unknowns():
         params_from_fields("lif", {"tau_q": 1.0})
     with pytest.raises(ValueError):
         params_from_fields("hodgkin", {})
+
+
+# the clamped exponential lifts v by about 2e6 in one step: below this
+# threshold, so the clamped value itself is compared
+ADEX_NO_FIRE = AdexParams(v_th=1e7)
+
+
+def _neurons(v_lo, v_hi, w_lo, w_hi, refrac_hi):
+    """Lists of (v, w, refractory count, raw input) for one population."""
+    return st.lists(st.tuples(
+        st.floats(v_lo, v_hi), st.floats(w_lo, w_hi),
+        st.integers(0, refrac_hi), st.integers(-4000, 4000)), max_size=12)
+
+
+class TestPopulationKernel:
+    """``step_population`` gives the same floats, bit for bit, and the same
+    fired set as ``step_neuron`` called on each member in turn."""
+
+    @staticmethod
+    def check(params, neurons, dt, members):
+        scale = 1.0 / 256
+        v = [n[0] for n in neurons]
+        w = [n[1] for n in neurons]
+        refrac = [n[2] for n in neurons]
+        acc = [n[3] for n in neurons]
+        states = [NeuronState(*n[:3]) for n in neurons]
+        want_fired = [i for i in members
+                      if step_neuron(states[i], params, acc[i] * scale, dt)]
+        fired = step_population(params, members, v, w, refrac, acc, scale, dt)
+        assert fired == want_fired
+        for got, want in ((v, [s.v for s in states]),
+                          (w, [s.w for s in states]),
+                          (refrac, [s.refrac_left for s in states])):
+            assert got == want
+            assert list(map(repr, got)) == list(map(repr, want))
+        return fired
+
+    @settings(max_examples=100, deadline=None)
+    @given(neurons=_neurons(-2.0, 2.0, 0.0, 0.0, 3),
+           params=st.builds(LifParams, tau_m=st.floats(0.5, 20.0),
+                            v_rest=st.floats(-0.5, 0.5),
+                            refractory_steps=st.integers(0, 3)),
+           dt=st.floats(0.01, 2.0), data=st.data())
+    def test_lif(self, neurons, params, dt, data):
+        members = self._members(neurons, data)
+        self.check(params, neurons, dt, members)
+
+    @settings(max_examples=100, deadline=None)
+    @given(neurons=_neurons(-90.0, 40.0, -20.0, 20.0, 0),
+           params=st.sampled_from([IzhikevichParams(),
+                                   IzhikevichParams(a=0.1, d=2.0)]),
+           dt=st.floats(0.01, 2.0), data=st.data())
+    def test_izhikevich(self, neurons, params, dt, data):
+        members = self._members(neurons, data)
+        self.check(params, neurons, dt, members)
+
+    @settings(max_examples=100, deadline=None)
+    @given(neurons=_neurons(-90.0, -1.0, -200.0, 200.0, 0),
+           params=st.sampled_from([AdexParams(), ADEX_NO_FIRE]),
+           dt=st.floats(0.01, 2.0), data=st.data())
+    def test_adex(self, neurons, params, dt, data):
+        members = self._members(neurons, data)
+        self.check(params, neurons, dt, members)
+
+    def test_examples_reach_every_branch(self):
+        # a refractory LIF counts down while a driven one fires and resets
+        lif = self.check(LifParams(), [(0.5, 0.0, 2, 0), (0.9, 0.0, 0, 512)],
+                         1.0, [0, 1])
+        assert lif == [1]
+        izh = self.check(IzhikevichParams(), [(29.0, -13.0, 0, 2560)], 1.0, [0])
+        assert izh == [0]
+        # v above v_t + 16 * delta_t takes the clamped exponential; with the
+        # threshold out of reach the clamped value is kept, not reset
+        assert (-10.0 - ADEX_NO_FIRE.v_t) / ADEX_NO_FIRE.delta_t > 16.0
+        assert self.check(ADEX_NO_FIRE, [(-10.0, 0.0, 0, 0)], 1.0, [0]) == []
+        assert self.check(AdexParams(), [(-10.0, 0.0, 0, 0)], 1.0, [0]) == [0]
+
+    def test_unknown_params_rejected(self):
+        with pytest.raises(TypeError):
+            step_population(object(), [0], [0.0], [0.0], [0], [0], 1.0)
+
+    @staticmethod
+    def _members(neurons, data):
+        """A random subset of the population in random order."""
+        order = data.draw(st.permutations(range(len(neurons))))
+        return order[:data.draw(st.integers(0, len(order)))]

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -7,7 +8,8 @@ from spikenoc.graph import (SnnGraph, build_brunel, build_conv_topology,
                             quantize_weight, reference_simulate)
 from spikenoc.config import (build_graph, parse_config_text, parse_layers,
                              to_system_config)
-from spikenoc.neurons import LifParams
+from spikenoc.neurons import (AdexParams, IzhikevichParams, LifParams,
+                              NumericError)
 from spikenoc.noc import MeshConfig
 from spikenoc.partition import MemoryBudget
 from spikenoc.stimulus import StimulusSpec, build_stimulus
@@ -74,7 +76,62 @@ class TestPartitionerSelection:
             make_partition(chain_graph(), brunel_cfg(partitioner="magic"))
 
 
+# kind -> (params, frac_bits, w_exc, w_inh, drive amplitude, drive rate):
+# each drive makes its model fire over a 20-step run
+MODEL_DRIVES = {
+    "lif": (LifParams(), 8, 0.4, -0.3, 12.0, 0.15),
+    "izhikevich": (IzhikevichParams(), 8, 6.0, -4.0, 12.0, 0.3),
+    "adex": (AdexParams(), 4, 1500.0, -1000.0, 4000.0, 0.4),
+}
+
+
+def model_graph(kind: str, topology: str):
+    """A small Brunel or conv graph under one neuron model, or under
+    Izhikevich with every third neuron a LIF and every fifth a faster LIF
+    (``mixed``).  Returns the graph and its drive."""
+    model, frac_bits, w_exc, w_inh, amp, rate = MODEL_DRIVES[
+        "izhikevich" if kind == "mixed" else kind]
+    if topology == "brunel":
+        g = build_brunel(40, 10, 0.1, w_exc, w_inh, seed=6, model=model,
+                         frac_bits=frac_bits)
+    else:
+        g = build_conv_topology(parse_layers("1x6x6, 2x6x6 k3 p1"), seed=1,
+                                model=model, frac_bits=frac_bits,
+                                w_lo=w_exc / 4, w_hi=w_exc / 2)
+    if kind == "mixed":
+        overrides = {n: LifParams() for n in range(0, g.neuron_count, 3)}
+        overrides.update({n: LifParams(tau_m=5.0, refractory_steps=1)
+                          for n in range(0, g.neuron_count, 5)})
+        g = SnnGraph(g.neuron_count, g.adjacency, model=model,
+                     model_overrides=overrides, frac_bits=frac_bits,
+                     layer_tags=g.layer_tags)
+    return g, StimulusSpec(kind="poisson", amplitude=amp, rate=rate, seed=4)
+
+
 class TestLosslessness:
+    @pytest.mark.parametrize("topology", ["brunel", "conv"])
+    @pytest.mark.parametrize("kind", ["lif", "izhikevich", "adex", "mixed"])
+    def test_every_neuron_model_matches_reference(self, kind, topology):
+        g, drive = model_graph(kind, topology)
+        cfg = brunel_cfg(budget=MemoryBudget(neuron_bytes=24 * 24),
+                         stimulus=drive, partitioner="hsfc")
+        stimulus = build_stimulus(cfg.stimulus, g.neuron_count, cfg.timesteps,
+                                  g.frac_bits)
+        want = reference_simulate(g, stimulus, cfg.timesteps, cfg.dt)
+        # every parameter set fires, so a wrong kernel branch shows
+        fired = {g.params_of(n) for step in want.steps for n in step}
+        assert fired == {g.params_of(n) for n in range(g.neuron_count)}
+        bundle = deploy(g, cfg)
+        if kind == "mixed":
+            assert any(len({g.params_of(n) for n in art.neuron_ids}) > 1
+                       for art in bundle.cores)
+        for mode in (MODE_BASELINE, MODE_UNISPIKE):
+            result = run_experiment(bundle, replace(cfg, mode=mode), stimulus)
+            assert result.train.steps == want.steps, mode
+            traffic = result.report.traffic
+            assert traffic["packets"] > 0
+            assert traffic["injected_flits"] == traffic["ejected_flits"]
+
     def test_all_cells_match_reference(self):
         g = build_brunel(48, 12, conn_prob=0.1, w_exc=0.4, w_inh=-0.3, seed=6)
         cfg = brunel_cfg()
@@ -196,3 +253,28 @@ class TestDeterminism:
                          [(r.pid, r.src, r.dest, r.inject_ps, r.eject_ps)
                           for r in result.packet_records]))
         assert outs[0] == outs[1]
+
+
+class TestNumericBlowUp:
+    """A diverging neuron stops the run in the step where the scalar
+    reference diverges, and the error names its core and global id."""
+
+    def test_run_stops_with_the_reference(self):
+        # d=1e308 pushes u to 1e308 at the first spike; under a drive of 50
+        # the membrane is NaN three updates later
+        g = SnnGraph(4, chain_graph(4).adjacency, model=FAST,
+                     model_overrides={2: IzhikevichParams(d=1e308)})
+        cfg = SystemConfig(mesh=MeshConfig(2, 1),
+                           budget=MemoryBudget(neuron_bytes=2 * 24),
+                           timesteps=6, partitioner="hsfc")
+        bundle = deploy(g, cfg)
+        [home] = [a.coord for a in bundle.cores if 2 in a.neuron_ids]
+        stimulus = [[0, 0, quantize_weight(50.0, 8), 0] for _ in range(6)]
+        # four steps complete on both sides; the fifth raises on both
+        reference_simulate(g, stimulus, 4, cfg.dt)
+        run_experiment(bundle, replace(cfg, timesteps=4), stimulus)
+        with pytest.raises(NumericError):
+            reference_simulate(g, stimulus, 5, cfg.dt)
+        with pytest.raises(NumericError, match=re.escape(
+                f"core {home}: neuron 2: non-finite state v=nan")):
+            run_experiment(bundle, replace(cfg, timesteps=5), stimulus)
