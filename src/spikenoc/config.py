@@ -20,7 +20,7 @@ from .graph import (ConvLayerSpec, SnnGraph, build_brunel, build_conv_topology,
 from .metrics import EnergyCostTable
 from .neurons import params_from_fields
 from .noc import MeshConfig
-from .partition import MemoryBudget
+from .partition import MemoryBudget, check_sss_settings
 from .stimulus import StimulusSpec
 from .system import PARTITIONERS, SystemConfig
 
@@ -240,6 +240,8 @@ def _validate(cfg: ExperimentConfig, source: str) -> None:
     if cfg.mesh.width <= 0 or cfg.mesh.height <= 0:
         raise ConfigError(f"{source}: mesh dimensions must be positive")
     try:
+        # 0 selects the default sss_iters or sss_t0, and is in range
+        check_sss_settings(p.sss_iters, p.sss_t0, p.sss_cooling, p.seg_ratio)
         parse_layers(w.layers)
         parse_int_list(r.stim_at)
         if r.stim_neurons != "all":

@@ -228,70 +228,106 @@ def destination_objective(partition: Partition, graph: SnnGraph) -> int:
 class _SwapState:
     """Incremental bookkeeping for segment-swap proposals.
 
-    Per cluster we keep a multiset of destination clusters over all outgoing
-    synapses (self included) plus the incoming-synapse byte load, so both the
-    objective delta and the budget check of a proposal are O(degree of the
-    moved neurons) instead of O(synapses).
+    ``rows[c][d]`` counts the synapses from members of cluster ``c`` to
+    members of cluster ``d`` (``d == c`` included), and the extra last slot
+    ``rows[c][k]`` counts the clusters ``d != c`` that ``c`` reaches, so the
+    objective is the sum of those slots.  ``row_of[n]`` is the row of ``n``'s
+    cluster, and ``in_syn[c]`` the incoming-synapse count of ``c``'s members.
+    A move costs O(degree of the neuron), and a cluster's budget check is
+    three integer comparisons against limits computed once.
     """
 
     def __init__(self, partition: Partition, graph: SnnGraph, budget: MemoryBudget):
-        self.graph = graph
-        self.budget = budget
+        k = len(partition.clusters)
+        rev = graph.reverse_adjacency
+        self.k = k
         self.clusters = [list(c) for c in partition.clusters]
         self.cluster_of = list(partition.cluster_of)
-        self.out_count: list[dict[int, int]] = [dict() for _ in self.clusters]
-        self.in_syn = [0] * len(self.clusters)
-        self.j_total = 0
-        for ci, cluster in enumerate(self.clusters):
-            for n in cluster:
-                self.in_syn[ci] += graph.in_degree(n)
-                for post, _ in graph.posts(n):
-                    self._inc(ci, self.cluster_of[post])
-
-    def _inc(self, c: int, k: int) -> None:
-        m = self.out_count[c]
-        if k in m:
-            m[k] += 1
-        else:
-            m[k] = 1
-            if k != c:
-                self.j_total += 1
-
-    def _dec(self, c: int, k: int) -> None:
-        m = self.out_count[c]
-        v = m[k] - 1
-        if v == 0:
-            del m[k]
-            if k != c:
-                self.j_total -= 1
-        else:
-            m[k] = v
+        self.posts = [[post for post, _ in edges] for edges in graph.adjacency]
+        # a self-loop is counted once, as a post of the moved neuron
+        self.pres = [[pre for pre, _ in edges if pre != n]
+                     for n, edges in enumerate(rev)]
+        self.in_degree = [len(edges) for edges in rev]
+        self.syn_limit = budget.synapse_bytes // budget.bytes_per_synapse
+        self.size_limit = budget.neuron_bytes // budget.bytes_per_neuron_state
+        self.dest_limit = budget.post_conn_bytes // budget.dest_entry_bytes
+        self.rows = [[0] * (k + 1) for _ in range(k)]
+        self.row_of = [self.rows[c] for c in self.cluster_of]
+        self.in_syn = [0] * k
+        for n, row in enumerate(self.row_of):
+            self.in_syn[self.cluster_of[n]] += self.in_degree[n]
+            for d in map(self.cluster_of.__getitem__, self.posts[n]):
+                row[d] += 1
+        for c, row in enumerate(self.rows):
+            row[k] = sum(1 for d in range(k) if d != c and row[d])
+        self.j_total = sum(row[k] for row in self.rows)
 
     def move(self, n: int, to: int) -> None:
-        frm = self.cluster_of[n]
-        posts = self.graph.posts(n)
-        rev = self.graph.reverse_adjacency[n]
-        for post, _ in posts:
-            self._dec(frm, self.cluster_of[post])
-        for pre, _ in rev:
-            if pre != n:
-                self._dec(self.cluster_of[pre], frm)
-        self.cluster_of[n] = to
-        for post, _ in posts:
-            self._inc(to, self.cluster_of[post])
-        for pre, _ in rev:
-            if pre != n:
-                self._inc(self.cluster_of[pre], to)
-        deg = len(rev)
+        cluster_of, row_of, k = self.cluster_of, self.row_of, self.k
+        frm = cluster_of[n]
+        posts, pres = self.posts[n], self.pres[n]
+        src, dst = self.rows[frm], self.rows[to]
+        j = self.j_total
+        # Every decrement happens before the reassignment and every increment
+        # after it, so a self-loop synapse leaves src and enters dst.
+        for d in map(cluster_of.__getitem__, posts):
+            v = src[d] - 1
+            src[d] = v
+            if not v and d != frm:
+                src[k] -= 1
+                j -= 1
+        for row in map(row_of.__getitem__, pres):
+            v = row[frm] - 1
+            row[frm] = v
+            if not v and row is not src:
+                row[k] -= 1
+                j -= 1
+        cluster_of[n] = to
+        row_of[n] = dst
+        for d in map(cluster_of.__getitem__, posts):
+            v = dst[d]
+            dst[d] = v + 1
+            if not v and d != to:
+                dst[k] += 1
+                j += 1
+        for row in map(row_of.__getitem__, pres):
+            v = row[to]
+            row[to] = v + 1
+            if not v and row is not dst:
+                row[k] += 1
+                j += 1
+        self.j_total = j
+        deg = self.in_degree[n]
         self.in_syn[frm] -= deg
         self.in_syn[to] += deg
 
-    def fits(self, c: int) -> bool:
-        b = self.budget
-        dest_entries = sum(1 for k in self.out_count[c] if k != c)
-        return (self.in_syn[c] * b.bytes_per_synapse <= b.synapse_bytes
-                and len(self.clusters[c]) * b.bytes_per_neuron_state <= b.neuron_bytes
-                and dest_entries * b.dest_entry_bytes <= b.post_conn_bytes)
+    def fits(self, affected) -> bool:
+        """Whether every cluster in ``affected`` is within the budget."""
+        rows, in_syn, clusters, k = self.rows, self.in_syn, self.clusters, self.k
+        syn_limit, size_limit, dest_limit = \
+            self.syn_limit, self.size_limit, self.dest_limit
+        for c in affected:
+            if (in_syn[c] > syn_limit or rows[c][k] > dest_limit
+                    or len(clusters[c]) > size_limit):
+                return False
+        return True
+
+
+def check_sss_settings(iters: int | None, t0: float | None, cooling: float,
+                       seg_ratio: float) -> None:
+    """Raise ``ValueError`` for refinement settings outside their ranges.
+
+    ``None`` selects the default ``iters`` or ``t0``; ``cooling = 0`` is a
+    quench after the first proposal.
+    """
+    if iters is not None and iters < 0:
+        raise ValueError(f"sss_iters must be non-negative; got {iters}")
+    if t0 is not None and not 0.0 <= t0 < math.inf:
+        raise ValueError(f"sss_t0 must be finite and non-negative; got {t0}")
+    if not 0.0 <= cooling <= 1.0:
+        raise ValueError(f"sss_cooling must be in [0, 1]; got {cooling}")
+    if not 0.0 < seg_ratio <= 1.0:
+        raise ValueError(f"seg_ratio must be in (0, 1]; got {seg_ratio}")
 
 
 def sss_refine(partition: Partition, graph: SnnGraph, budget: MemoryBudget,
@@ -304,12 +340,16 @@ def sss_refine(partition: Partition, graph: SnnGraph, budget: MemoryBudget,
     uniformly chosen clusters; it is accepted only if every cluster whose
     memory cost changed still fits the budget, and the objective change
     passes the usual Metropolis rule.  Returns the best partition observed.
+    Settings outside their ranges raise ``ValueError`` (see
+    ``check_sss_settings``).
     """
+    check_sss_settings(iters, t0, cooling, seg_ratio)
     k = len(partition.clusters)
     if k < 2:
         return partition
     rng = random.Random(seed)
     state = _SwapState(partition, graph, budget)
+    cluster_of, pres = state.cluster_of, state.pres
     min_size = min(len(c) for c in state.clusters)
     seg_len = max(1, min(min_size, math.floor(seg_ratio * min_size)))
     if iters is None:
@@ -340,11 +380,12 @@ def sss_refine(partition: Partition, graph: SnnGraph, budget: MemoryBudget,
         cb[sb:sb + seg_len] = seg_a
         dj = state.j_total - j_before
 
+        # a, b and the clusters feeding a moved neuron: the only ones whose
+        # memory cost can have changed
         affected = {a, b}
         for n in seg_a + seg_b:
-            for pre, _ in graph.reverse_adjacency[n]:
-                affected.add(state.cluster_of[pre])
-        accept = all(state.fits(c) for c in sorted(affected))
+            affected.update(map(cluster_of.__getitem__, pres[n]))
+        accept = state.fits(affected)
         if accept and dj >= 0:
             if temp > 0.0:
                 prob = math.exp(-dj / temp)

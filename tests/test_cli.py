@@ -241,6 +241,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "run")]) == 2
         assert "mesh" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting,needle", [
+        ("sss_iters = -5", "sss_iters must be non-negative"),
+        ("sss_cooling = 1.5", "sss_cooling must be in [0, 1]"),
+        ("seg_ratio = -1", "seg_ratio must be in (0, 1]"),
+        ("sss_t0 = nan", "sss_t0 must be finite"),
+    ])
+    def test_nonsense_sss_setting(self, tmp_path, capsys, setting, needle):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(CONFIG.replace("sss_iters = 300", setting))
+        bundle_dir = tmp_path / "bundle"
+        assert main(["partition", "--config", str(bad),
+                     "--out", str(bundle_dir)]) == 2
+        assert needle in capsys.readouterr().err
+        assert not bundle_dir.exists()
+
     def test_network_stall_exits_1(self, tmp_path, monkeypatch, capsys):
         # credits never come back, so the mesh stalls and the watchdog fires
         monkeypatch.setattr(NocSim, "_apply_credit",

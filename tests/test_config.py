@@ -73,10 +73,31 @@ class TestValidation:
         ("[mesh]\nwidth = -2\n", "mesh dimensions"),
         ("[workload]\nlayers = 3x3\n", "expected CxWxH"),
         ("[run]\nstim_neurons = 9-2\n", "reversed"),
+        ("[partition]\nsss_iters = -5\n", "sss_iters must be non-negative"),
+        ("[partition]\nsss_t0 = -1\n", "sss_t0 must be finite"),
+        ("[partition]\nsss_t0 = nan\n", "sss_t0 must be finite"),
+        ("[partition]\nsss_t0 = inf\n", "sss_t0 must be finite"),
+        ("[partition]\nsss_cooling = 1.5\n", r"sss_cooling must be in \[0, 1\]"),
+        ("[partition]\nsss_cooling = -0.5\n", r"sss_cooling must be in \[0, 1\]"),
+        ("[partition]\nsss_cooling = nan\n", r"sss_cooling must be in \[0, 1\]"),
+        ("[partition]\nseg_ratio = -1\n", r"seg_ratio must be in \(0, 1\]"),
+        ("[partition]\nseg_ratio = 0\n", r"seg_ratio must be in \(0, 1\]"),
+        ("[partition]\nseg_ratio = 1.5\n", r"seg_ratio must be in \(0, 1\]"),
+        ("[partition]\nseg_ratio = nan\n", r"seg_ratio must be in \(0, 1\]"),
     ])
     def test_rejected(self, text, needle):
         with pytest.raises(ConfigError, match=needle):
             parse_config_text(text)
+
+    def test_sss_edge_settings_accepted(self):
+        # 0 keeps meaning "default" for iters and t0; cooling 0 is a quench
+        cfg = parse_config_text("[partition]\nsss_iters = 0\nsss_t0 = 0\n"
+                                "sss_cooling = 0\nseg_ratio = 1\n")
+        sys_cfg = to_system_config(cfg)
+        assert (sys_cfg.sss_iters, sys_cfg.sss_t0) == (None, None)
+        assert (sys_cfg.sss_cooling, sys_cfg.seg_ratio) == (0.0, 1.0)
+        assert parse_config_text("[partition]\nsss_cooling = 1\n"
+                                 ).partition.sss_cooling == 1.0
 
     def test_constant_stimulus_accepted(self):
         cfg = parse_config_text("[run]\nstimulus = constant\n")

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikenoc.graph import ConvLayerSpec, SnnGraph, build_brunel, build_conv_topology
-from spikenoc.partition import (CoreMap, MemoryBudget, Partition,
+from spikenoc.partition import (CoreMap, MemoryBudget, Partition, _SwapState,
                                 destination_objective, hsfc_order,
                                 initial_partition, map_clusters, memory_cost,
                                 sss_refine)
@@ -23,6 +24,20 @@ def random_graph(n, p, seed):
     edges = [(a, b) for a in range(n) for b in range(n)
              if a != b and rng.random() < p]
     return graph_from_edges(n, edges)
+
+
+def loopy_graph(n, p, seed):
+    """Random graph where half the neurons synapse onto themselves and about
+    a fifth of the synapses are doubled."""
+    rng = random.Random(seed)
+    adjacency = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if rng.random() < (0.5 if a == b else p):
+                adjacency[a].append((b, 10))
+                if rng.random() < 0.2:
+                    adjacency[a].append((b, 10))
+    return SnnGraph(n, adjacency)
 
 
 def brute_force_min_objective(graph, sizes):
@@ -250,6 +265,87 @@ class TestSssRefine:
         g = random_graph(8, 0.3, seed=1)
         p = Partition.from_clusters([tuple(range(8))], 8)
         assert sss_refine(p, g, MemoryBudget(), seed=0) is p
+
+    # Clusters returned by the dict-per-cluster implementation this one
+    # replaced.  The graphs have self-loops and duplicate synapses, the
+    # destination budget (3-byte entries) rejects proposals, and whole
+    # segments of the smallest cluster's size are swapped.
+    PINNED = [
+        ((24, 0.04, 0), 3 * 3,
+         ((4, 14, 1), (13, 6, 21), (8, 17, 7), (22, 2, 20), (5, 18, 23),
+          (11, 19, 10), (0,), (15,), (9, 16, 12), (3,))),
+        ((24, 0.06, 1), 3 * 3,
+         ((4, 1, 15, 16, 19, 12), (18, 3, 7, 10, 20, 9),
+          (21, 6, 5, 22, 13, 17), (11, 8, 23, 0, 14), (2,))),
+        ((32, 0.04, 2), 3 * 4,
+         ((25, 26, 21, 22, 23, 11), (27, 16, 24, 18, 19, 7),
+          (28, 29, 2, 3, 4, 9), (12, 13, 14, 15, 17, 10), (0, 1, 6, 20),
+          (30, 31, 8, 5))),
+    ]
+
+    @pytest.mark.parametrize("graph_args,post_conn_bytes,expected", PINNED)
+    def test_pinned_on_self_loops_and_duplicates(self, graph_args,
+                                                 post_conn_bytes, expected):
+        n, p, seed = graph_args
+        g = loopy_graph(n, p, seed)
+        b = MemoryBudget(neuron_bytes=24 * 6, post_conn_bytes=post_conn_bytes)
+        p0 = initial_partition(range(n), g, b)
+        p1 = sss_refine(p0, g, b, seed=seed, iters=200, seg_ratio=1.0)
+        assert p1.clusters == expected
+        assert destination_objective(p1, g) < destination_objective(p0, g)
+        for c in p1.clusters:
+            assert memory_cost(c, g, b, p1.cluster_of).fits
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(iters=-1), dict(t0=-0.5), dict(t0=math.nan), dict(t0=math.inf),
+        dict(cooling=1.5), dict(cooling=-0.1), dict(cooling=math.nan),
+        dict(seg_ratio=0.0), dict(seg_ratio=-1.0), dict(seg_ratio=1.01),
+        dict(seg_ratio=math.nan),
+    ])
+    def test_nonsense_settings_rejected(self, kwargs):
+        g = random_graph(12, 0.2, seed=1)
+        b = MemoryBudget(neuron_bytes=24 * 4)
+        p0 = initial_partition(range(12), g, b)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            sss_refine(p0, g, b, **kwargs)
+
+    def test_edge_settings_accepted(self):
+        # zero proposals, a quench at t0 = 0 and cooling = 0, whole segments
+        g = random_graph(12, 0.2, seed=1)
+        b = MemoryBudget(neuron_bytes=24 * 4)
+        p0 = initial_partition(range(12), g, b)
+        assert sss_refine(p0, g, b, iters=0).clusters == p0.clusters
+        for kwargs in (dict(t0=0.0), dict(cooling=0.0), dict(cooling=1.0),
+                       dict(seg_ratio=1.0)):
+            p1 = sss_refine(p0, g, b, iters=50, **kwargs)
+            assert destination_objective(p1, g) <= destination_objective(p0, g)
+
+
+class TestSwapState:
+    @given(st.integers(2, 16), st.floats(0.0, 0.4), st.integers(0, 10_000),
+           st.integers(1, 5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bookkeeping_matches_recount(self, n, p, seed, k, data):
+        g = loopy_graph(n, p, seed)
+        b = MemoryBudget(neuron_bytes=24 * 4)
+        of = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        part = Partition.from_clusters(
+            [[x for x in range(n) if of[x] == c] for c in range(k)], n)
+        state = _SwapState(part, g, b)
+        moves = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, k - 1)),
+                                   max_size=20))
+        for step in range(len(moves) + 1):
+            if step:
+                state.move(*moves[step - 1])
+            now = Partition.from_clusters(
+                [[x for x in range(n) if state.cluster_of[x] == c]
+                 for c in range(k)], n)
+            assert state.j_total == destination_objective(now, g)
+            for c, members in enumerate(now.clusters):
+                cost = memory_cost(members, g, b, now.cluster_of)
+                assert state.rows[c][k] == cost.post_conn_bytes // b.dest_entry_bytes
+                assert state.in_syn[c] * b.bytes_per_synapse == cost.synapse_bytes
 
 
 class TestMapClusters:
