@@ -15,8 +15,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-from spikenoc.config import (ExperimentConfig, build_graph, load_config,
-                             make_stimulus_spec, parse_layers, to_system_config)
+from spikenoc.config import (build_graph, load_config, parse_layers,
+                             to_system_config)
 from spikenoc.core import MODE_BASELINE, MODE_UNISPIKE
 from spikenoc.graph import build_conv_topology, reference_simulate
 from spikenoc.metrics import compare_reports, redundancy_profile

@@ -1,9 +1,11 @@
-"""Experiment configuration: an INI document with five sections.
+"""Experiment configuration: an INI document with six sections.
 
 Every key has a default, so an empty file is a valid experiment.  Unknown
 sections or keys are rejected with the offending line number rather than
 silently ignored, since a typo like `n_ecx` would otherwise change the
-experiment without warning.
+experiment without warning.  The [mesh], [core] and [energy] sections parse
+straight into `MeshConfig`, `CoreTiming` and `EnergyCostTable`, which
+range-check their own values, so a bad value fails at parse time.
 """
 
 from __future__ import annotations
@@ -82,47 +84,13 @@ class PartitionConfig:
 
 
 @dataclass(frozen=True)
-class MeshSection:
-    width: int = 4
-    height: int = 4
-    vcs: int = 4
-    vc_buffer_depth: int = 4
-    router_pipeline_cycles: int = 2
-    link_cycles: int = 1
-    noc_period_ps: int = 6250
-    watchdog_cycles: int = 50000
-
-
-@dataclass(frozen=True)
-class CoreSection:
-    core_period_ps: int = 2000
-    update_cycles: int = 4
-    decode_cycles_per_accum: int = 1
-    gen_cycles_per_flit: int = 1
-    max_body: int = 16
-    output_queue_packets: int = 8
-
-
-@dataclass(frozen=True)
-class EnergySection:
-    router_per_flit: float = 5.0
-    link_per_flit: float = 3.0
-    neuron_update: float = 10.0
-    decode_per_body_flit: float = 2.0
-    sram_read_per_byte: float = 0.05
-    sram_write_per_byte: float = 0.05
-    core_static_per_ps: float = 2e-4
-    router_static_per_ps: float = 1e-4
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     workload: WorkloadConfig = WorkloadConfig()
     run: RunConfig = RunConfig()
     partition: PartitionConfig = PartitionConfig()
-    mesh: MeshSection = MeshSection()
-    core: CoreSection = CoreSection()
-    energy: EnergySection = EnergySection()
+    mesh: MeshConfig = MeshConfig()
+    core: CoreTiming = CoreTiming()
+    energy: EnergyCostTable = EnergyCostTable()
 
     def digest(self) -> str:
         return hashlib.sha256(render_config(self).encode()).hexdigest()[:16]
@@ -132,9 +100,9 @@ _SECTIONS: dict[str, type] = {
     "workload": WorkloadConfig,
     "run": RunConfig,
     "partition": PartitionConfig,
-    "mesh": MeshSection,
-    "core": CoreSection,
-    "energy": EnergySection,
+    "mesh": MeshConfig,
+    "core": CoreTiming,
+    "energy": EnergyCostTable,
 }
 
 
@@ -197,7 +165,10 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
                     f"{source}:{line}: unknown key {key!r} in [{section}]")
             values[key] = _parse_value(raw, _field_type(cls, key),
                                        f"{source}: [{section}] {key}")
-        kwargs[name] = cls(**values)
+        try:
+            kwargs[name] = cls(**values)
+        except ValueError as exc:
+            raise ConfigError(f"{source}: [{section}] {exc}") from None
     cfg = ExperimentConfig(**kwargs)
     _validate(cfg, source)
     return cfg
@@ -237,15 +208,11 @@ def _validate(cfg: ExperimentConfig, source: str) -> None:
     if p.placement not in ("hilbert", "row-major"):
         raise ConfigError(f"{source}: partition.placement must be hilbert or "
                           f"row-major; got {p.placement!r}")
-    if cfg.mesh.width <= 0 or cfg.mesh.height <= 0:
-        raise ConfigError(f"{source}: mesh dimensions must be positive")
     try:
         # 0 selects the default sss_iters or sss_t0, and is in range
         check_sss_settings(p.sss_iters, p.sss_t0, p.sss_cooling, p.seg_ratio)
         parse_layers(w.layers)
-        parse_int_list(r.stim_at)
-        if r.stim_neurons != "all":
-            parse_id_set(r.stim_neurons)
+        to_system_config(cfg)
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
@@ -332,21 +299,17 @@ def make_stimulus_spec(cfg: ExperimentConfig) -> StimulusSpec:
 
 
 def to_system_config(cfg: ExperimentConfig) -> SystemConfig:
-    p, m, c, e = cfg.partition, cfg.mesh, cfg.core, cfg.energy
+    p = cfg.partition
     return SystemConfig(
-        mesh=MeshConfig(m.width, m.height, m.vcs, m.vc_buffer_depth,
-                        m.router_pipeline_cycles, m.link_cycles,
-                        m.noc_period_ps, m.watchdog_cycles),
-        timing=CoreTiming(c.core_period_ps, c.update_cycles,
-                          c.decode_cycles_per_accum, c.gen_cycles_per_flit,
-                          c.max_body, c.output_queue_packets),
-        energy=EnergyCostTable(e.router_per_flit, e.link_per_flit,
-                               e.neuron_update, e.decode_per_body_flit,
-                               e.sram_read_per_byte, e.sram_write_per_byte,
-                               e.core_static_per_ps, e.router_static_per_ps),
-        budget=MemoryBudget(p.synapse_bytes, p.neuron_bytes, p.post_conn_bytes,
-                            p.checking_table_bytes, p.bytes_per_synapse,
-                            p.bytes_per_neuron_state),
+        mesh=cfg.mesh,
+        timing=cfg.core,
+        energy=cfg.energy,
+        budget=MemoryBudget(
+            synapse_bytes=p.synapse_bytes, neuron_bytes=p.neuron_bytes,
+            post_conn_bytes=p.post_conn_bytes,
+            checking_table_bytes=p.checking_table_bytes,
+            bytes_per_synapse=p.bytes_per_synapse,
+            bytes_per_neuron_state=p.bytes_per_neuron_state),
         stimulus=make_stimulus_spec(cfg),
         mode=cfg.run.mode,
         partitioner=p.partitioner,

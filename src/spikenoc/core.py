@@ -35,6 +35,9 @@ class CoreTiming:
     def __post_init__(self):
         if self.core_period_ps <= 0 or self.update_cycles <= 0:
             raise ValueError("core timing values must be positive")
+        if self.decode_cycles_per_accum < 0 or self.gen_cycles_per_flit < 0:
+            raise ValueError("decode and generation cycles must be "
+                             "non-negative")
         if self.max_body < 1 or self.output_queue_packets < 1:
             raise ValueError("max_body and output queue must be at least 1")
 

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 Coord = tuple[int, int]
 
@@ -81,6 +81,13 @@ class EnergyCostTable:
     sram_write_per_byte: float = 0.05
     core_static_per_ps: float = 2e-4    # per powered core
     router_static_per_ps: float = 1e-4  # per router
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be finite and non-negative; "
+                                 f"got {value}")
 
     def dynamic(self, flit_hops: int = 0, updates: int = 0,
                 decoded_body_flits: int = 0, sram_read_bytes: int = 0,

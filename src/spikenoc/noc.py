@@ -43,8 +43,8 @@ class DeadlockError(Exception):
 
 @dataclass(frozen=True)
 class MeshConfig:
-    width: int
-    height: int
+    width: int = 4
+    height: int = 4
     vcs: int = 4
     vc_buffer_depth: int = 4
     router_pipeline_cycles: int = 2
@@ -60,6 +60,8 @@ class MeshConfig:
         if (self.router_pipeline_cycles < 1 or self.link_cycles < 1
                 or self.noc_period_ps <= 0):
             raise ValueError("pipeline, link and period must be positive")
+        if self.watchdog_cycles < 1:
+            raise ValueError("watchdog_cycles must be at least 1")
 
 
 def xy_route(cur: Coord, dest: Coord) -> str:

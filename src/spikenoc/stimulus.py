@@ -8,6 +8,7 @@ in the update that produces step t+1, exactly like a synaptic spike.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -30,17 +31,19 @@ class StimulusSpec:
     neurons: tuple[int, ...] | None = None
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in ("none", "constant", "poisson", "pulse"):
             raise ValueError(f"unknown stimulus kind {self.kind!r}")
         if self.kind == "poisson" and not (0.0 <= self.rate <= 1.0):
             raise ValueError(f"stimulus rate {self.rate} outside [0, 1]")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"stimulus amplitude {self.amplitude} is not "
+                             f"finite")
 
 
 def build_stimulus(spec: StimulusSpec, neuron_count: int, timesteps: int,
                    frac_bits: int) -> list[list[int]] | None:
     """Dense per-(step, neuron) raw current rows; None when there is no drive."""
-    spec.validate()
     if spec.kind == "none":
         return None
     targets = range(neuron_count) if spec.neurons is None else spec.neurons

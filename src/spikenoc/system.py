@@ -9,6 +9,7 @@ execution time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .artifact import DeploymentBundle, build_bundle
@@ -28,7 +29,7 @@ PARTITIONERS = ("naive", "hsfc", "hsfc-sss")
 
 @dataclass(frozen=True)
 class SystemConfig:
-    mesh: MeshConfig = MeshConfig(4, 4)
+    mesh: MeshConfig = MeshConfig()
     timing: CoreTiming = CoreTiming()
     energy: EnergyCostTable = EnergyCostTable()
     budget: MemoryBudget = MemoryBudget()
@@ -44,6 +45,10 @@ class SystemConfig:
     sss_t0: float | None = None
     sss_cooling: float = 0.995
     trace: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive; got {self.dt}")
 
 
 def make_partition(graph: SnnGraph, cfg: SystemConfig) -> Partition:

@@ -37,6 +37,20 @@ height = 3
 """
 
 
+def with_setting(section: str, setting: str) -> str:
+    """CONFIG with `key = value` set in `section`, added if CONFIG lacks it."""
+    key = setting.split("=")[0].strip()
+    lines = [setting if line.split("=")[0].strip() == key else line
+             for line in CONFIG.splitlines()]
+    text = "\n".join(lines) + "\n"
+    if setting in lines:
+        return text
+    header = f"[{section}]\n"
+    if header in text:
+        return text.replace(header, f"{header}{setting}\n")
+    return f"{text}\n{header}{setting}\n"
+
+
 def resign(bundle_dir, name: str, blob: bytes) -> None:
     """Replace one bundle file and update its checksum in the manifest."""
     (bundle_dir / name).write_bytes(blob)
@@ -255,6 +269,39 @@ class TestExitCodes:
                      "--out", str(bundle_dir)]) == 2
         assert needle in capsys.readouterr().err
         assert not bundle_dir.exists()
+
+    # one out-of-range value per class that owns it: MeshConfig, CoreTiming,
+    # EnergyCostTable, MemoryBudget, StimulusSpec and SystemConfig.dt
+    @pytest.mark.parametrize("section,setting,needle", [
+        ("mesh", "vcs = 0", "[mesh] need at least one VC"),
+        ("core", "gen_cycles_per_flit = -3",
+         "[core] decode and generation cycles must be non-negative"),
+        ("energy", "router_per_flit = -5",
+         "[energy] router_per_flit must be finite and non-negative"),
+        ("partition", "synapse_bytes = 0", "synapse_bytes must be positive"),
+        ("run", "stim_rate = 1.5", "stimulus rate 1.5 outside [0, 1]"),
+        ("run", "dt = 0", "dt must be finite and positive"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "show-config"])
+    def test_out_of_range_value_exits_2_at_parse(self, tmp_path, capsys,
+                                                 command, section, setting,
+                                                 needle):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(with_setting(section, setting))
+        assert main([command, "--config", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {bad}: {needle}" in captured.err
+        assert captured.out == ""
+
+    def test_zero_watchdog_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(with_setting("mesh", "watchdog_cycles = 0"))
+        out_dir = tmp_path / "run"
+        assert main(["simulate", "--config", str(bad),
+                     "--out", str(out_dir)]) == 2
+        assert (f"error: {bad}: [mesh] watchdog_cycles must be at least 1"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
 
     def test_network_stall_exits_1(self, tmp_path, monkeypatch, capsys):
         # credits never come back, so the mesh stalls and the watchdog fires

@@ -6,7 +6,11 @@ from spikenoc.config import (ConfigError, ExperimentConfig, build_graph,
                              load_config, make_stimulus_spec, override_seed,
                              parse_config_text, parse_id_set, parse_int_list,
                              parse_layers, render_config, to_system_config)
+from spikenoc.core import CoreTiming
 from spikenoc.graph import ConvLayerSpec, build_brunel, save_text
+from spikenoc.metrics import EnergyCostTable
+from spikenoc.noc import MeshConfig
+from spikenoc.partition import MemoryBudget
 
 
 class TestParsing:
@@ -84,10 +88,50 @@ class TestValidation:
         ("[partition]\nseg_ratio = 0\n", r"seg_ratio must be in \(0, 1\]"),
         ("[partition]\nseg_ratio = 1.5\n", r"seg_ratio must be in \(0, 1\]"),
         ("[partition]\nseg_ratio = nan\n", r"seg_ratio must be in \(0, 1\]"),
+        ("[mesh]\nvcs = 0\n", r"\[mesh\] need at least one VC"),
+        ("[mesh]\nvc_buffer_depth = 0\n", r"\[mesh\] need at least one VC"),
+        ("[mesh]\nwatchdog_cycles = 0\n", r"\[mesh\] watchdog_cycles must be"),
+        ("[mesh]\nwatchdog_cycles = -1\n", r"\[mesh\] watchdog_cycles must be"),
+        ("[core]\ndecode_cycles_per_accum = -50\n",
+         r"\[core\] decode and generation cycles must be non-negative"),
+        ("[core]\ngen_cycles_per_flit = -3\n",
+         r"\[core\] decode and generation cycles must be non-negative"),
+        ("[energy]\nrouter_per_flit = -5\n",
+         r"\[energy\] router_per_flit must be finite and non-negative"),
+        ("[energy]\ncore_static_per_ps = nan\n",
+         r"\[energy\] core_static_per_ps must be finite and non-negative"),
+        ("[run]\ndt = 0\n", "dt must be finite and positive"),
+        ("[run]\ndt = -1\n", "dt must be finite and positive"),
+        ("[run]\ndt = nan\n", "dt must be finite and positive"),
+        ("[run]\ndt = inf\n", "dt must be finite and positive"),
+        ("[run]\nstim_rate = 1.5\n", r"stimulus rate 1.5 outside \[0, 1\]"),
+        ("[run]\nstim_amplitude = nan\n", "stimulus amplitude nan is not finite"),
+        ("[partition]\nsynapse_bytes = 0\n", "synapse_bytes must be positive"),
     ])
     def test_rejected(self, text, needle):
         with pytest.raises(ConfigError, match=needle):
             parse_config_text(text)
+
+    def test_message_names_file_and_section(self, tmp_path):
+        p = tmp_path / "exp.ini"
+        p.write_text("[mesh]\nvcs = 0\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(str(p))
+        assert str(info.value) == \
+            f"{p}: [mesh] need at least one VC and one buffer slot"
+
+    def test_machine_edge_values_accepted(self):
+        cfg = parse_config_text(
+            "[mesh]\nwatchdog_cycles = 1\n"
+            "[core]\ndecode_cycles_per_accum = 0\ngen_cycles_per_flit = 0\n"
+            "[energy]\n" + "".join(f"{f.name} = 0.0\n" for f in
+                                   dataclasses.fields(EnergyCostTable)))
+        sc = to_system_config(cfg)
+        assert sc.mesh.watchdog_cycles == 1
+        assert (sc.timing.decode_cycles_per_accum,
+                sc.timing.gen_cycles_per_flit) == (0, 0)
+        assert sc.energy == EnergyCostTable(
+            **{f.name: 0.0 for f in dataclasses.fields(EnergyCostTable)})
 
     def test_sss_edge_settings_accepted(self):
         # 0 keeps meaning "default" for iters and t0; cooling 0 is a quench
@@ -206,15 +250,42 @@ class TestBuilders:
         assert spec.amplitude == 2.5 and spec.seed == 7
         assert make_stimulus_spec(ExperimentConfig()).neurons is None
 
+    # distinct non-default values, so a swapped pair of keys shows
+    MACHINE = {
+        ("mesh", "mesh", MeshConfig): dict(
+            width=5, height=3, vcs=2, vc_buffer_depth=6,
+            router_pipeline_cycles=7, link_cycles=9, noc_period_ps=6001,
+            watchdog_cycles=50001),
+        ("core", "timing", CoreTiming): dict(
+            core_period_ps=2001, update_cycles=10, decode_cycles_per_accum=11,
+            gen_cycles_per_flit=12, max_body=13, output_queue_packets=14),
+        ("energy", "energy", EnergyCostTable): dict(
+            router_per_flit=5.5, link_per_flit=3.5, neuron_update=10.5,
+            decode_per_body_flit=2.5, sram_read_per_byte=0.06,
+            sram_write_per_byte=0.07, core_static_per_ps=3e-4,
+            router_static_per_ps=4e-4),
+        ("partition", "budget", MemoryBudget): dict(
+            synapse_bytes=103001, neuron_bytes=1536, post_conn_bytes=33001,
+            checking_table_bytes=1001, bytes_per_synapse=15,
+            bytes_per_neuron_state=16),
+    }
+
     def test_system_config_mapping(self):
-        cfg = parse_config_text(
-            "[mesh]\nwidth = 5\nheight = 3\n"
-            "[partition]\nneuron_bytes = 1536\nsss_iters = 500\n"
-            "[core]\nmax_body = 8\n")
+        text = "".join(
+            f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+            for (section, _, _), values in self.MACHINE.items())
+        cfg = parse_config_text(text + "sss_iters = 500\n")   # into [partition]
         sc = to_system_config(cfg)
-        assert (sc.mesh.width, sc.mesh.height) == (5, 3)
-        assert sc.budget.neuron_bytes == 1536
-        assert sc.timing.max_body == 8
+        assert len({v for values in self.MACHINE.values()
+                    for v in values.values()}) == 28
+        for (_, attr, cls), values in self.MACHINE.items():
+            assert set(values) == {f.name for f in dataclasses.fields(cls)}
+            target = getattr(sc, attr)
+            for key, value in values.items():
+                assert value != getattr(cls(), key), key
+                assert getattr(target, key) == value, key
+        assert (sc.mesh, sc.timing, sc.energy) == (cfg.mesh, cfg.core,
+                                                   cfg.energy)
         assert sc.sss_iters == 500
         # zero means pick the automatic schedule
         assert to_system_config(ExperimentConfig()).sss_iters is None

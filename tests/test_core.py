@@ -51,6 +51,12 @@ def test_timing_validation():
         CoreTiming(core_period_ps=0)
     with pytest.raises(ValueError):
         CoreTiming(max_body=0)
+    with pytest.raises(ValueError, match="non-negative"):
+        CoreTiming(decode_cycles_per_accum=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        CoreTiming(gen_cycles_per_flit=-1)
+    # zero-cost decode and generation are legal machines
+    CoreTiming(decode_cycles_per_accum=0, gen_cycles_per_flit=0)
 
 
 def test_mode_validation():

@@ -76,6 +76,20 @@ class TestEnergy:
                             neuron_update=2.0)
         assert t.dynamic(flit_hops=4, updates=1) == 4 * 1.5 + 2.0
 
+    @pytest.mark.parametrize("value", [-5.0, math.nan, math.inf])
+    def test_negative_or_non_finite_cost_rejected(self, value):
+        with pytest.raises(ValueError, match="link_per_flit must be finite"):
+            EnergyCostTable(link_per_flit=value)
+
+    def test_zero_costs_accepted(self):
+        names = ("router_per_flit", "link_per_flit", "neuron_update",
+                 "decode_per_body_flit", "sram_read_per_byte",
+                 "sram_write_per_byte", "core_static_per_ps",
+                 "router_static_per_ps")
+        t = EnergyCostTable(**dict.fromkeys(names, 0.0))
+        assert t.dynamic(flit_hops=3, updates=2) == 0.0
+        assert t.static(2, 2, 1000) == 0.0
+
 
 def rec(src, dest, t, body=1, pid=0):
     return PacketRecord(pid, src, dest, t, body, 0, 0)

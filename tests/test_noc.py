@@ -52,6 +52,14 @@ class TestMeshConfig:
         with pytest.raises(ValueError):
             MeshConfig(4, 4, link_cycles=0)
 
+    @pytest.mark.parametrize("cycles", [0, -1])
+    def test_rejects_watchdog_below_one(self, cycles):
+        with pytest.raises(ValueError, match="watchdog_cycles"):
+            MeshConfig(4, 4, watchdog_cycles=cycles)
+
+    def test_defaults_to_4x4(self):
+        assert MeshConfig() == MeshConfig(4, 4)
+
 
 class TestSinglePacket:
     def test_exact_uncontended_latency(self):

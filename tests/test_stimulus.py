@@ -50,3 +50,12 @@ def test_bad_specs_rejected():
         build_stimulus(StimulusSpec(kind="poisson", rate=1.5), 4, 2, 8)
     with pytest.raises(ValueError):
         build_stimulus(StimulusSpec(kind="constant", neurons=(5,)), 4, 2, 8)
+
+
+@pytest.mark.parametrize("bad", [dict(kind="bananas"),
+                                 dict(kind="poisson", rate=1.5),
+                                 dict(amplitude=float("nan")),
+                                 dict(amplitude=float("inf"))])
+def test_bad_spec_rejected_at_construction(bad):
+    with pytest.raises(ValueError):
+        StimulusSpec(**bad)

@@ -238,6 +238,11 @@ class TestGuards:
         with pytest.raises(ValueError, match="mode"):
             run_experiment(deploy(g, cfg), cfg, None)
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            SystemConfig(dt=dt)
+
 
 class TestDeterminism:
     def test_two_runs_are_byte_identical(self):
