@@ -80,8 +80,7 @@ def write_flit_trace(trace, path: str) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["time_ps", "link", "pid", "kind"])
-        for time_ps, link, pid, kind in trace:
-            w.writerow([time_ps, link, pid, kind])
+        w.writerows(trace)
 
 
 # -- subcommands ------------------------------------------------------------

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .core import CoreTiming, MODE_BASELINE, MODE_UNISPIKE
 from .graph import (ConvLayerSpec, SnnGraph, build_brunel, build_conv_topology,
-                    build_vogels, load_graph)
+                    build_vogels, check_conv_params, check_random_params,
+                    load_graph)
 from .metrics import EnergyCostTable
 from .neurons import params_from_fields
 from .noc import MeshConfig
@@ -211,7 +212,13 @@ def _validate(cfg: ExperimentConfig, source: str) -> None:
     try:
         # 0 selects the default sss_iters or sss_t0, and is in range
         check_sss_settings(p.sss_iters, p.sss_t0, p.sss_cooling, p.seg_ratio)
-        parse_layers(w.layers)
+        layers = parse_layers(w.layers)
+        # the builder's own checks, for the keys the chosen kind uses
+        if w.kind in ("brunel", "vogels"):
+            check_random_params(w.n_exc, w.n_inh, w.conn_prob, w.w_exc,
+                                w.w_inh, w.frac_bits)
+        elif w.kind == "conv":
+            check_conv_params(layers, w.w_lo, w.w_hi, w.frac_bits)
         to_system_config(cfg)
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None

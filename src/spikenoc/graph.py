@@ -9,6 +9,7 @@ bit-identical regardless of packet arrival order.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -51,8 +52,7 @@ class SnnGraph:
             raise ValueError("graph needs at least one neuron")
         if len(adjacency) != neuron_count:
             raise ValueError("adjacency length != neuron_count")
-        if not (0 <= frac_bits <= 15):
-            raise ValueError("frac_bits must be in [0, 15]")
+        check_frac_bits(frac_bits)
         if layer_tags is not None and len(layer_tags) != neuron_count:
             raise ValueError("layer_tags must cover every neuron")
         self.neuron_count = neuron_count
@@ -115,18 +115,34 @@ class SnnGraph:
 
 # ---------------------------------------------------------------------------
 # workload builders
+#
+# The builders and the config parser range-check a workload with the same
+# functions, so a value that would fail a build fails when it is parsed.
 
-def _check_counts(n_exc: int, n_inh: int, conn_prob: float) -> None:
+def check_frac_bits(frac_bits: int) -> None:
+    if not (0 <= frac_bits <= 15):
+        raise ValueError(f"frac_bits must be in [0, 15]; got {frac_bits}")
+
+
+def check_random_params(n_exc: int, n_inh: int, conn_prob: float,
+                        w_exc: float, w_inh: float, frac_bits: int) -> None:
+    """Range-check a Brunel or Vogels network's parameters."""
+    check_frac_bits(frac_bits)
     if n_exc < 0 or n_inh < 0 or n_exc + n_inh <= 0:
-        raise ValueError("need a positive total neuron count")
+        raise ValueError(f"n_exc {n_exc} and n_inh {n_inh} must be "
+                         f"non-negative with a positive total")
     if not (0.0 < conn_prob <= 1.0):
         raise ValueError(f"conn_prob {conn_prob} outside (0, 1]")
+    if not (math.isfinite(w_exc) and math.isfinite(w_inh)):
+        raise ValueError(f"weights w_exc {w_exc} and w_inh {w_inh} must be "
+                         f"finite")
 
 
 def _erdos_renyi(n_exc: int, n_inh: int, conn_prob: float, w_exc: float,
                  w_inh: float, seed: int, model: ModelParams | None,
                  frac_bits: int) -> SnnGraph:
     import random
+    check_random_params(n_exc, n_inh, conn_prob, w_exc, w_inh, frac_bits)
     rng = random.Random(seed)
     n = n_exc + n_inh
     raw_exc = quantize_weight(w_exc, frac_bits)
@@ -148,7 +164,6 @@ def build_brunel(n_exc: int, n_inh: int, conn_prob: float = 0.1,
     Every ordered pair ``pre != post`` is connected independently with
     ``conn_prob``; weight depends on the presynaptic population only.
     """
-    _check_counts(n_exc, n_inh, conn_prob)
     return _erdos_renyi(n_exc, n_inh, conn_prob, w_exc, w_inh, seed, model, frac_bits)
 
 
@@ -156,7 +171,6 @@ def build_vogels(n_exc: int, n_inh: int, conn_prob: float = 0.02,
                  w_exc: float = 0.1, w_inh: float = -1.0, seed: int = 0,
                  model: ModelParams | None = None, frac_bits: int = 8) -> SnnGraph:
     """Sparse self-sustaining variant: lower density, stronger inhibition."""
-    _check_counts(n_exc, n_inh, conn_prob)
     return _erdos_renyi(n_exc, n_inh, conn_prob, w_exc, w_inh, seed, model, frac_bits)
 
 
@@ -176,18 +190,11 @@ class ConvLayerSpec:
     padding: int = 0
 
 
-def build_conv_topology(layers: list[ConvLayerSpec], seed: int = 0,
-                        w_lo: float = 0.05, w_hi: float = 0.2,
-                        model: ModelParams | None = None,
-                        frac_bits: int = 8) -> SnnGraph:
-    """Unrolled convolutional stack with shared kernels per layer transition.
-
-    Neuron ids are assigned layer-major, then channel, row, column.  Neurons
-    at the same (x, y) of different channels in one layer project to exactly
-    the same set of targets, since every output channel reads every input
-    channel.
-    """
-    import random
+def check_conv_params(layers: list[ConvLayerSpec], w_lo: float, w_hi: float,
+                      frac_bits: int) -> None:
+    """Range-check a convolutional stack: layer shapes that follow from the
+    conv arithmetic, and a finite weight range with ``w_lo <= w_hi``."""
+    check_frac_bits(frac_bits)
     if not layers:
         raise ValueError("need at least one layer")
     for i, spec in enumerate(layers):
@@ -205,7 +212,24 @@ def build_conv_topology(layers: list[ConvLayerSpec], seed: int = 0,
                         f"layer {i}: declared {name} {got} does not match conv "
                         f"arithmetic from {src} (k={spec.kernel}, s={spec.stride}, "
                         f"p={spec.padding})")
+    if not (math.isfinite(w_lo) and math.isfinite(w_hi) and w_lo <= w_hi):
+        raise ValueError(f"weight range w_lo {w_lo}, w_hi {w_hi} must be "
+                         f"finite with w_lo <= w_hi")
 
+
+def build_conv_topology(layers: list[ConvLayerSpec], seed: int = 0,
+                        w_lo: float = 0.05, w_hi: float = 0.2,
+                        model: ModelParams | None = None,
+                        frac_bits: int = 8) -> SnnGraph:
+    """Unrolled convolutional stack with shared kernels per layer transition.
+
+    Neuron ids are assigned layer-major, then channel, row, column.  Neurons
+    at the same (x, y) of different channels in one layer project to exactly
+    the same set of targets, since every output channel reads every input
+    channel.
+    """
+    import random
+    check_conv_params(layers, w_lo, w_hi, frac_bits)
     rng = random.Random(seed)
     offsets = []
     total = 0
@@ -431,19 +455,24 @@ def _pack_model(params: ModelParams) -> bytes:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    """Reads little-endian fields in order; a short buffer is a ValueError
+    naming the file and the byte offset."""
+
+    def __init__(self, buf: bytes, path: str):
         self.buf = buf
+        self.path = path
         self.off = 0
 
-    def take(self, fmt: str):
-        vals = struct.unpack_from("<" + fmt, self.buf, self.off)
-        self.off += struct.calcsize("<" + fmt)
-        return vals
-
     def take_bytes(self, n: int) -> bytes:
+        if self.off + n > len(self.buf):
+            raise ValueError(f"{self.path}: truncated at byte {self.off}")
         out = self.buf[self.off:self.off + n]
         self.off += n
         return out
+
+    def take(self, fmt: str):
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self.take_bytes(struct.calcsize(fmt)))
 
 
 def _unpack_model(r: _Reader) -> ModelParams:
@@ -493,7 +522,7 @@ def load_binary(path: str) -> SnnGraph:
         buf = f.read()
     if buf[:4] != _MAGIC:
         raise ValueError(f"{path}: bad magic")
-    r = _Reader(buf)
+    r = _Reader(buf, path)
     r.off = 4
     version, frac_bits, has_tags, neuron_count = r.take("HBBI")
     if version != 1:
@@ -511,6 +540,8 @@ def load_binary(path: str) -> SnnGraph:
     pres = r.take(f"{m}I")
     posts = r.take(f"{m}I")
     raws = r.take(f"{m}h")
+    if r.off != len(buf):
+        raise ValueError(f"{path}: trailing bytes at byte {r.off}")
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(neuron_count)]
     for pre, post, raw in zip(pres, posts, raws):
         adjacency[pre].append((post, raw))

@@ -15,6 +15,11 @@ the queue only while it has room, no earlier than the moment room last opened.
 Traffic is accounted per packet: under XY routing every flit of a packet
 crosses the same ``manhattan(src, dest)`` links, so a packet contributes
 ``flit_count * manhattan(src, dest)`` flit-hops.
+
+A flit is no object: it is its packet's ``(packet, record)`` pair plus a
+sequence number, 0 for the head and ``len(indices)`` for the tail.  A freed
+slot's credit is applied at the top of the next processed cycle, because
+whatever could read it sooner makes the very next cycle an event.
 """
 
 from __future__ import annotations
@@ -32,9 +37,6 @@ PORTS = ("L",) + DIRS       # input ports; L is the local injection port
 _DELTA = {"E": (1, 0), "W": (-1, 0), "N": (0, -1), "S": (0, 1)}
 _OPP = {"E": "W", "W": "E", "N": "S", "S": "N"}
 _OUT = {d: o for o, d in enumerate(DIRS)}
-
-HEAD = "H"
-BODY = "B"
 
 
 class DeadlockError(Exception):
@@ -81,14 +83,6 @@ def manhattan(a: Coord, b: Coord) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-@dataclass(slots=True)
-class Flit:
-    packet: SpikePacket
-    record: PacketRecord
-    kind: str
-    is_tail: bool
-
-
 @dataclass
 class PacketRecord:
     pid: int
@@ -100,10 +94,7 @@ class PacketRecord:
     eject_ps: int = -1
 
 
-def packet_flits(packet: SpikePacket, record: PacketRecord) -> list[Flit]:
-    n = len(packet.indices)
-    return [Flit(packet, record, HEAD, False)] + [
-        Flit(packet, record, BODY, i == n - 1) for i in range(n)]
+Packet = tuple[SpikePacket, PacketRecord]
 
 
 class _Router:
@@ -112,14 +103,16 @@ class _Router:
     Input slot ``s = port * vcs + vc`` indexes ``PORTS``; output slot
     ``o * vcs + vc`` indexes ``DIRS``.  An input buffer holds flits of one
     packet at a time, because the upstream VC feeding it stays allocated to
-    that packet until its tail has left the buffer.  So the output port
-    computed when a head enters (``out_of[s]``) holds for every flit behind
-    it, and ``route[s]`` is the downstream VC the head was granted.
+    that packet until its tail has left the buffer.  So a head entering slot
+    ``s`` sets the packet ``pkt[s]`` and output port ``out_of[s]`` for every
+    flit behind it, and ``route[s]`` is the downstream VC it was granted; a
+    buffered flit is its eligible cycle in ``in_q[s]``, and ``seq[s]`` numbers
+    the front one.  A freed slot's credit returns on the next processed cycle.
     """
 
-    __slots__ = ("coord", "rid", "vcs", "nslots", "in_q", "occupied",
-                 "out_of", "route", "out_credit", "out_alloc", "rr", "buffered",
-                 "up", "down", "link")
+    __slots__ = ("coord", "rid", "vcs", "nslots", "in_q", "pkt", "seq",
+                 "occupied", "out_of", "route", "out_credit", "out_alloc",
+                 "rr", "buffered", "up", "down", "link")
 
     def __init__(self, coord: Coord, cfg: MeshConfig):
         vcs = cfg.vcs
@@ -129,6 +122,8 @@ class _Router:
         self.vcs = vcs
         self.nslots = len(PORTS) * vcs
         self.in_q = [deque() for _ in range(self.nslots)]
+        self.pkt: list[Packet | None] = [None] * self.nslots
+        self.seq = [0] * self.nslots
         self.occupied: set[int] = set()     # slots with a non-empty buffer
         self.out_of = [0] * self.nslots
         self.route = [0] * self.nslots
@@ -143,14 +138,17 @@ class _Router:
         self.down: list[tuple[_Router, int] | None] = [None] * len(DIRS)
         self.link: list[str | None] = [None] * len(DIRS)
 
-    def accept(self, s: int, flit: Flit, eligible: int) -> None:
-        """Buffer ``flit`` in input slot ``s``; a head computes its route."""
+    def accept(self, s: int, pkt: Packet, seq: int, eligible: int) -> None:
+        """Buffer flit ``seq`` of ``pkt`` in input slot ``s``; a head takes
+        the slot and computes its route."""
         q = self.in_q[s]
         if not q:
             self.occupied.add(s)
-        if flit.kind == HEAD:
-            self.out_of[s] = _OUT[xy_route(self.coord, flit.packet.dest)]
-        q.append((flit, eligible))
+        if not seq:
+            self.pkt[s] = pkt
+            self.seq[s] = 0
+            self.out_of[s] = _OUT[xy_route(self.coord, pkt[0].dest)]
+        q.append(eligible)
         self.buffered += 1
 
     def tick(self, cycle: int, noc: "NocSim") -> None:
@@ -164,7 +162,7 @@ class _Router:
         nslots = self.nslots
         ready = []
         for s in self.occupied:
-            if in_q[s][0][1] <= cycle:
+            if in_q[s][0] <= cycle:
                 o = out_of[s]
                 ready.append((o, (s - rr[o]) % nslots, s))
         if not ready:
@@ -180,10 +178,9 @@ class _Router:
             port_bit = 1 << (s // vcs)
             if o == won or granted_ports & port_bit:
                 continue
-            q = in_q[s]
-            flit = q[0][0]
+            seq = self.seq[s]
             base = o * vcs
-            if flit.kind == HEAD:
+            if not seq:
                 for dvc in range(vcs):
                     if not alloc[base + dvc] and credit[base + dvc] > 0:
                         break
@@ -195,15 +192,17 @@ class _Router:
                 dvc = self.route[s]
                 if credit[base + dvc] <= 0:
                     continue
+            q = in_q[s]
             q.popleft()
             if not q:
                 self.occupied.discard(s)
+            self.seq[s] = seq + 1
             self.buffered -= 1
             credit[base + dvc] -= 1
             rr[o] = (s + 1) % nslots
             granted_ports |= port_bit
             won = o
-            noc._send(self, s, o, dvc, flit, cycle)
+            noc._send(self, s, o, dvc, seq, cycle)
 
 
 class _Ni:
@@ -211,7 +210,7 @@ class _Ni:
 
     __slots__ = ("coord", "cfg", "router", "gen_ps_per_flit", "queue_cap",
                  "gen_jobs", "gen_busy_until", "room_ps", "queue", "current",
-                 "cur_vc", "out_credit", "out_alloc")
+                 "cur_seq", "cur_vc", "out_credit", "out_alloc")
 
     def __init__(self, coord: Coord, cfg: MeshConfig, timing: CoreTiming,
                  router: _Router):
@@ -224,7 +223,8 @@ class _Ni:
         self.gen_busy_until = 0     # queue entry time of the last packet
         self.room_ps = 0            # when the full queue last freed a slot
         self.queue: deque[tuple[int, SpikePacket]] = deque()
-        self.current: deque[Flit] | None = None
+        self.current: Packet | None = None     # the packet being injected
+        self.cur_seq = 0                        # and its next flit
         self.cur_vc = 0
         self.out_credit = [cfg.vc_buffer_depth] * cfg.vcs
         self.out_alloc = [False] * cfg.vcs
@@ -263,26 +263,26 @@ class _Ni:
         now_ps = cycle * self.cfg.noc_period_ps
         self.advance_gen(now_ps)
         if self.current is None and self.queue and self.queue[0][0] <= now_ps:
-            vc = None
-            for v in range(self.cfg.vcs):
-                if not self.out_alloc[v] and self.out_credit[v] > 0:
-                    vc = v
+            for vc in range(self.cfg.vcs):     # the first free VC
+                if not self.out_alloc[vc] and self.out_credit[vc] > 0:
+                    if len(self.queue) == self.queue_cap:
+                        self.room_ps = now_ps
+                    _, packet = self.queue.popleft()
+                    self.advance_gen(now_ps)
+                    record = noc._on_packet_injection(packet, now_ps)
+                    self.current = (packet, record)
+                    self.cur_seq = 0
+                    self.cur_vc = vc
+                    self.out_alloc[vc] = True
                     break
-            if vc is not None:
-                if len(self.queue) == self.queue_cap:
-                    self.room_ps = now_ps
-                _, packet = self.queue.popleft()
-                self.advance_gen(now_ps)
-                record = noc._on_packet_injection(packet, now_ps)
-                self.current = deque(packet_flits(packet, record))
-                self.cur_vc = vc
-                self.out_alloc[vc] = True
-        if self.current is not None and self.out_credit[self.cur_vc] > 0:
-            flit = self.current.popleft()
+        pkt = self.current
+        if pkt is not None and self.out_credit[self.cur_vc] > 0:
+            seq = self.cur_seq
             self.out_credit[self.cur_vc] -= 1
-            if not self.current:
+            self.cur_seq = seq + 1
+            if seq == len(pkt[0].indices):
                 self.current = None
-            noc._on_flit_injection(self, flit, cycle)
+            noc._on_flit_injection(self, pkt, seq, cycle)
 
 
 class NocSim:
@@ -302,8 +302,9 @@ class NocSim:
                     for c, r in zip(self.coords, self.routers)]
         self._wire()
         self.active: set[int] = set()       # ids of routers holding flits
-        self.arrivals: dict[int, list[tuple[_Router, int, Flit]]] = {}
-        self.credits: dict[int, list[tuple[tuple[object, int], bool]]] = {}
+        self.arrivals: dict[int, list[tuple[_Router, int, Packet, int]]] = {}
+        # (upstream output, was tail) per slot freed in the last cycle
+        self.credits: list[tuple[tuple[object, int], bool]] = []
         self.in_flight = 0
         self.pid_counter = 0
         self._delivered: list[tuple[int, int, SpikePacket]] = []
@@ -340,26 +341,27 @@ class NocSim:
                                    manhattan(packet.src, packet.dest))
         return rec
 
-    def _on_flit_injection(self, ni: _Ni, flit: Flit, cycle: int) -> None:
+    def _on_flit_injection(self, ni: _Ni, pkt: Packet, seq: int,
+                           cycle: int) -> None:
         self.in_flight += 1
         self._progress += 1
-        ni.router.accept(ni.cur_vc, flit,
+        ni.router.accept(ni.cur_vc, pkt, seq,
                          cycle + self.cfg.router_pipeline_cycles)
         self.active.add(ni.router.rid)
 
-    def _send(self, router: _Router, s: int, o: int, dvc: int, flit: Flit,
+    def _send(self, router: _Router, s: int, o: int, dvc: int, seq: int,
               cycle: int) -> None:
         self._progress += 1
+        pkt = router.pkt[s]
         # free the input slot: credit back to whoever fills this buffer
-        self.credits.setdefault(cycle + 1, []).append((router.up[s],
-                                                       flit.is_tail))
+        self.credits.append((router.up[s], seq == len(pkt[0].indices)))
         target, base = router.down[o]
         self.arrivals.setdefault(cycle + self.cfg.link_cycles, []).append(
-            (target, base + dvc, flit))
+            (target, base + dvc, pkt, seq))
         if self.flit_trace is not None:
             self.flit_trace.append((cycle * self.cfg.noc_period_ps,
-                                    router.link[o], flit.record.pid,
-                                    flit.kind))
+                                    router.link[o], pkt[1].pid,
+                                    "H" if seq == 0 else "B"))
 
     def _apply_credit(self, up: tuple[object, int], was_tail: bool) -> None:
         """Return one buffer slot to the router or interface output ``up``."""
@@ -368,19 +370,19 @@ class NocSim:
         if was_tail:
             owner.out_alloc[idx] = False
 
-    def _arrive(self, router: _Router, s: int, flit: Flit, cycle: int) -> None:
+    def _arrive(self, router: _Router, s: int, pkt: Packet, seq: int,
+                cycle: int) -> None:
         self._progress += 1
-        packet = flit.packet
+        packet, rec = pkt
         if router.coord != packet.dest:
-            router.accept(s, flit, cycle + self.cfg.router_pipeline_cycles)
+            router.accept(s, pkt, seq, cycle + self.cfg.router_pipeline_cycles)
             self.active.add(router.rid)
             return
         self.in_flight -= 1
+        is_tail = seq == len(packet.indices)
         # consumed on arrival: the buffer slot frees right away
-        self.credits.setdefault(cycle + 1, []).append((router.up[s],
-                                                       flit.is_tail))
-        if flit.is_tail:
-            rec = flit.record
+        self.credits.append((router.up[s], is_tail))
+        if is_tail:
             rec.eject_ps = cycle * self.cfg.noc_period_ps
             self._delivered.append((rec.eject_ps, rec.pid, packet))
             self.ledger.count_ejected(packet.dest, packet.timestep,
@@ -411,16 +413,16 @@ class NocSim:
         routers = self.routers
         active = self.active
         arrivals = self.arrivals
-        credits = self.credits
         cycle = -(-start_ps // period)
         last_progress_cycle = cycle
         last_progress = self._progress
 
         while True:
-            for router, s, flit in arrivals.pop(cycle, ()):
-                self._arrive(router, s, flit, cycle)
-            for up, was_tail in credits.pop(cycle, ()):
+            credits, self.credits = self.credits, []
+            for up, was_tail in credits:
                 self._apply_credit(up, was_tail)
+            for router, s, pkt, seq in arrivals.pop(cycle, ()):
+                self._arrive(router, s, pkt, seq, cycle)
             for ni in live:
                 ni.step(cycle, self)
             for rid in sorted(active):
@@ -429,8 +431,7 @@ class NocSim:
                 if not router.buffered:
                     active.discard(rid)
 
-            if (self.in_flight == 0 and not arrivals
-                    and all(ni.idle for ni in live)):
+            if self.in_flight == 0 and all(ni.idle for ni in live):
                 drain_ps = cycle * period
                 break
 
@@ -451,8 +452,6 @@ class NocSim:
             cand = []
             if arrivals:
                 cand.append(min(arrivals))
-            if credits:
-                cand.append(min(credits))
             for ni in live:
                 if ni.current is not None:
                     cand.append(cycle + 1)
@@ -464,9 +463,9 @@ class NocSim:
             cycle = max(cycle + 1, min(cand)) if cand else cycle + 1
 
         # flits are all delivered; apply the credit echoes left in flight
-        for c in sorted(credits):
-            for up, was_tail in credits.pop(c):
-                self._apply_credit(up, was_tail)
+        for up, was_tail in self.credits:
+            self._apply_credit(up, was_tail)
+        self.credits = []
         gen_done = {ni.coord: ni.gen_busy_until for ni in live}
         delivered = [(p, ps) for ps, _, p in sorted(self._delivered)]
         return delivered, drain_ps, gen_done

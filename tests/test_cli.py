@@ -37,18 +37,23 @@ height = 3
 """
 
 
-def with_setting(section: str, setting: str) -> str:
-    """CONFIG with `key = value` set in `section`, added if CONFIG lacks it."""
-    key = setting.split("=")[0].strip()
-    lines = [setting if line.split("=")[0].strip() == key else line
-             for line in CONFIG.splitlines()]
-    text = "\n".join(lines) + "\n"
-    if setting in lines:
-        return text
-    header = f"[{section}]\n"
-    if header in text:
-        return text.replace(header, f"{header}{setting}\n")
-    return f"{text}\n{header}{setting}\n"
+def with_setting(section: str, *settings: str) -> str:
+    """CONFIG with each `key = value` set in `section`, added if CONFIG
+    lacks it."""
+    text = CONFIG
+    for setting in settings:
+        key = setting.split("=")[0].strip()
+        lines = [setting if line.split("=")[0].strip() == key else line
+                 for line in text.splitlines()]
+        text = "\n".join(lines) + "\n"
+        if setting in lines:
+            continue
+        header = f"[{section}]\n"
+        if header in text:
+            text = text.replace(header, f"{header}{setting}\n")
+        else:
+            text = f"{text}\n{header}{setting}\n"
+    return text
 
 
 def resign(bundle_dir, name: str, blob: bytes) -> None:
@@ -244,6 +249,33 @@ class TestExitCodes:
         assert main(["validate", "--bundle", str(bundle_dir)]) == 2
         assert "truncated" in capsys.readouterr().err
 
+    def test_truncated_binary_graph_exits_2(self, tmp_path, config_path,
+                                            capsys):
+        graph_path = tmp_path / "net.snnb"
+        assert main(["generate", "--config", config_path,
+                     "--out", str(graph_path)]) == 0
+        blob = graph_path.read_bytes()
+        graph_path.write_bytes(blob[:len(blob) // 2])
+        bundle_dir = tmp_path / "bundle"
+        assert main(["partition", "--config", config_path, "--graph",
+                     str(graph_path), "--out", str(bundle_dir)]) == 2
+        assert f"{graph_path}: truncated at byte" in capsys.readouterr().err
+        assert not bundle_dir.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_truncated_bundle_graph_exits_2(self, tmp_path, config_path,
+                                            capsys, command):
+        bundle_dir = tmp_path / "bundle"
+        assert main(["partition", "--config", config_path,
+                     "--out", str(bundle_dir)]) == 0
+        graph_path = bundle_dir / "graph.snnb"
+        graph_path.write_bytes(graph_path.read_bytes()[:-1])
+        args = [command, "--config", config_path, "--bundle", str(bundle_dir)]
+        if command == "simulate":
+            args += ["--out", str(tmp_path / "run")]
+        assert main(args) == 2
+        assert f"{graph_path}: truncated at byte" in capsys.readouterr().err
+
     def test_mesh_mismatch_between_bundle_and_config(self, tmp_path,
                                                      config_path, capsys):
         bundle_dir = str(tmp_path / "bundle")
@@ -289,6 +321,26 @@ class TestExitCodes:
         bad = tmp_path / "bad.ini"
         bad.write_text(with_setting(section, setting))
         assert main([command, "--config", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {bad}: {needle}" in captured.err
+        assert captured.out == ""
+
+    # [workload] values that only the graph builders used to reject
+    @pytest.mark.parametrize("settings,needle", [
+        (("n_exc = -5",), "n_exc -5 and n_inh 10 must be non-negative"),
+        (("conn_prob = 2",), "conn_prob 2.0 outside (0, 1]"),
+        (("conn_prob = nan",), "conn_prob nan outside (0, 1]"),
+        (("frac_bits = -1",), "frac_bits must be in [0, 15]; got -1"),
+        (("frac_bits = 16",), "frac_bits must be in [0, 15]; got 16"),
+        (("kind = conv", "layers = 0x4x4"), "layer 0: non-positive shape"),
+        (("kind = conv", "layers = 1x4x4, 2x4x4", "w_lo = 1", "w_hi = 0"),
+         "weight range w_lo 1.0, w_hi 0.0 must be finite with w_lo <= w_hi"),
+    ])
+    def test_workload_value_exits_2_at_validate(self, tmp_path, capsys,
+                                                settings, needle):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(with_setting("workload", *settings))
+        assert main(["validate", "--config", str(bad)]) == 2
         captured = capsys.readouterr()
         assert f"error: {bad}: {needle}" in captured.err
         assert captured.out == ""

@@ -107,6 +107,15 @@ class TestValidation:
         ("[run]\nstim_rate = 1.5\n", r"stimulus rate 1.5 outside \[0, 1\]"),
         ("[run]\nstim_amplitude = nan\n", "stimulus amplitude nan is not finite"),
         ("[partition]\nsynapse_bytes = 0\n", "synapse_bytes must be positive"),
+        ("[workload]\nn_exc = -5\n", "n_exc -5 and n_inh 50 must be"),
+        ("[workload]\nconn_prob = 2\n", r"conn_prob 2.0 outside \(0, 1\]"),
+        ("[workload]\nconn_prob = nan\n", r"conn_prob nan outside \(0, 1\]"),
+        ("[workload]\nw_exc = inf\n", "w_exc inf and w_inh -0.5 must be finite"),
+        ("[workload]\nfrac_bits = -1\n", r"frac_bits must be in \[0, 15\]; got -1"),
+        ("[workload]\nfrac_bits = 16\n", r"frac_bits must be in \[0, 15\]; got 16"),
+        ("[workload]\nkind = conv\nlayers = 0x4x4\n", "layer 0: non-positive shape"),
+        ("[workload]\nkind = conv\nw_lo = 1\nw_hi = 0\n",
+         "w_lo 1.0, w_hi 0.0 must be finite with w_lo <= w_hi"),
     ])
     def test_rejected(self, text, needle):
         with pytest.raises(ConfigError, match=needle):
@@ -142,6 +151,15 @@ class TestValidation:
         assert (sys_cfg.sss_cooling, sys_cfg.seg_ratio) == (0.0, 1.0)
         assert parse_config_text("[partition]\nsss_cooling = 1\n"
                                  ).partition.sss_cooling == 1.0
+
+    def test_workload_checks_follow_kind(self):
+        # each kind is checked on the keys its builder reads, no others
+        cfg = parse_config_text("[workload]\nkind = conv\nn_exc = -5\n"
+                                "conn_prob = 2\nw_lo = 0.1\nw_hi = 0.1\n")
+        assert cfg.workload.w_lo == cfg.workload.w_hi
+        parse_config_text("[workload]\nkind = brunel\nw_lo = 1\nw_hi = 0\n")
+        parse_config_text("[workload]\nkind = file\npath = net.snn\n"
+                          "frac_bits = 16\n")
 
     def test_constant_stimulus_accepted(self):
         cfg = parse_config_text("[run]\nstimulus = constant\n")

@@ -72,6 +72,19 @@ class TestRandomBuilders:
             build_brunel(10, 10, conn_prob=0.0)
         with pytest.raises(ValueError):
             build_brunel(10, 10, conn_prob=1.5)
+        with pytest.raises(ValueError, match="must be finite"):
+            build_vogels(10, 10, w_inh=float("-inf"))
+
+    @pytest.mark.parametrize("frac_bits", [-1, 16])
+    def test_frac_bits_checked_before_quantising(self, frac_bits):
+        # -1 used to surface as the shift's own "negative shift count"
+        want = rf"frac_bits must be in \[0, 15\]; got {frac_bits}"
+        with pytest.raises(ValueError, match=want):
+            build_brunel(4, 1, frac_bits=frac_bits)
+        with pytest.raises(ValueError, match=want):
+            build_conv_topology([ConvLayerSpec(1, 2, 2),
+                                 ConvLayerSpec(1, 2, 2, kernel=1)],
+                                frac_bits=frac_bits)
 
 
 class TestConvTopology:
@@ -146,6 +159,14 @@ class TestConvTopology:
                                  ConvLayerSpec(1, 2, 2, kernel=3, stride=0)])
         with pytest.raises(ValueError):
             build_conv_topology([])
+
+    def test_weight_range_must_be_ordered(self):
+        layers = [ConvLayerSpec(1, 3, 3), ConvLayerSpec(1, 3, 3, kernel=3,
+                                                        padding=1)]
+        with pytest.raises(ValueError, match="w_lo <= w_hi"):
+            build_conv_topology(layers, w_lo=1.0, w_hi=0.0)
+        g = build_conv_topology(layers, w_lo=0.5, w_hi=0.5)
+        assert {raw for edges in g.adjacency for _, raw in edges} == {128}
 
 
 class TestGraphStructure:
@@ -266,6 +287,31 @@ class TestSerialization:
         save_binary(g, b)
         assert load_graph(t).digest() == g.digest()
         assert load_graph(b).digest() == g.digest()
+
+    def test_truncated_binary_names_file_and_offset(self, tmp_path):
+        # a tagged graph with a model override, so every block is present
+        g = SnnGraph(3, [[(1, 5), (2, -3)], [(2, 7)], []],
+                     model=IzhikevichParams(a=0.03),
+                     model_overrides={1: LifParams(tau_m=4.0)}, frac_bits=7,
+                     layer_tags=tuple(LayerTag(0, 0, x, 0) for x in range(3)))
+        path = str(tmp_path / "net.snnb")
+        save_binary(g, path)
+        with open(path, "rb") as f:
+            blob = f.read()
+        cut = str(tmp_path / "cut.snnb")
+        for n in range(len(blob)):
+            with open(cut, "wb") as f:
+                f.write(blob[:n])
+            want = "bad magic" if n < 4 else "truncated at byte"
+            with pytest.raises(ValueError, match=want) as err:
+                load_binary(cut)
+            assert str(err.value).startswith(cut)
+        with open(cut, "wb") as f:
+            f.write(blob + b"\0")
+        with pytest.raises(ValueError,
+                           match=f"trailing bytes at byte {len(blob)}"):
+            load_binary(cut)
+        assert load_binary(path).digest() == g.digest()
 
     def test_digest_changes_with_weights(self):
         a = build_brunel(20, 5, w_exc=0.1, seed=1)
