@@ -10,11 +10,11 @@ multicast packets over a wormhole-routed 2D mesh.
 from .neurons import (AdexParams, IzhikevichParams, LifParams, NeuronState,
                       NumericError, rest_state, step_neuron)
 from .graph import (ConvLayerSpec, SnnGraph, SpikeTrain, build_brunel,
-                    build_conv_topology, build_vogels, load_graph,
+                    build_conv_topology, load_graph,
                     quantize_weight, reference_simulate, save_binary,
                     save_text)
 from .stimulus import StimulusSpec, build_stimulus
-from .hilbert import hilbert_cells, hilbert_index, hilbert_xy
+from .hilbert import hilbert_cells, hilbert_index
 from .partition import (CoreMap, MemoryBudget, MemoryCost, Partition,
                         destination_objective, hsfc_order, initial_partition,
                         map_clusters, memory_cost, sss_refine)

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from .core import CoreTiming, MODE_BASELINE, MODE_UNISPIKE
 from .graph import (ConvLayerSpec, SnnGraph, build_brunel, build_conv_topology,
-                    build_vogels, check_conv_params, check_random_params,
-                    load_graph)
+                    check_conv_params, check_random_params, load_graph)
 from .metrics import EnergyCostTable
 from .neurons import params_from_fields
 from .noc import MeshConfig
@@ -32,7 +31,7 @@ class ConfigError(ValueError):
     """Raised for malformed, unknown, or out-of-range configuration."""
 
 
-WORKLOAD_KINDS = ("brunel", "vogels", "conv", "file")
+WORKLOAD_KINDS = ("brunel", "conv", "file")
 MODELS = ("lif", "izhikevich", "adex")
 
 
@@ -214,7 +213,7 @@ def _validate(cfg: ExperimentConfig, source: str) -> None:
         check_sss_settings(p.sss_iters, p.sss_t0, p.sss_cooling, p.seg_ratio)
         layers = parse_layers(w.layers)
         # the builder's own checks, for the keys the chosen kind uses
-        if w.kind in ("brunel", "vogels"):
+        if w.kind == "brunel":
             check_random_params(w.n_exc, w.n_inh, w.conn_prob, w.w_exc,
                                 w.w_inh, w.frac_bits)
         elif w.kind == "conv":
@@ -286,9 +285,6 @@ def build_graph(cfg: ExperimentConfig) -> SnnGraph:
     model = params_from_fields(w.model, {})
     if w.kind == "brunel":
         return build_brunel(w.n_exc, w.n_inh, w.conn_prob, w.w_exc, w.w_inh,
-                            seed=w.seed, model=model, frac_bits=w.frac_bits)
-    if w.kind == "vogels":
-        return build_vogels(w.n_exc, w.n_inh, w.conn_prob, w.w_exc, w.w_inh,
                             seed=w.seed, model=model, frac_bits=w.frac_bits)
     if w.kind == "conv":
         return build_conv_topology(parse_layers(w.layers), seed=w.seed,

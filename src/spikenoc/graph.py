@@ -55,6 +55,10 @@ class SnnGraph:
         check_frac_bits(frac_bits)
         if layer_tags is not None and len(layer_tags) != neuron_count:
             raise ValueError("layer_tags must cover every neuron")
+        for nid in model_overrides or {}:
+            if not (0 <= nid < neuron_count):
+                raise ValueError(f"model override for neuron {nid} out of "
+                                 f"range")
         self.neuron_count = neuron_count
         self.frac_bits = frac_bits
         self.model = model if model is not None else LifParams()
@@ -126,7 +130,7 @@ def check_frac_bits(frac_bits: int) -> None:
 
 def check_random_params(n_exc: int, n_inh: int, conn_prob: float,
                         w_exc: float, w_inh: float, frac_bits: int) -> None:
-    """Range-check a Brunel or Vogels network's parameters."""
+    """Range-check a Brunel network's parameters."""
     check_frac_bits(frac_bits)
     if n_exc < 0 or n_inh < 0 or n_exc + n_inh <= 0:
         raise ValueError(f"n_exc {n_exc} and n_inh {n_inh} must be "
@@ -138,9 +142,14 @@ def check_random_params(n_exc: int, n_inh: int, conn_prob: float,
                          f"finite")
 
 
-def _erdos_renyi(n_exc: int, n_inh: int, conn_prob: float, w_exc: float,
-                 w_inh: float, seed: int, model: ModelParams | None,
-                 frac_bits: int) -> SnnGraph:
+def build_brunel(n_exc: int, n_inh: int, conn_prob: float = 0.1,
+                 w_exc: float = 0.1, w_inh: float = -0.5, seed: int = 0,
+                 model: ModelParams | None = None, frac_bits: int = 8) -> SnnGraph:
+    """Sparse random excitatory/inhibitory network (classic 4:1 balance).
+
+    Every ordered pair ``pre != post`` is connected independently with
+    ``conn_prob``; weight depends on the presynaptic population only.
+    """
     import random
     check_random_params(n_exc, n_inh, conn_prob, w_exc, w_inh, frac_bits)
     rng = random.Random(seed)
@@ -154,24 +163,6 @@ def _erdos_renyi(n_exc: int, n_inh: int, conn_prob: float, w_exc: float,
             if pre != post and rng.random() < conn_prob:
                 adjacency[pre].append((post, raw))
     return SnnGraph(n, adjacency, model=model, frac_bits=frac_bits)
-
-
-def build_brunel(n_exc: int, n_inh: int, conn_prob: float = 0.1,
-                 w_exc: float = 0.1, w_inh: float = -0.5, seed: int = 0,
-                 model: ModelParams | None = None, frac_bits: int = 8) -> SnnGraph:
-    """Sparse random excitatory/inhibitory network (classic 4:1 balance).
-
-    Every ordered pair ``pre != post`` is connected independently with
-    ``conn_prob``; weight depends on the presynaptic population only.
-    """
-    return _erdos_renyi(n_exc, n_inh, conn_prob, w_exc, w_inh, seed, model, frac_bits)
-
-
-def build_vogels(n_exc: int, n_inh: int, conn_prob: float = 0.02,
-                 w_exc: float = 0.1, w_inh: float = -1.0, seed: int = 0,
-                 model: ModelParams | None = None, frac_bits: int = 8) -> SnnGraph:
-    """Sparse self-sustaining variant: lower density, stronger inhibition."""
-    return _erdos_renyi(n_exc, n_inh, conn_prob, w_exc, w_inh, seed, model, frac_bits)
 
 
 @dataclass(frozen=True)
@@ -401,6 +392,15 @@ def load_text(path: str) -> SnnGraph:
     overrides: dict[int, ModelParams] = {}
     tags: dict[int, LayerTag] = {}
     synapses: list[tuple[int, int, int]] = []
+
+    def neuron_id(token: str) -> int:
+        nid = int(token)
+        if neuron_count is None:
+            raise ValueError("neuron id before the neurons record")
+        if not (0 <= nid < neuron_count):
+            raise ValueError(f"neuron id {nid} outside 0..{neuron_count - 1}")
+        return nid
+
     with open(path) as f:
         first = f.readline().split()
         if first[:2] != ["snn", "1"]:
@@ -412,17 +412,22 @@ def load_text(path: str) -> SnnGraph:
             parts = line.split()
             try:
                 if parts[0] == "neurons":
+                    if neuron_count is not None:
+                        raise ValueError("repeated neurons record")
                     neuron_count = int(parts[1])
                 elif parts[0] == "frac_bits":
                     frac_bits = int(parts[1])
                 elif parts[0] == "model":
                     model = _parse_params(parts[1], parts[2:])
                 elif parts[0] == "nmodel":
-                    overrides[int(parts[1])] = _parse_params(parts[2], parts[3:])
+                    overrides[neuron_id(parts[1])] = _parse_params(parts[2],
+                                                                   parts[3:])
                 elif parts[0] == "tag":
-                    tags[int(parts[1])] = LayerTag(*map(int, parts[2:6]))
+                    tags[neuron_id(parts[1])] = LayerTag(
+                        *(int(parts[i]) for i in range(2, 6)))
                 elif parts[0] == "syn":
-                    synapses.append((int(parts[1]), int(parts[2]), int(parts[3])))
+                    synapses.append((neuron_id(parts[1]), neuron_id(parts[2]),
+                                     int(parts[3])))
                 else:
                     raise ValueError(f"unknown record {parts[0]!r}")
             except (IndexError, ValueError) as exc:
@@ -542,6 +547,11 @@ def load_binary(path: str) -> SnnGraph:
     raws = r.take(f"{m}h")
     if r.off != len(buf):
         raise ValueError(f"{path}: trailing bytes at byte {r.off}")
+    for what, ids in (("synapse source", pres), ("synapse target", posts),
+                      ("model override", overrides)):
+        if ids and max(ids) >= neuron_count:
+            raise ValueError(f"{path}: {what} neuron {max(ids)} outside "
+                             f"0..{neuron_count - 1}")
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(neuron_count)]
     for pre, post, raw in zip(pres, posts, raws):
         adjacency[pre].append((post, raw))

@@ -28,29 +28,6 @@ def hilbert_index(x: int, y: int, order: int) -> int:
     return d
 
 
-def hilbert_xy(d: int, order: int) -> tuple[int, int]:
-    """Inverse of hilbert_index."""
-    side = 1 << order
-    if not (0 <= d < side * side):
-        raise ValueError(f"index {d} outside curve of order {order}")
-    x = y = 0
-    t = d
-    s = 1
-    while s < side:
-        rx = 1 & (t // 2)
-        ry = 1 & (t ^ rx)
-        if ry == 0:
-            if rx == 1:
-                x = s - 1 - x
-                y = s - 1 - y
-            x, y = y, x
-        x += s * rx
-        y += s * ry
-        t //= 4
-        s <<= 1
-    return x, y
-
-
 def order_for(width: int, height: int) -> int:
     """Smallest curve order whose grid covers a width x height rectangle."""
     order = 0
@@ -60,12 +37,7 @@ def order_for(width: int, height: int) -> int:
 
 
 def hilbert_cells(width: int, height: int) -> list[tuple[int, int]]:
-    """All cells of the rectangle in curve order (cells outside it skipped)."""
+    """All cells of the rectangle in curve order."""
     order = order_for(width, height)
-    side = 1 << order
-    out = []
-    for d in range(side * side):
-        x, y = hilbert_xy(d, order)
-        if x < width and y < height:
-            out.append((x, y))
-    return out
+    return sorted(((x, y) for y in range(height) for x in range(width)),
+                  key=lambda c: hilbert_index(c[0], c[1], order))

@@ -14,6 +14,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, asdict, fields
 
+from .noc import PacketRecord, manhattan
+
 Coord = tuple[int, int]
 
 METRICS = ("injected_flits", "ejected_flits", "flit_hops", "packets",
@@ -21,11 +23,15 @@ METRICS = ("injected_flits", "ejected_flits", "flit_hops", "packets",
 
 
 class TrafficLedger:
-    """Flit/packet counters, total, per (core, timestep) and per timestep.
+    """Flit/packet counters, total, per (core, timestep) and per timestep,
+    counted from the mesh's packet records.
 
-    Injected flits, packets and flit-hops are attributed to the packet's
-    source core; ejected flits to the destination core.  A hop is one link
-    traversal, so a packet's flits contribute flit_count x distance hops.
+    Under XY routing every flit of a packet crosses the same
+    ``manhattan(src, dest)`` links, so a packet contributes
+    ``flit_count * manhattan(src, dest)`` flit-hops.  Packets, head, body and
+    injected flits and flit-hops are attributed to the packet's source core;
+    ejected flits to the destination core, and only once the packet is
+    delivered.
     """
 
     def __init__(self):
@@ -38,29 +44,19 @@ class TrafficLedger:
         self.per_core_step[metric][(core, timestep)] += n
         self.per_step[metric][timestep] += n
 
-    def count_injected(self, core: Coord, timestep: int, body_flits: int,
-                       hops: int) -> None:
-        """One packet leaves ``core``: a head and ``body_flits`` body flits,
-        each crossing ``hops`` links."""
-        flits = 1 + body_flits
-        self._bump("packets", core, timestep, 1)
-        self._bump("head_flits", core, timestep, 1)
-        self._bump("body_flits", core, timestep, body_flits)
-        self._bump("injected_flits", core, timestep, flits)
-        self._bump("flit_hops", core, timestep, flits * hops)
-
-    def count_ejected(self, core: Coord, timestep: int, flits: int) -> None:
-        self._bump("ejected_flits", core, timestep, flits)
+    def count_packet(self, rec: PacketRecord) -> None:
+        flits = 1 + rec.body_count
+        hops = manhattan(rec.src, rec.dest)
+        self._bump("packets", rec.src, rec.timestep, 1)
+        self._bump("head_flits", rec.src, rec.timestep, 1)
+        self._bump("body_flits", rec.src, rec.timestep, rec.body_count)
+        self._bump("injected_flits", rec.src, rec.timestep, flits)
+        self._bump("flit_hops", rec.src, rec.timestep, flits * hops)
+        if rec.eject_ps >= 0:
+            self._bump("ejected_flits", rec.dest, rec.timestep, flits)
 
     def timestep_total(self, metric: str, timestep: int) -> int:
         return self.per_step[metric][timestep]
-
-    def by_timestep(self, metric: str) -> dict[int, int]:
-        return dict(self.per_step[metric])
-
-    def core_total(self, metric: str, core: Coord) -> int:
-        return sum(n for (c, _), n in self.per_core_step[metric].items()
-                   if c == core)
 
 
 @dataclass(frozen=True)

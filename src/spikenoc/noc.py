@@ -12,10 +12,6 @@ output queue, so back-pressure from the network stalls packet generation
 without ever stalling the neuron update engine.  A generated packet enters
 the queue only while it has room, no earlier than the moment room last opened.
 
-Traffic is accounted per packet: under XY routing every flit of a packet
-crosses the same ``manhattan(src, dest)`` links, so a packet contributes
-``flit_count * manhattan(src, dest)`` flit-hops.
-
 A flit is no object: it is its packet's ``(packet, record)`` pair plus a
 sequence number, 0 for the head and ``len(indices)`` for the tail.  A freed
 slot's credit is applied at the top of the next processed cycle, because
@@ -28,7 +24,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .core import CoreTiming, GenJob, SpikePacket
-from .metrics import TrafficLedger
 
 Coord = tuple[int, int]
 
@@ -112,7 +107,7 @@ class _Router:
 
     __slots__ = ("coord", "rid", "vcs", "nslots", "in_q", "pkt", "seq",
                  "occupied", "out_of", "route", "out_credit", "out_alloc",
-                 "rr", "buffered", "up", "down", "link")
+                 "rr", "up", "down", "link")
 
     def __init__(self, coord: Coord, cfg: MeshConfig):
         vcs = cfg.vcs
@@ -130,7 +125,6 @@ class _Router:
         self.out_credit = [cfg.vc_buffer_depth] * (len(DIRS) * vcs)
         self.out_alloc = [False] * (len(DIRS) * vcs)
         self.rr = [0] * len(DIRS)
-        self.buffered = 0
         # wired by NocSim: per input slot, the (owner, output slot) whose
         # credit this buffer returns; per output, the neighbour router with
         # the base of its facing input port, and the trace label of the link
@@ -149,7 +143,6 @@ class _Router:
             self.seq[s] = 0
             self.out_of[s] = _OUT[xy_route(self.coord, pkt[0].dest)]
         q.append(eligible)
-        self.buffered += 1
 
     def tick(self, cycle: int, noc: "NocSim") -> None:
         """Switch allocation: each output grants at most one flit and each
@@ -197,7 +190,6 @@ class _Router:
             if not q:
                 self.occupied.discard(s)
             self.seq[s] = seq + 1
-            self.buffered -= 1
             credit[base + dvc] -= 1
             rr[o] = (s + 1) % nslots
             granted_ports |= port_bit
@@ -289,11 +281,9 @@ class NocSim:
     """Whole-mesh state, advanced timestep by timestep until drained."""
 
     def __init__(self, cfg: MeshConfig, timing: CoreTiming,
-                 ledger: TrafficLedger,
                  packet_records: list[PacketRecord] | None = None,
                  flit_trace: list | None = None):
         self.cfg = cfg
-        self.ledger = ledger
         self.packet_records = packet_records if packet_records is not None else []
         self.flit_trace = flit_trace
         self.coords = [(x, y) for y in range(cfg.height) for x in range(cfg.width)]
@@ -305,8 +295,6 @@ class NocSim:
         self.arrivals: dict[int, list[tuple[_Router, int, Packet, int]]] = {}
         # (upstream output, was tail) per slot freed in the last cycle
         self.credits: list[tuple[tuple[object, int], bool]] = []
-        self.in_flight = 0
-        self.pid_counter = 0
         self._delivered: list[tuple[int, int, SpikePacket]] = []
         self._progress = 0
 
@@ -331,19 +319,14 @@ class NocSim:
 
     def _on_packet_injection(self, packet: SpikePacket,
                              now_ps: int) -> PacketRecord:
-        """Number the packet in injection order and account for it."""
-        rec = PacketRecord(self.pid_counter, packet.src, packet.dest,
+        """Record the packet, numbered in injection order."""
+        rec = PacketRecord(len(self.packet_records), packet.src, packet.dest,
                            packet.timestep, len(packet.indices), now_ps)
-        self.pid_counter += 1
         self.packet_records.append(rec)
-        self.ledger.count_injected(packet.src, packet.timestep,
-                                   len(packet.indices),
-                                   manhattan(packet.src, packet.dest))
         return rec
 
     def _on_flit_injection(self, ni: _Ni, pkt: Packet, seq: int,
                            cycle: int) -> None:
-        self.in_flight += 1
         self._progress += 1
         ni.router.accept(ni.cur_vc, pkt, seq,
                          cycle + self.cfg.router_pipeline_cycles)
@@ -378,15 +361,12 @@ class NocSim:
             router.accept(s, pkt, seq, cycle + self.cfg.router_pipeline_cycles)
             self.active.add(router.rid)
             return
-        self.in_flight -= 1
         is_tail = seq == len(packet.indices)
         # consumed on arrival: the buffer slot frees right away
         self.credits.append((router.up[s], is_tail))
         if is_tail:
             rec.eject_ps = cycle * self.cfg.noc_period_ps
             self._delivered.append((rec.eject_ps, rec.pid, packet))
-            self.ledger.count_ejected(packet.dest, packet.timestep,
-                                      packet.flit_count)
 
     # -- main loop --------------------------------------------------------------
 
@@ -428,10 +408,10 @@ class NocSim:
             for rid in sorted(active):
                 router = routers[rid]
                 router.tick(cycle, self)
-                if not router.buffered:
+                if not router.occupied:
                     active.discard(rid)
 
-            if self.in_flight == 0 and all(ni.idle for ni in live):
+            if not active and not arrivals and all(ni.idle for ni in live):
                 drain_ps = cycle * period
                 break
 
@@ -439,8 +419,8 @@ class NocSim:
                 last_progress = self._progress
                 last_progress_cycle = cycle
             elif cycle - last_progress_cycle > self.cfg.watchdog_cycles:
-                stuck = {str(r.coord): r.buffered for r in routers
-                         if r.buffered}
+                stuck = {str(r.coord): sum(len(r.in_q[s]) for s in r.occupied)
+                         for r in routers if r.occupied}
                 raise DeadlockError(
                     f"no flit progress for {self.cfg.watchdog_cycles} cycles at "
                     f"t={timestep}; buffered flits per router: {stuck}")

@@ -96,7 +96,7 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
     ledger = TrafficLedger()
     packet_records: list[PacketRecord] = []
     flit_trace: list | None = [] if cfg.trace else None
-    noc = NocSim(cfg.mesh, cfg.timing, ledger, packet_records, flit_trace)
+    noc = NocSim(cfg.mesh, cfg.timing, packet_records, flit_trace)
     energy = cfg.energy
     n_cores = cfg.mesh.width * cfg.mesh.height
 
@@ -126,7 +126,10 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
             accum_events += res.accum_events
             busy_max = max(busy_max, res.busy_ps)
 
+        n0 = len(packet_records)
         delivered, drain_ps, gen_done = noc.run_timestep(jobs_by_core, t_start, t)
+        for rec in packet_records[n0:]:
+            ledger.count_packet(rec)
         for done_ps in gen_done.values():
             busy_max = max(busy_max, done_ps - t_start)
         t_end = max(t_start + busy_max, drain_ps)

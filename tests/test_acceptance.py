@@ -256,10 +256,12 @@ def test_08_network_conserves_flits_and_meets_timing():
     flits = sum(j.packet.flit_count for j in flat)
     hops = sum(j.packet.flit_count * manhattan(j.packet.src, j.packet.dest)
                for j in flat)
-    ledger = TrafficLedger()
     records = []
-    sim = NocSim(cfg, CoreTiming(), ledger, records)
+    sim = NocSim(cfg, CoreTiming(), records)
     delivered, _, _ = sim.run_timestep(jobs_by_core, 0, 0)
+    ledger = TrafficLedger()
+    for rec in records:
+        ledger.count_packet(rec)
     conserved = (len(delivered) == 10_000
                  and ledger.totals["injected_flits"] == flits
                  and ledger.totals["ejected_flits"] == flits
@@ -273,7 +275,7 @@ def test_08_network_conserves_flits_and_meets_timing():
     exact = True
     for dest, body in [((1, 0), 1), ((7, 7), 16), ((0, 5), 4), ((3, 2), 9)]:
         recs = []
-        solo = NocSim(cfg, CoreTiming(), TrafficLedger(), recs)
+        solo = NocSim(cfg, CoreTiming(), recs)
         solo.run_timestep(
             {(0, 0): [GenJob(0, SpikePacket((0, 0), dest, 0,
                                             tuple(range(body))))]}, 0, 0)

@@ -1,12 +1,22 @@
-"""The benchmark's trace hooks name entry points that exist.
+"""The benchmark's trace hooks name entry points that exist, and read the
+return values and arguments they expect.
 
-``perfbench/spans.py`` wraps layer entry points by their dotted names.  A
-renamed or deleted entry point would otherwise fail only a traced benchmark
-run; this check fails in the test suite instead.
+``perfbench/spans.py`` wraps layer entry points by their dotted names and
+takes work counts from what they return or receive.  A renamed entry point,
+or a changed return shape or ledger, would otherwise fail only a traced
+benchmark run; these checks fail in the test suite instead.
 """
 
 import importlib
 import os
+from dataclasses import replace
+
+from spikenoc import system
+from spikenoc.core import MODE_BASELINE, MODE_UNISPIKE
+from spikenoc.graph import build_brunel
+from spikenoc.noc import MeshConfig
+from spikenoc.partition import MemoryBudget
+from spikenoc.stimulus import StimulusSpec, build_stimulus
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -22,3 +32,30 @@ def test_every_trace_target_resolves(monkeypatch):
             if attr not in owner.__dict__:
                 missing.append(target)
     assert missing == []
+
+
+def test_count_hooks_match_the_report(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    graph = build_brunel(40, 10, conn_prob=0.15, w_exc=0.4, w_inh=-0.3,
+                         seed=4)
+    cfg = system.SystemConfig(
+        mesh=MeshConfig(3, 3), budget=MemoryBudget(neuron_bytes=6 * 24),
+        stimulus=StimulusSpec(kind="poisson", amplitude=12.0, rate=0.2,
+                              seed=4),
+        timesteps=8, partitioner="hsfc")
+    stim = build_stimulus(cfg.stimulus, graph.neuron_count, cfg.timesteps,
+                          graph.frac_bits)
+    bundle = system.deploy(graph, cfg)
+    reports = {}
+    with spans.installed(spans.Tracer()) as tracer:
+        for mode in (MODE_BASELINE, MODE_UNISPIKE):
+            tracer.mode = mode
+            reports[mode] = system.run_experiment(
+                bundle, replace(cfg, mode=mode), stim).report
+    metrics = spans.layer_metrics(tracer, 0, 0)
+    for mode, report in reports.items():
+        assert metrics[f"noc.flit_hops.{mode}"] == \
+            report.traffic["flit_hops"] > 0
+        assert metrics[f"core.updates.{mode}"] > 0
+        assert metrics[f"metrics.ledger_entries.{mode}"] > 0

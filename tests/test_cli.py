@@ -262,6 +262,17 @@ class TestExitCodes:
         assert f"{graph_path}: truncated at byte" in capsys.readouterr().err
         assert not bundle_dir.exists()
 
+    def test_graph_id_outside_network_exits_2(self, tmp_path, config_path,
+                                              capsys):
+        graph_path = tmp_path / "net.snn"
+        graph_path.write_text("snn 1\nneurons 3\nsyn 7 1 5\n")
+        bundle_dir = tmp_path / "bundle"
+        assert main(["partition", "--config", config_path, "--graph",
+                     str(graph_path), "--out", str(bundle_dir)]) == 2
+        assert (f"{graph_path}:3: neuron id 7 outside 0..2"
+                in capsys.readouterr().err)
+        assert not bundle_dir.exists()
+
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_truncated_bundle_graph_exits_2(self, tmp_path, config_path,
                                             capsys, command):
@@ -325,7 +336,7 @@ class TestExitCodes:
         assert f"error: {bad}: {needle}" in captured.err
         assert captured.out == ""
 
-    # [workload] values that only the graph builders used to reject
+    # [workload] values rejected at parse time, before any graph is built
     @pytest.mark.parametrize("settings,needle", [
         (("n_exc = -5",), "n_exc -5 and n_inh 10 must be non-negative"),
         (("conn_prob = 2",), "conn_prob 2.0 outside (0, 1]"),
@@ -335,6 +346,8 @@ class TestExitCodes:
         (("kind = conv", "layers = 0x4x4"), "layer 0: non-positive shape"),
         (("kind = conv", "layers = 1x4x4, 2x4x4", "w_lo = 1", "w_hi = 0"),
          "weight range w_lo 1.0, w_hi 0.0 must be finite with w_lo <= w_hi"),
+        (("kind = vogels",),
+         "workload.kind must be one of brunel, conv, file; got 'vogels'"),
     ])
     def test_workload_value_exits_2_at_validate(self, tmp_path, capsys,
                                                 settings, needle):

@@ -20,7 +20,7 @@ class TestParsing:
     def test_sections_and_types(self):
         cfg = parse_config_text("""
 [workload]
-kind = vogels
+kind = conv
 n_exc = 0x40
 conn_prob = 0.25
 
@@ -31,7 +31,7 @@ trace = yes
 [mesh]
 width = 6
 """)
-        assert cfg.workload.kind == "vogels"
+        assert cfg.workload.kind == "conv"
         assert cfg.workload.n_exc == 64
         assert cfg.workload.conn_prob == 0.25
         assert cfg.run.mode == "baseline"

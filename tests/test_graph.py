@@ -1,9 +1,11 @@
 import math
+import re
+import struct
 
 import pytest
 
 from spikenoc.graph import (ConvLayerSpec, LayerTag, SnnGraph, SpikeTrain,
-                            build_brunel, build_conv_topology, build_vogels,
+                            _pack_model, build_brunel, build_conv_topology,
                             load_binary, load_graph, load_text,
                             quantize_weight, reference_simulate, save_binary,
                             save_text)
@@ -60,11 +62,6 @@ class TestRandomBuilders:
         assert a.digest() == b.digest()
         assert build_brunel(30, 10, seed=8).digest() != a.digest()
 
-    def test_vogels_is_sparser_by_default(self):
-        v = build_vogels(160, 40, seed=5)
-        b = build_brunel(160, 40, seed=5)
-        assert v.synapse_count < b.synapse_count
-
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):
             build_brunel(0, 0)
@@ -73,7 +70,7 @@ class TestRandomBuilders:
         with pytest.raises(ValueError):
             build_brunel(10, 10, conn_prob=1.5)
         with pytest.raises(ValueError, match="must be finite"):
-            build_vogels(10, 10, w_inh=float("-inf"))
+            build_brunel(10, 10, w_inh=float("-inf"))
 
     @pytest.mark.parametrize("frac_bits", [-1, 16])
     def test_frac_bits_checked_before_quantising(self, frac_bits):
@@ -195,6 +192,12 @@ class TestGraphStructure:
             posts = [p for p, _ in g.posts(pre)]
             assert posts == sorted(posts)
 
+    @pytest.mark.parametrize("nid", [-1, 2, 9])
+    def test_model_override_outside_graph_rejected(self, nid):
+        with pytest.raises(ValueError,
+                           match=f"model override for neuron {nid} out of range"):
+            SnnGraph(2, [[], []], model_overrides={nid: LifParams()})
+
 
 class TestReferenceSimulate:
     def test_chain_fires_one_step_apart(self):
@@ -312,6 +315,48 @@ class TestSerialization:
                            match=f"trailing bytes at byte {len(blob)}"):
             load_binary(cut)
         assert load_binary(path).digest() == g.digest()
+
+    @pytest.mark.parametrize("line,needle", [
+        ("syn 7 1 5", "neuron id 7 outside 0..2"),
+        ("syn -1 1 5", "neuron id -1 outside 0..2"),
+        ("syn 0 3 5", "neuron id 3 outside 0..2"),
+        ("tag 5 0 0 0 0", "neuron id 5 outside 0..2"),
+        ("tag 0 0 0 0", "index out of range"),
+        ("nmodel 9 lif tau_m=2.0", "neuron id 9 outside 0..2"),
+        ("neurons 4", "repeated neurons record"),
+    ])
+    def test_text_ids_checked_with_file_and_line(self, tmp_path, line, needle):
+        path = tmp_path / "net.snn"
+        path.write_text(f"snn 1\nneurons 3\nsyn 0 1 5\n{line}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: .*{needle}"):
+            load_text(str(path))
+
+    def test_text_id_before_neuron_count_rejected(self, tmp_path):
+        path = tmp_path / "net.snn"
+        path.write_text("snn 1\nsyn 0 1 5\nneurons 3\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: neuron "
+                                             r"id before the neurons record"):
+            load_text(str(path))
+
+    @pytest.mark.parametrize("what", ["synapse source", "synapse target",
+                                      "model override"])
+    def test_binary_ids_checked_with_file(self, tmp_path, what):
+        g = SnnGraph(3, [[(1, 5), (2, -3)], [(2, 7)], []],
+                     model_overrides={1: LifParams(tau_m=4.0)})
+        path = tmp_path / "net.snnb"
+        save_binary(g, str(path))
+        blob = bytearray(path.read_bytes())
+        m = g.synapse_count
+        offset = {"synapse source": len(blob) - 10 * m,
+                  "synapse target": len(blob) - 6 * m,
+                  # magic, header, default model, override count
+                  "model override": 4 + 8 + len(_pack_model(g.model)) + 4}
+        struct.pack_into("<I", blob, offset[what], 7)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}: {what} "
+                                 r"neuron 7 outside 0\.\.2"):
+            load_binary(str(path))
 
     def test_digest_changes_with_weights(self):
         a = build_brunel(20, 5, w_exc=0.1, seed=1)

@@ -12,47 +12,53 @@ from spikenoc.noc import PacketRecord
 A, B, C = (0, 0), (1, 0), (1, 1)
 
 
+def record(src, dest, timestep, body, eject_ps=0):
+    return PacketRecord(0, src, dest, timestep, body, 0, eject_ps)
+
+
 class TestLedger:
     def test_head_body_split(self):
         led = TrafficLedger()
-        led.count_injected(A, 0, body_flits=2, hops=3)
+        led.count_packet(record(A, (2, 1), 0, body=2, eject_ps=-1))
         assert led.totals["packets"] == 1
         assert led.totals["injected_flits"] == 3
         assert led.totals["head_flits"] == 1
         assert led.totals["body_flits"] == 2
         assert led.totals["flit_hops"] == 3 * 3
+        # never delivered: injected but not ejected
         assert led.totals["ejected_flits"] == 0
-        led.count_ejected(B, 0, flits=3)
+        led.count_packet(record(A, B, 0, body=2))
         assert led.totals["ejected_flits"] == 3
-        assert led.core_total("ejected_flits", B) == 3
+        assert led.per_core_step["ejected_flits"] == {(B, 0): 3}
 
     def test_attribution_by_core_and_timestep(self):
         led = TrafficLedger()
-        led.count_injected(A, 0, body_flits=1, hops=2)
-        led.count_injected(A, 1, body_flits=1, hops=2)
-        led.count_injected(B, 1, body_flits=3, hops=1)
-        assert led.core_total("packets", A) == 2
-        assert led.core_total("packets", B) == 1
+        led.count_packet(record(A, C, 0, body=1))
+        led.count_packet(record(A, C, 1, body=1))
+        led.count_packet(record(B, A, 1, body=3))
+        assert led.per_core_step["packets"] == {(A, 0): 1, (A, 1): 1,
+                                                (B, 1): 1}
+        assert led.per_core_step["ejected_flits"] == {(C, 0): 2, (C, 1): 2,
+                                                      (A, 1): 4}
         assert led.timestep_total("packets", 0) == 1
         assert led.timestep_total("packets", 1) == 2
-        assert led.by_timestep("packets") == {0: 1, 1: 2}
-        assert led.by_timestep("flit_hops") == {0: 4, 1: 4 + 4}
+        assert led.per_step["flit_hops"] == {0: 4, 1: 4 + 4}
         assert led.timestep_total("packets", 99) == 0
-        assert led.by_timestep("ejected_flits") == {}
 
     def test_per_step_totals_match_per_core_entries(self):
         led = TrafficLedger()
         rng = random.Random(5)
         for _ in range(200):
-            core = (rng.randrange(3), rng.randrange(3))
-            t = rng.randrange(6)
-            led.count_injected(core, t, rng.randint(1, 4), rng.randint(1, 4))
-            led.count_ejected(core, t, rng.randint(1, 5))
+            src = (rng.randrange(3), rng.randrange(3))
+            dest = (rng.randrange(3), rng.randrange(3))
+            led.count_packet(record(src, dest, rng.randrange(6),
+                                    rng.randint(1, 4),
+                                    rng.choice([-1, 1000])))
         for metric, per_core in led.per_core_step.items():
             for t in range(7):
                 want = sum(n for (_, step), n in per_core.items() if step == t)
                 assert led.timestep_total(metric, t) == want
-            assert sum(led.by_timestep(metric).values()) == led.totals[metric]
+            assert sum(led.per_step[metric].values()) == led.totals[metric]
 
 
 class TestEnergy:

@@ -18,13 +18,19 @@ def job(src, dest, body, create_ps=0, timestep=0):
     return GenJob(create_ps, SpikePacket(src, dest, timestep, tuple(range(body))))
 
 
+def ledger_of(records):
+    ledger = TrafficLedger()
+    for rec in records:
+        ledger.count_packet(rec)
+    return ledger
+
+
 def run_one(cfg, jobs_by_core, timing=None, start_ps=0, timestep=0):
     records = []
     trace = []
-    ledger = TrafficLedger()
-    sim = NocSim(cfg, timing or CoreTiming(), ledger, records, trace)
+    sim = NocSim(cfg, timing or CoreTiming(), records, trace)
     delivered, drain_ps, gen_done = sim.run_timestep(jobs_by_core, start_ps, timestep)
-    return delivered, drain_ps, gen_done, records, trace, ledger
+    return delivered, drain_ps, gen_done, records, trace, ledger_of(records)
 
 
 class TestRouting:
@@ -149,14 +155,15 @@ class TestConservation:
 
     def test_per_timestep_split(self):
         cfg = MeshConfig(3, 3)
-        sim = NocSim(cfg, CoreTiming(), TrafficLedger())
+        sim = NocSim(cfg, CoreTiming())
         a, b = (0, 0), (2, 2)
         _, drain_ps, _ = sim.run_timestep(
             {a: [job(a, b, 2, timestep=0), job(a, (1, 1), 3, timestep=0)]}, 0, 0)
         sim.run_timestep({b: [job(b, a, 5, timestep=1)]}, drain_ps + 2000, 1)
-        assert sim.ledger.by_timestep("packets") == {0: 2, 1: 1}
-        assert sim.ledger.timestep_total("injected_flits", 0) == 3 + 4
-        assert sim.ledger.timestep_total("injected_flits", 1) == 6
+        ledger = ledger_of(sim.packet_records)
+        assert ledger.per_step["packets"] == {0: 2, 1: 1}
+        assert ledger.timestep_total("injected_flits", 0) == 3 + 4
+        assert ledger.timestep_total("injected_flits", 1) == 6
 
 
 class TestWormhole:
@@ -193,14 +200,14 @@ class TestInjection:
     def test_rejected_step_hands_no_jobs_to_any_source(self):
         # the bad packet sits on a later core than a good one: the good
         # core's interface must not keep its jobs when the step is refused
-        sim = NocSim(MeshConfig(2, 2), CoreTiming(), TrafficLedger())
+        sim = NocSim(MeshConfig(2, 2), CoreTiming())
         with pytest.raises(ValueError, match="bypass"):
             sim.run_timestep({(0, 0): [job((0, 0), (1, 0), 2)],
                               (1, 1): [job((1, 1), (1, 1), 1)]}, 0, 0)
         delivered, _, _ = sim.run_timestep(
             {(0, 0): [job((0, 0), (0, 1), 3)]}, 0, 0)
         assert [(p.dest, len(p.indices)) for p, _ in delivered] == [((0, 1), 3)]
-        assert sim.ledger.totals["packets"] == 1
+        assert len(sim.packet_records) == 1
 
     def test_empty_packet_rejected(self):
         # a packet with no address has no tail flit to release its VCs
@@ -256,7 +263,7 @@ class TestWatchdog:
 
     def test_interrupted_step_blocks_the_next_one(self, monkeypatch):
         starve_credits(monkeypatch)
-        sim = NocSim(self.CFG, CoreTiming(), TrafficLedger())
+        sim = NocSim(self.CFG, CoreTiming())
         with pytest.raises(DeadlockError):
             sim.run_timestep(self.JOBS, 0, 0)
         with pytest.raises(RuntimeError, match="must drain"):
@@ -277,8 +284,8 @@ class TestBufferSweep:
         cfg = MeshConfig(4, 3, vcs=vcs, vc_buffer_depth=depth)
         timing = CoreTiming(output_queue_packets=queue, max_body=max_body)
         rng = random.Random(seed)
-        ledger, records, trace = TrafficLedger(), [], []
-        sim = NocSim(cfg, timing, ledger, records, trace)
+        records, trace = [], []
+        sim = NocSim(cfg, timing, records, trace)
         start_ps, flits, hops = 0, 0, 0
         for t in range(2):
             jobs_by_core = random_jobs(rng, cfg, count, max_body, 20000,
@@ -286,9 +293,10 @@ class TestBufferSweep:
             flat = [j.packet for js in jobs_by_core.values() for j in js]
             delivered, start_ps, _ = sim.run_timestep(jobs_by_core, start_ps, t)
             assert sorted(id(p) for p, _ in delivered) == sorted(map(id, flat))
-            assert ledger.timestep_total("packets", t) == count
+            assert sum(r.timestep == t for r in records) == count
             flits += sum(p.flit_count for p in flat)
             hops += sum(p.flit_count * manhattan(p.src, p.dest) for p in flat)
+        ledger = ledger_of(records)
         assert ledger.totals["injected_flits"] == flits
         assert ledger.totals["ejected_flits"] == flits
         # the trace logs each link crossing, so it checks the hop formula

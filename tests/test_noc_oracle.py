@@ -1,19 +1,26 @@
 """Differential test: the mesh model against the seed simulator's.
 
 ``tests/oracle/seed_noc.py`` is the first ``noc.py``: full-scan arbitration
-and one object per flit.  The golden digests pin a few configurations; this
-test pins arbitration order, VC choice, generator timing and credit timing
-on random meshes, buffer settings and multi-step job sets.
+and one object per flit.  The golden digests pin a few configurations; these
+tests pin arbitration order, VC choice, generator timing and credit timing
+on random meshes, buffer settings and multi-step job sets, and on the
+traffic that whole Brunel and conv runs generate.
 """
 
+import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle.seed_noc import NocSim as SeedNocSim
-from spikenoc.core import CoreTiming, GenJob, SpikePacket
-from spikenoc.metrics import TrafficLedger
+from spikenoc import system
+from spikenoc.core import (CoreTiming, GenJob, MODE_BASELINE, MODE_UNISPIKE,
+                           SpikePacket)
+from spikenoc.graph import ConvLayerSpec, build_brunel, build_conv_topology
 from spikenoc.noc import MeshConfig, NocSim
+from spikenoc.partition import MemoryBudget
+from spikenoc.stimulus import StimulusSpec, build_stimulus
 
 
 def random_step(rng, cfg, timestep, count, max_body, spread_ps):
@@ -72,11 +79,49 @@ class TestSeedOracle:
             steps.append((gap_ps, jobs))
 
         head_records, head_trace = [], []
-        head = run_steps(NocSim(cfg, timing, TrafficLedger(), head_records,
-                                head_trace), steps)
+        head = run_steps(NocSim(cfg, timing, head_records, head_trace), steps)
         seed_records, seed_trace = [], []
         want = run_steps(SeedNocSim(cfg, timing, seed_records, seed_trace),
                          steps)
         assert head == want
         assert head_records == seed_records
         assert head_trace == seed_trace
+
+
+def small_network(kind, seed):
+    if kind == "brunel":
+        return build_brunel(24, 6, conn_prob=0.2, w_exc=0.4, w_inh=-0.3,
+                            seed=seed)
+    return build_conv_topology([ConvLayerSpec(1, 4, 4),
+                                ConvLayerSpec(2, 4, 4, kernel=3, padding=1)],
+                               seed=seed, w_lo=0.3, w_hi=0.6)
+
+
+class TestSeedOracleOnRealTraffic:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), kind=st.sampled_from(["brunel", "conv"]),
+           mode=st.sampled_from([MODE_BASELINE, MODE_UNISPIKE]),
+           width=st.integers(2, 4), height=st.integers(2, 4),
+           vcs=st.integers(1, 4), depth=st.integers(1, 4),
+           max_body=st.integers(1, 16), queue=st.integers(1, 8))
+    def test_run_matches_seed_simulator(self, seed, kind, mode, width, height,
+                                        vcs, depth, max_body, queue):
+        graph = small_network(kind, seed)
+        per_core = math.ceil(graph.neuron_count / (width * height))
+        cfg = system.SystemConfig(
+            mesh=MeshConfig(width, height, vcs=vcs, vc_buffer_depth=depth),
+            timing=CoreTiming(max_body=max_body, output_queue_packets=queue),
+            budget=MemoryBudget(neuron_bytes=24 * per_core),
+            stimulus=StimulusSpec(kind="poisson", amplitude=20.0, rate=0.3,
+                                  seed=seed),
+            timesteps=8, partitioner="hsfc", mode=mode, trace=True)
+        stim = build_stimulus(cfg.stimulus, graph.neuron_count, cfg.timesteps,
+                              graph.frac_bits)
+        bundle = system.deploy(graph, cfg)
+        head = system.run_experiment(bundle, cfg, stim)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(system, "NocSim", SeedNocSim)
+            want = system.run_experiment(bundle, cfg, stim)
+        assert head.packet_records == want.packet_records
+        assert head.flit_trace == want.flit_trace
+        assert head.report.to_json() == want.report.to_json()
