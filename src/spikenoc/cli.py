@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 runtime failure (deadlock, numeric blow-up),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -76,11 +77,24 @@ def read_packet_log(path: str) -> list[PacketRecord]:
     return out
 
 
-def write_flit_trace(trace, path: str) -> None:
+def write_flit_trace(rows, writer) -> None:
+    """Write one step's ``(time_ps, link, pid, kind)`` rows."""
+    writer.writerows(rows)
+
+
+@contextlib.contextmanager
+def flit_trace_sink(path: str):
+    """A ``run_experiment`` trace sink that writes each step's rows to
+    ``path`` as the step ends; the file is removed if the run fails."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["time_ps", "link", "pid", "kind"])
-        w.writerows(trace)
+        writer = csv.writer(f)
+        writer.writerow(["time_ps", "link", "pid", "kind"])
+        try:
+            yield lambda rows: write_flit_trace(rows, writer)
+        except BaseException:
+            f.close()
+            os.remove(path)
+            raise
 
 
 # -- subcommands ------------------------------------------------------------
@@ -149,18 +163,18 @@ def cmd_simulate(args) -> int:
                               sys_cfg.timesteps, bundle.graph.frac_bits)
 
     os.makedirs(args.out, exist_ok=True)
-    result = run_experiment(bundle, sys_cfg, stimulus,
-                            workload=workload_name(cfg),
-                            config_digest=cfg.digest())
+    with (flit_trace_sink(os.path.join(args.out, "trace.csv"))
+          if cfg.run.trace else contextlib.nullcontext()) as trace_sink:
+        result = run_experiment(bundle, sys_cfg, stimulus,
+                                workload=workload_name(cfg),
+                                config_digest=cfg.digest(),
+                                trace_sink=trace_sink)
     report = result.report
     emit_report(report, os.path.join(args.out, "report.json"),
                 os.path.join(args.out, "timesteps.csv"))
     result.train.save_text(os.path.join(args.out, "spikes.txt"))
     write_packet_log(result.packet_records,
                      os.path.join(args.out, "packets.csv"))
-    if result.flit_trace is not None:
-        write_flit_trace(result.flit_trace,
-                         os.path.join(args.out, "trace.csv"))
     print(f"{report.mode}: {report.total_spikes} spikes over "
           f"{report.timesteps} steps, {report.traffic['injected_flits']} "
           f"flits injected, modeled time {report.modeled_time_ps} ps")

@@ -324,7 +324,6 @@ def to_system_config(cfg: ExperimentConfig) -> SystemConfig:
         sss_iters=p.sss_iters or None,
         sss_t0=p.sss_t0 or None,
         sss_cooling=p.sss_cooling,
-        trace=cfg.run.trace,
     )
 
 

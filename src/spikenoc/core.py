@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
 
 from .artifact import ArtifactError, CoreArtifact, iter_bits
 from .neurons import ModelParams, NumericError, rest_state, step_population
@@ -142,10 +141,12 @@ class CoreState:
             events += len(self._self_fanout[idx])
         return events
 
-    def load_stimulus(self, row: list[int]) -> None:
-        """Raw external current indexed by global neuron id; free of charge."""
-        self.acc = list(map(add, self.acc,
-                            map(row.__getitem__, self.artifact.neuron_ids)))
+    def load_stimulus(self, events) -> None:
+        """Add raw external current, given as ``(local index, raw)`` pairs;
+        free of charge."""
+        acc = self.acc
+        for idx, raw in events:
+            acc[idx] += raw
 
     # -- packet generation ----------------------------------------------------
 
@@ -170,10 +171,11 @@ class CoreState:
     # -- one timestep -----------------------------------------------------------
 
     def run_core_timestep(self, arrived: list[SpikePacket],
-                          stimulus_row: list[int] | None, timestep: int,
-                          t_start_ps: int) -> CoreStepResult:
-        """Decode arrivals from the previous step, update every neuron in
-        queue order, and emit generation jobs; state is cleared at the end.
+                          stimulus: list[tuple[int, int]] | None,
+                          timestep: int, t_start_ps: int) -> CoreStepResult:
+        """Decode arrivals from the previous step, add this core's
+        ``(local index, raw)`` stimulus events, update every neuron in queue
+        order, and emit generation jobs; state is cleared at the end.
 
         The neurons of each parameter set are stepped together; the queue
         order only times the jobs.  The neuron at queue position ``pos``
@@ -183,8 +185,8 @@ class CoreState:
         events = self._decode_local(self.self_pending)
         for packet in arrived:
             events += self.decode_packet(packet)
-        if stimulus_row is not None:
-            self.load_stimulus(stimulus_row)
+        if stimulus:
+            self.load_stimulus(stimulus)
 
         fired: list[int] = []
         for params, members in self._groups:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .neurons import (ModelParams, LifParams, model_kind, params_from_fields,
                       params_to_fields)
+from .stimulus import StepEvents, check_stimulus
 
 RAW_MIN = -(1 << 15)
 RAW_MAX = (1 << 15) - 1
@@ -308,7 +309,7 @@ class SpikeTrain:
         return SpikeTrain(n, tuple(steps))
 
 
-def reference_simulate(graph: SnnGraph, stimulus: list[list[int]] | None,
+def reference_simulate(graph: SnnGraph, stimulus: list[StepEvents] | None,
                        timesteps: int, dt: float = 1.0) -> SpikeTrain:
     """Golden single-process simulation of the whole network.
 
@@ -317,8 +318,7 @@ def reference_simulate(graph: SnnGraph, stimulus: list[list[int]] | None,
     Step 0 therefore never fires from rest.
     """
     n = graph.neuron_count
-    if stimulus is not None and len(stimulus) < timesteps:
-        raise ValueError("stimulus shorter than the run")
+    check_stimulus(stimulus, n, timesteps)
     states = [None] * n
     params = [None] * n
     from .neurons import rest_state
@@ -340,9 +340,8 @@ def reference_simulate(graph: SnnGraph, stimulus: list[list[int]] | None,
             for post, raw in graph.posts(pre):
                 acc[post] += raw
         if stimulus is not None:
-            row = stimulus[t]
-            for i in range(n):
-                acc[i] += row[i]
+            for i, raw in stimulus[t]:
+                acc[i] += raw
     return SpikeTrain(n, tuple(steps))
 
 
@@ -415,6 +414,8 @@ def load_text(path: str) -> SnnGraph:
                     if neuron_count is not None:
                         raise ValueError("repeated neurons record")
                     neuron_count = int(parts[1])
+                    if neuron_count < 1:
+                        raise ValueError("graph needs at least one neuron")
                 elif parts[0] == "frac_bits":
                     frac_bits = int(parts[1])
                 elif parts[0] == "model":
@@ -426,8 +427,11 @@ def load_text(path: str) -> SnnGraph:
                     tags[neuron_id(parts[1])] = LayerTag(
                         *(int(parts[i]) for i in range(2, 6)))
                 elif parts[0] == "syn":
-                    synapses.append((neuron_id(parts[1]), neuron_id(parts[2]),
-                                     int(parts[3])))
+                    pre, post = neuron_id(parts[1]), neuron_id(parts[2])
+                    raw = int(parts[3])
+                    if not (RAW_MIN <= raw <= RAW_MAX):
+                        raise ValueError(f"raw weight {raw} outside i16")
+                    synapses.append((pre, post, raw))
                 else:
                     raise ValueError(f"unknown record {parts[0]!r}")
             except (IndexError, ValueError) as exc:
@@ -532,6 +536,8 @@ def load_binary(path: str) -> SnnGraph:
     version, frac_bits, has_tags, neuron_count = r.take("HBBI")
     if version != 1:
         raise ValueError(f"{path}: unsupported version {version}")
+    if neuron_count < 1:
+        raise ValueError(f"{path}: graph needs at least one neuron")
     model = _unpack_model(r)
     (n_over,) = r.take("I")
     overrides = {}

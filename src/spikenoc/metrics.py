@@ -44,16 +44,32 @@ class TrafficLedger:
         self.per_core_step[metric][(core, timestep)] += n
         self.per_step[metric][timestep] += n
 
-    def count_packet(self, rec: PacketRecord) -> None:
-        flits = 1 + rec.body_count
-        hops = manhattan(rec.src, rec.dest)
-        self._bump("packets", rec.src, rec.timestep, 1)
-        self._bump("head_flits", rec.src, rec.timestep, 1)
-        self._bump("body_flits", rec.src, rec.timestep, rec.body_count)
-        self._bump("injected_flits", rec.src, rec.timestep, flits)
-        self._bump("flit_hops", rec.src, rec.timestep, flits * hops)
-        if rec.eject_ps >= 0:
-            self._bump("ejected_flits", rec.dest, rec.timestep, flits)
+    def count_packets(self, records) -> None:
+        """Count packet records, summing them per (core, timestep) first so
+        each key is bumped once per call."""
+        sent: dict[tuple[Coord, int], list[int]] = {}  # packets, body, hops
+        ejected: dict[tuple[Coord, int], int] = {}
+        for rec in records:
+            key = (rec.src, rec.timestep)
+            sums = sent.get(key)
+            if sums is None:
+                sums = sent[key] = [0, 0, 0]
+            flits = 1 + rec.body_count
+            sums[0] += 1
+            sums[1] += rec.body_count
+            sums[2] += flits * manhattan(rec.src, rec.dest)
+            if rec.eject_ps >= 0:
+                key = (rec.dest, rec.timestep)
+                ejected[key] = ejected.get(key, 0) + flits
+        bump = self._bump
+        for (core, t), (packets, body, hops) in sent.items():
+            bump("packets", core, t, packets)
+            bump("head_flits", core, t, packets)
+            bump("body_flits", core, t, body)
+            bump("injected_flits", core, t, packets + body)
+            bump("flit_hops", core, t, hops)
+        for (core, t), flits in ejected.items():
+            bump("ejected_flits", core, t, flits)
 
     def timestep_total(self, metric: str, timestep: int) -> int:
         return self.per_step[metric][timestep]

@@ -1,9 +1,15 @@
 """External input current generation.
 
-Stimulus rows are produced once per run from a seeded spec and shared by the
-golden simulation and the per-core system, quantized to the same fixed-point
-raw integers as synaptic weights.  Input presented during step t takes effect
-in the update that produces step t+1, exactly like a synaptic spike.
+Stimulus events are produced once per run from a seeded spec and shared by
+the golden simulation and the per-core system, quantized to the same
+fixed-point raw integers as synaptic weights.  Input presented during step t
+takes effect in the update that produces step t+1, exactly like a synaptic
+spike.
+
+A stimulus is one tuple per timestep holding the ``(neuron id, raw)`` pairs
+presented during that step, in ascending neuron id with each neuron at most
+once.  Neurons that receive no input that step are not listed, so a step's
+cost is proportional to its events rather than to the neuron count.
 """
 
 from __future__ import annotations
@@ -11,6 +17,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+
+# the (neuron id, raw current) pairs presented during one timestep
+StepEvents = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -42,8 +51,11 @@ class StimulusSpec:
 
 
 def build_stimulus(spec: StimulusSpec, neuron_count: int, timesteps: int,
-                   frac_bits: int) -> list[list[int]] | None:
-    """Dense per-(step, neuron) raw current rows; None when there is no drive."""
+                   frac_bits: int) -> list[StepEvents] | None:
+    """Per-step ``(neuron id, raw)`` events; None when there is no drive.
+
+    A neuron listed twice in ``spec.neurons``, or a step listed twice in
+    ``spec.at``, still receives the amplitude once."""
     if spec.kind == "none":
         return None
     targets = range(neuron_count) if spec.neurons is None else spec.neurons
@@ -51,20 +63,32 @@ def build_stimulus(spec: StimulusSpec, neuron_count: int, timesteps: int,
         if not (0 <= n < neuron_count):
             raise ValueError(f"stimulus target {n} out of range")
     amp = round(spec.amplitude * (1 << frac_bits))
-    rows = [[0] * neuron_count for _ in range(timesteps)]
+    if amp == 0:
+        return [()] * timesteps
+    if spec.kind == "poisson":
+        # one draw per (step, listed target), in list order
+        draw = random.Random(spec.seed).random
+        rate = spec.rate
+        return [tuple([(n, amp) for n in
+                       sorted({n for n in targets if draw() < rate})])
+                for _ in range(timesteps)]
+    drive = tuple((n, amp) for n in sorted(set(targets)))
     if spec.kind == "constant":
-        for row in rows:
-            for n in targets:
-                row[n] = amp
-    elif spec.kind == "pulse":
-        for t in spec.at:
-            if 0 <= t < timesteps:
-                for n in targets:
-                    rows[t][n] = amp
-    else:  # poisson
-        rng = random.Random(spec.seed)
-        for row in rows:
-            for n in targets:
-                if rng.random() < spec.rate:
-                    row[n] = amp
-    return rows
+        return [drive] * timesteps
+    at = set(spec.at)       # pulse
+    return [drive if t in at else () for t in range(timesteps)]
+
+
+def check_stimulus(stimulus: list[StepEvents] | None, neuron_count: int,
+                   timesteps: int) -> None:
+    """Raise ValueError unless ``stimulus`` covers the run's ``timesteps``
+    and its events name only neurons ``0..neuron_count-1``."""
+    if stimulus is None:
+        return
+    if len(stimulus) < timesteps:
+        raise ValueError("stimulus shorter than the run")
+    for t in range(timesteps):
+        for n, _ in stimulus[t]:
+            if not (0 <= n < neuron_count):
+                raise ValueError(f"stimulus event at step {t} names neuron "
+                                 f"{n} outside 0..{neuron_count - 1}")

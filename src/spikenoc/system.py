@@ -20,7 +20,8 @@ from .metrics import (EnergyCostTable, RunReport, TimestepRow, TrafficLedger,
 from .noc import MeshConfig, NocSim, PacketRecord
 from .partition import (CoreMap, MemoryBudget, Partition, hsfc_order,
                         initial_partition, map_clusters, sss_refine)
-from .stimulus import StimulusSpec, build_stimulus
+from .stimulus import (StepEvents, StimulusSpec, build_stimulus,
+                       check_stimulus)
 
 Coord = tuple[int, int]
 
@@ -44,7 +45,6 @@ class SystemConfig:
     sss_iters: int | None = None
     sss_t0: float | None = None
     sss_cooling: float = 0.995
-    trace: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -75,27 +75,33 @@ class RunResult:
     report: RunReport
     train: SpikeTrain
     packet_records: list[PacketRecord]
-    flit_trace: list | None
 
 
 def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
-                   stimulus_rows: list[list[int]] | None,
-                   workload: str = "", config_digest: str = "") -> RunResult:
-    """Simulate the deployed system timestep by timestep."""
+                   stimulus: list[StepEvents] | None,
+                   workload: str = "", config_digest: str = "",
+                   trace_sink=None) -> RunResult:
+    """Simulate the deployed system timestep by timestep.
+
+    ``trace_sink``, if given, is called after each step with that step's
+    per-flit link trace rows ``(time_ps, link, pid, kind)``; the list is
+    cleared once the call returns."""
     if cfg.mode not in (MODE_BASELINE, MODE_UNISPIKE):
         raise ValueError(f"unknown mode {cfg.mode!r}")
     graph = bundle.graph
-    if stimulus_rows is not None and len(stimulus_rows) < cfg.timesteps:
-        raise ValueError("stimulus shorter than the run")
+    check_stimulus(stimulus, graph.neuron_count, cfg.timesteps)
     order = sorted(bundle.cores, key=lambda c: (c.coord[1], c.coord[0]))
     cores = []
-    for art in order:
+    place: list = [None] * graph.neuron_count   # id -> (core, local index)
+    for c, art in enumerate(order):
         params = [graph.params_of(nid) for nid in art.neuron_ids]
         cores.append(CoreState(art, params, bundle.frac_bits, cfg.timing,
                                cfg.mode, cfg.dt))
+        for local, nid in enumerate(art.neuron_ids):
+            place[nid] = (c, local)
     ledger = TrafficLedger()
     packet_records: list[PacketRecord] = []
-    flit_trace: list | None = [] if cfg.trace else None
+    flit_trace: list | None = [] if trace_sink is not None else None
     noc = NocSim(cfg.mesh, cfg.timing, packet_records, flit_trace)
     energy = cfg.energy
     n_cores = cfg.mesh.width * cfg.mesh.height
@@ -108,18 +114,22 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
     static_total = 0.0
 
     for t in range(cfg.timesteps):
-        stim_row = stimulus_rows[t - 1] if (stimulus_rows is not None and t > 0) \
-            else None
+        # the events presented during step t-1, split by core
+        stim_by_core: list[list[tuple[int, int]]] = [[] for _ in cores]
+        if stimulus is not None and t > 0:
+            for nid, raw in stimulus[t - 1]:
+                c, local = place[nid]
+                stim_by_core[c].append((local, raw))
         jobs_by_core = {}
         fired: list[int] = []
         busy_max = 0
         updates = 0
         accum_events = 0
         decoded_body = 0
-        for core in cores:
+        for core, stim in zip(cores, stim_by_core):
             arrived = inbox.get(core.coord, [])
             decoded_body += sum(len(p.indices) for p in arrived)
-            res = core.run_core_timestep(arrived, stim_row, t, t_start)
+            res = core.run_core_timestep(arrived, stim, t, t_start)
             jobs_by_core[core.coord] = res.jobs
             fired.extend(res.fired_globals)
             updates += res.update_count
@@ -128,8 +138,10 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
 
         n0 = len(packet_records)
         delivered, drain_ps, gen_done = noc.run_timestep(jobs_by_core, t_start, t)
-        for rec in packet_records[n0:]:
-            ledger.count_packet(rec)
+        ledger.count_packets(packet_records[n0:])
+        if trace_sink is not None:
+            trace_sink(flit_trace)
+            flit_trace.clear()
         for done_ps in gen_done.values():
             busy_max = max(busy_max, done_ps - t_start)
         t_end = max(t_start + busy_max, drain_ps)
@@ -173,7 +185,7 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
                     "payload_flits": red.payload_flits,
                     "ratio": red.ratio, "empty": red.empty},
         per_timestep=rows)
-    return RunResult(report, train, packet_records, flit_trace)
+    return RunResult(report, train, packet_records)
 
 
 @dataclass

@@ -53,7 +53,7 @@ def micro_bundle():
                        budget=MemoryBudget(neuron_bytes=3 * 24), timesteps=3,
                        partitioner="hsfc")
     pulse = quantize_weight(2.0, 8)
-    stim = [[pulse] * 3 + [0] * 3, [0] * 6, [0] * 6]
+    stim = [((0, pulse), (1, pulse), (2, pulse)), (), ()]
     return g, bundle, cfg, stim
 
 
@@ -144,7 +144,7 @@ def test_04_redundancy_profile_flags_repeats_and_empty_logs():
     uni = run_experiment(bundle, replace(cfg, mode=MODE_UNISPIKE), stim)
     red_b = base.report.redundancy
     red_u = uni.report.redundancy
-    silent = run_experiment(bundle, cfg, [[0] * 6] * 3).report.redundancy
+    silent = run_experiment(bundle, cfg, [()] * 3).report.redundancy
     prof = redundancy_profile([])
     gate("redundancy profile",
          red_b["total_packets"] == 3 and red_b["effective_packets"] == 1
@@ -260,8 +260,7 @@ def test_08_network_conserves_flits_and_meets_timing():
     sim = NocSim(cfg, CoreTiming(), records)
     delivered, _, _ = sim.run_timestep(jobs_by_core, 0, 0)
     ledger = TrafficLedger()
-    for rec in records:
-        ledger.count_packet(rec)
+    ledger.count_packets(records)
     conserved = (len(delivered) == 10_000
                  and ledger.totals["injected_flits"] == flits
                  and ledger.totals["ejected_flits"] == flits

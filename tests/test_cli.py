@@ -358,6 +358,17 @@ class TestExitCodes:
         assert f"error: {bad}: {needle}" in captured.err
         assert captured.out == ""
 
+    def test_graph_weight_outside_i16_exits_2(self, tmp_path, config_path,
+                                              capsys):
+        graph_path = tmp_path / "net.snn"
+        graph_path.write_text("snn 1\nneurons 3\nsyn 0 1 99999\n")
+        bundle_dir = tmp_path / "bundle"
+        assert main(["partition", "--config", config_path, "--graph",
+                     str(graph_path), "--out", str(bundle_dir)]) == 2
+        assert (f"{graph_path}:3: raw weight 99999 outside i16"
+                in capsys.readouterr().err)
+        assert not bundle_dir.exists()
+
     def test_zero_watchdog_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text(with_setting("mesh", "watchdog_cycles = 0"))
@@ -378,6 +389,18 @@ class TestExitCodes:
                      "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert "runtime error: no flit progress for 200 cycles" in err
+
+    def test_stalled_traced_run_leaves_no_trace(self, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.setattr(NocSim, "_apply_credit",
+                            lambda self, up, was_tail: None)
+        stall = tmp_path / "stall.ini"
+        stall.write_text(CONFIG + "watchdog_cycles = 200\n")   # into [mesh]
+        out_dir = tmp_path / "run"
+        assert main(["simulate", "--config", str(stall), "--trace",
+                     "--out", str(out_dir)]) == 1
+        assert "no flit progress" in capsys.readouterr().err
+        assert out_dir.is_dir() and list(out_dir.iterdir()) == []
 
     def test_numeric_blow_up_exits_1(self, tmp_path, capsys):
         # d=1e308 drives neuron 3's recovery variable past the float range

@@ -92,11 +92,9 @@ class TestDecode:
         with pytest.raises(ArtifactError):
             core.decode_packet(SpikePacket(C, B, 0, (0,)))
 
-    def test_stimulus_indexed_by_global_id(self):
+    def test_stimulus_indexed_by_local_index(self):
         core = fanin_core()   # holds global neurons 3, 4, 5
-        row = [0] * 6
-        row[4] = 77
-        core.load_stimulus(row)
+        core.load_stimulus([(1, 77)])   # global neuron 4
         assert core.acc == [0, 77, 0]
 
 
@@ -144,7 +142,7 @@ class TestRunTimestep:
 
     def test_job_creation_times_follow_update_order(self):
         core = fanout_core(MODE_BASELINE)
-        stim = [quantize_weight(2.0, 8)] * 6
+        stim = [(i, quantize_weight(2.0, 8)) for i in range(3)]
         res = core.run_core_timestep([], stim, 0, t_start_ps=1000)
         # stimulus costs no decode cycles, so neuron i (queue order 0, 1, 2)
         # fires at the (i+1)-th update: 1000 + (i+1)*4*2000
@@ -158,7 +156,7 @@ class TestRunTimestep:
                            overrides={1: LifParams(tau_m=0.5,
                                                    refractory_steps=0)})
         assert core.artifact.exec_queue == (0, 1, 2)
-        stim = [quantize_weight(2.0, 8)] * 6
+        stim = [(i, quantize_weight(2.0, 8)) for i in range(3)]
         res = core.run_core_timestep([], stim, 0, t_start_ps=1000)
         assert [(j.create_ps, j.packet.indices, j.packet.dest)
                 for j in res.jobs] == [
@@ -178,7 +176,7 @@ class TestRunTimestep:
         # only neuron 0 fires; the packet for B still leaves when the barrier
         # neuron (queue tail for B) updates
         core = fanout_core(MODE_UNISPIKE)
-        stim = [quantize_weight(2.0, 8), 0, 0, 0, 0, 0]
+        stim = [(0, quantize_weight(2.0, 8))]
         res = core.run_core_timestep([], stim, 0, 0)
         assert res.fired_globals == [0]
         dests = {j.packet.dest: j.packet.indices for j in res.jobs}
@@ -186,7 +184,7 @@ class TestRunTimestep:
 
     def test_unispike_merges_simultaneous_fires(self):
         core = fanout_core(MODE_UNISPIKE)
-        stim = [quantize_weight(2.0, 8)] * 6
+        stim = [(i, quantize_weight(2.0, 8)) for i in range(3)]
         res = core.run_core_timestep([], stim, 0, 0)
         by_dest = {j.packet.dest: j.packet.indices for j in res.jobs}
         assert by_dest == {B: (0, 1), C: (0, 2)}
@@ -194,7 +192,7 @@ class TestRunTimestep:
 
     def test_baseline_sends_per_spike(self):
         core = fanout_core(MODE_BASELINE)
-        stim = [quantize_weight(2.0, 8)] * 6
+        stim = [(i, quantize_weight(2.0, 8)) for i in range(3)]
         res = core.run_core_timestep([], stim, 0, 0)
         # 0 reaches B and C, 1 reaches B, 2 reaches C
         assert len(res.jobs) == 4
@@ -204,7 +202,7 @@ class TestRunTimestep:
         # 0 -> 1 inside one core: local fan-out is deferred one call
         adjacency = [[(1, W)], [], []]
         core = make_core(adjacency, [(0, 1), (2,)], [A, B], which=0)
-        stim = [quantize_weight(2.0, 8), 0, 0]
+        stim = [(0, quantize_weight(2.0, 8))]
         r0 = core.run_core_timestep([], stim, 0, 0)
         assert r0.fired_globals == [0]
         r1 = core.run_core_timestep([], None, 1, 0)

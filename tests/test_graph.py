@@ -202,14 +202,14 @@ class TestGraphStructure:
 class TestReferenceSimulate:
     def test_chain_fires_one_step_apart(self):
         g = chain_graph(3)
-        stim = [[0] * 3 for _ in range(5)]
-        stim[0][0] = quantize_weight(1.0, 8)   # drive neuron 0 during step 0
+        # drive neuron 0 during step 0
+        stim = [((0, quantize_weight(1.0, 8)),)] + [()] * 4
         train = reference_simulate(g, stim, 5)
         assert train.steps == ((), (0,), (1,), (2,), ())
 
     def test_step_zero_never_fires_from_rest(self):
         g = build_brunel(30, 10, seed=1)
-        stim = [[10_000] * 40 for _ in range(3)]
+        stim = [tuple((i, 10_000) for i in range(40))] * 3
         train = reference_simulate(g, stim, 3)
         assert train.steps[0] == ()
         assert len(train.steps[1]) == 40
@@ -221,14 +221,14 @@ class TestReferenceSimulate:
     def test_stimulus_too_short_rejected(self):
         g = chain_graph(2)
         with pytest.raises(ValueError):
-            reference_simulate(g, [[0, 0]], 5)
+            reference_simulate(g, [()], 5)
 
     def test_inhibition_cancels_excitation(self):
         # two inputs of +1.0 and -1.0 into neuron 2: net zero, never fires
         adj = [[(2, quantize_weight(1.0, 8))], [(2, quantize_weight(-1.0, 8))], []]
         g = SnnGraph(3, adj, model=LifParams(tau_m=1.0, refractory_steps=0))
         amp = quantize_weight(2.0, 8)
-        stim = [[amp, amp, 0] for _ in range(6)]
+        stim = [((0, amp), (1, amp))] * 6
         train = reference_simulate(g, stim, 6)
         assert all(2 not in fired for fired in train.steps)
 
@@ -324,6 +324,8 @@ class TestSerialization:
         ("tag 0 0 0 0", "index out of range"),
         ("nmodel 9 lif tau_m=2.0", "neuron id 9 outside 0..2"),
         ("neurons 4", "repeated neurons record"),
+        ("syn 0 1 99999", "raw weight 99999 outside i16"),
+        ("syn 0 1 -32769", "raw weight -32769 outside i16"),
     ])
     def test_text_ids_checked_with_file_and_line(self, tmp_path, line, needle):
         path = tmp_path / "net.snn"
@@ -337,6 +339,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: neuron "
                                              r"id before the neurons record"):
             load_text(str(path))
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_text_empty_graph_named_with_file_and_line(self, tmp_path, count):
+        path = tmp_path / "net.snn"
+        path.write_text(f"snn 1\nneurons {count}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: "
+                                             r"graph needs at least one neuron"):
+            load_text(str(path))
+
+    def test_binary_empty_graph_named_with_file(self, tmp_path):
+        path = tmp_path / "net.snnb"
+        save_binary(SnnGraph(1, [[]]), str(path))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 8, 0)     # magic, version, frac, tags
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: "
+                                             r"graph needs at least one neuron"):
+            load_binary(str(path))
 
     @pytest.mark.parametrize("what", ["synapse source", "synapse target",
                                       "model override"])

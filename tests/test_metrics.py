@@ -16,10 +16,27 @@ def record(src, dest, timestep, body, eject_ps=0):
     return PacketRecord(0, src, dest, timestep, body, 0, eject_ps)
 
 
+def random_records(rng, n):
+    out = []
+    for _ in range(n):
+        src = (rng.randrange(3), rng.randrange(3))
+        dest = (rng.randrange(3), rng.randrange(3))
+        out.append(record(src, dest, rng.randrange(6), rng.randint(1, 4),
+                          rng.choice([-1, 1000])))
+    return out
+
+
+def ledger_state(led):
+    """Every count and every key the ledger holds, zero entries included."""
+    return (led.totals,
+            {m: dict(c) for m, c in led.per_core_step.items()},
+            {m: dict(c) for m, c in led.per_step.items()})
+
+
 class TestLedger:
     def test_head_body_split(self):
         led = TrafficLedger()
-        led.count_packet(record(A, (2, 1), 0, body=2, eject_ps=-1))
+        led.count_packets([record(A, (2, 1), 0, body=2, eject_ps=-1)])
         assert led.totals["packets"] == 1
         assert led.totals["injected_flits"] == 3
         assert led.totals["head_flits"] == 1
@@ -27,15 +44,14 @@ class TestLedger:
         assert led.totals["flit_hops"] == 3 * 3
         # never delivered: injected but not ejected
         assert led.totals["ejected_flits"] == 0
-        led.count_packet(record(A, B, 0, body=2))
+        led.count_packets([record(A, B, 0, body=2)])
         assert led.totals["ejected_flits"] == 3
         assert led.per_core_step["ejected_flits"] == {(B, 0): 3}
 
     def test_attribution_by_core_and_timestep(self):
         led = TrafficLedger()
-        led.count_packet(record(A, C, 0, body=1))
-        led.count_packet(record(A, C, 1, body=1))
-        led.count_packet(record(B, A, 1, body=3))
+        led.count_packets([record(A, C, 0, body=1), record(A, C, 1, body=1),
+                           record(B, A, 1, body=3)])
         assert led.per_core_step["packets"] == {(A, 0): 1, (A, 1): 1,
                                                 (B, 1): 1}
         assert led.per_core_step["ejected_flits"] == {(C, 0): 2, (C, 1): 2,
@@ -47,18 +63,26 @@ class TestLedger:
 
     def test_per_step_totals_match_per_core_entries(self):
         led = TrafficLedger()
-        rng = random.Random(5)
-        for _ in range(200):
-            src = (rng.randrange(3), rng.randrange(3))
-            dest = (rng.randrange(3), rng.randrange(3))
-            led.count_packet(record(src, dest, rng.randrange(6),
-                                    rng.randint(1, 4),
-                                    rng.choice([-1, 1000])))
+        led.count_packets(random_records(random.Random(5), 200))
         for metric, per_core in led.per_core_step.items():
             for t in range(7):
                 want = sum(n for (_, step), n in per_core.items() if step == t)
                 assert led.timestep_total(metric, t) == want
             assert sum(led.per_step[metric].values()) == led.totals[metric]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_call_equals_split_calls(self, seed):
+        rng = random.Random(seed)
+        records = random_records(rng, 120)
+        cut = rng.randrange(len(records) + 1)
+        whole, split, single = TrafficLedger(), TrafficLedger(), TrafficLedger()
+        whole.count_packets(records)
+        split.count_packets(records[:cut])
+        split.count_packets(records[cut:])
+        for rec in records:
+            single.count_packets([rec])
+        assert ledger_state(whole) == ledger_state(split) \
+            == ledger_state(single)
 
 
 class TestEnergy:

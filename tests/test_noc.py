@@ -20,8 +20,7 @@ def job(src, dest, body, create_ps=0, timestep=0):
 
 def ledger_of(records):
     ledger = TrafficLedger()
-    for rec in records:
-        ledger.count_packet(rec)
+    ledger.count_packets(records)
     return ledger
 
 

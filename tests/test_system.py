@@ -149,8 +149,7 @@ class TestLosslessness:
         cfg = SystemConfig(mesh=MeshConfig(2, 1),
                            budget=MemoryBudget(neuron_bytes=2 * 24),
                            timesteps=5, partitioner="hsfc")
-        stimulus = [[0] * 3 for _ in range(5)]
-        stimulus[0][0] = quantize_weight(2.0, 8)
+        stimulus = [((0, quantize_weight(2.0, 8)),)] + [()] * 4
         bundle = deploy(g, cfg)
         assert len(bundle.cores) == 2
         result = run_experiment(bundle, cfg, stimulus)
@@ -158,12 +157,33 @@ class TestLosslessness:
         assert result.train.digest() == reference_simulate(
             g, stimulus, 5, 1.0).digest()
 
+    def test_events_split_by_core_match_reference(self):
+        # step 0 drives two neurons on one core with different currents, and
+        # one neuron on each of two other cores
+        adjacency = [[(2, W)], [(5, W)], [], [], [(6, W)], [], [], [(3, W)]]
+        g = SnnGraph(8, adjacency, model=FAST)
+        cfg = SystemConfig(mesh=MeshConfig(2, 2),
+                           budget=MemoryBudget(neuron_bytes=2 * 24),
+                           timesteps=4, partitioner="naive")
+        bundle = deploy(g, cfg)
+        home = {nid: art.coord for art in bundle.cores
+                for nid in art.neuron_ids}
+        assert home[0] == home[1] and len({home[0], home[4], home[7]}) == 3
+        strong, weak = quantize_weight(2.0, 8), quantize_weight(0.25, 8)
+        stimulus = [((0, strong), (1, weak), (4, strong), (7, strong)),
+                    (), (), ()]
+        want = reference_simulate(g, stimulus, 4, cfg.dt)
+        assert want.steps[1] == (0, 4, 7)
+        for mode in (MODE_BASELINE, MODE_UNISPIKE):
+            result = run_experiment(bundle, replace(cfg, mode=mode), stimulus)
+            assert result.train.steps == want.steps, mode
+            assert result.report.traffic["packets"] > 0
+
     def test_single_core_run_has_no_traffic(self):
         g = chain_graph(3)
         cfg = SystemConfig(mesh=MeshConfig(1, 1), budget=MemoryBudget(),
                            timesteps=5, partitioner="naive")
-        stimulus = [[0] * 3 for _ in range(5)]
-        stimulus[0][0] = quantize_weight(2.0, 8)
+        stimulus = [((0, quantize_weight(2.0, 8)),)] + [()] * 4
         result = run_experiment(deploy(g, cfg), cfg, stimulus)
         assert result.train.steps == ((), (0,), (1,), (2,), ())
         assert result.report.traffic["packets"] == 0
@@ -213,14 +233,23 @@ class TestRunReportContents:
         g = chain_graph(3)
         cfg = SystemConfig(mesh=MeshConfig(2, 1),
                            budget=MemoryBudget(neuron_bytes=2 * 24),
-                           timesteps=3, partitioner="hsfc", trace=True)
-        stimulus = [[quantize_weight(2.0, 8), 0, 0] for _ in range(3)]
-        result = run_experiment(deploy(g, cfg), cfg, stimulus)
-        assert result.flit_trace is not None and len(result.flit_trace) > 0
-        cfg2 = SystemConfig(mesh=MeshConfig(2, 1),
-                            budget=MemoryBudget(neuron_bytes=2 * 24),
-                            timesteps=3, partitioner="hsfc")
-        assert run_experiment(deploy(g, cfg2), cfg2, stimulus).flit_trace is None
+                           timesteps=3, partitioner="hsfc")
+        stimulus = [((0, quantize_weight(2.0, 8)),)] * 3
+        trace: list = []
+        calls: list[int] = []
+
+        def sink(rows):
+            calls.append(len(rows))
+            trace.extend(rows)
+
+        traced = run_experiment(deploy(g, cfg), cfg, stimulus,
+                                trace_sink=sink)
+        assert len(trace) > 0
+        # one call per step, each with that step's rows only
+        assert len(calls) == cfg.timesteps and sum(calls) == len(trace)
+        assert len(trace) == traced.report.traffic["flit_hops"]
+        untraced = run_experiment(deploy(g, cfg), cfg, stimulus)
+        assert untraced.report.to_json() == traced.report.to_json()
 
 
 class TestGuards:
@@ -229,7 +258,19 @@ class TestGuards:
         cfg = SystemConfig(mesh=MeshConfig(1, 1), timesteps=5,
                            partitioner="naive")
         with pytest.raises(ValueError, match="stimulus shorter"):
-            run_experiment(deploy(g, cfg), cfg, [[0, 0, 0]] * 4)
+            run_experiment(deploy(g, cfg), cfg, [()] * 4)
+
+    @pytest.mark.parametrize("nid", [-1, 3])
+    def test_stimulus_event_outside_graph_rejected(self, nid):
+        g = chain_graph(3)
+        cfg = SystemConfig(mesh=MeshConfig(1, 1), timesteps=2,
+                           partitioner="naive")
+        stimulus = [(), ((nid, 5),)]
+        needle = f"step 1 names neuron {nid} outside 0..2"
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            reference_simulate(g, stimulus, 2)
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            run_experiment(deploy(g, cfg), cfg, stimulus)
 
     def test_unknown_mode_rejected(self):
         g = chain_graph(3)
@@ -274,7 +315,7 @@ class TestNumericBlowUp:
                            timesteps=6, partitioner="hsfc")
         bundle = deploy(g, cfg)
         [home] = [a.coord for a in bundle.cores if 2 in a.neuron_ids]
-        stimulus = [[0, 0, quantize_weight(50.0, 8), 0] for _ in range(6)]
+        stimulus = [((2, quantize_weight(50.0, 8)),)] * 6
         # four steps complete on both sides; the fifth raises on both
         reference_simulate(g, stimulus, 4, cfg.dt)
         run_experiment(bundle, replace(cfg, timesteps=4), stimulus)
