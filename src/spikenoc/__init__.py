@@ -18,7 +18,7 @@ from .hilbert import hilbert_cells, hilbert_index
 from .partition import (CoreMap, MemoryBudget, MemoryCost, Partition,
                         destination_objective, hsfc_order, initial_partition,
                         map_clusters, memory_cost, sss_refine)
-from .schedule import build_checking_table, complete_queue, validate_schedule
+from .schedule import build_checking_table, validate_schedule
 from .artifact import (ArtifactError, CoreArtifact, DeploymentBundle,
                        build_bundle, load_bundle, save_bundle,
                        validate_bundle)

@@ -3,8 +3,12 @@
 A core artifact carries everything one core needs at runtime: its neuron
 roster, the incoming synapse table keyed by (source core, source-local
 index), per-destination connection bitmaps, and the execution queue plus
-checking table produced by the scheduler.  The binary layout is little-endian
-throughout (u16/u32 integer widths as noted field by field below).
+checking table produced by the scheduler.  The bitmaps are the one form of
+"which local neurons feed destination d".  ``derive_tables`` derives the
+synapse table and bitmaps from the graph, once for ``build_bundle`` and once
+for ``validate_bundle`` to compare against.  The binary layout is
+little-endian throughout (u16/u32 integer widths as noted field by field
+below).
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ from dataclasses import dataclass, asdict
 
 from .graph import SnnGraph, load_binary, save_binary
 from .partition import CoreMap, MemoryBudget, Partition
-from .schedule import build_checking_table, complete_queue, validate_schedule
+from .schedule import build_checking_table, validate_schedule
 
 Coord = tuple[int, int]
+# (src core coord, src local index) -> ((local post index, raw weight), ...)
+SynapseTable = dict[tuple[Coord, int], tuple[tuple[int, int], ...]]
 
 
 class ArtifactError(Exception):
@@ -38,23 +44,12 @@ class SizeReport:
     checking_table_fits: bool
 
 
-def iter_bits(mask: int):
-    """Indices of set bits, ascending."""
-    idx = 0
-    while mask:
-        if mask & 1:
-            yield idx
-        mask >>= 1
-        idx += 1
-
-
 @dataclass
 class CoreArtifact:
     coord: Coord
     neuron_ids: tuple[int, ...]
-    # (src core coord, src local index) -> ((local post index, raw weight), ...)
     # the core's own coord keys its intra-core fan-out
-    synapse_table: dict[tuple[Coord, int], tuple[tuple[int, int], ...]]
+    synapse_table: SynapseTable
     # remote destination -> bitmap of the local neurons connected to it
     conn_bitmaps: dict[Coord, int]
     exec_queue: tuple[int, ...]
@@ -64,17 +59,6 @@ class CoreArtifact:
     @property
     def local_count(self) -> int:
         return len(self.neuron_ids)
-
-    @property
-    def dest_map(self) -> dict[Coord, frozenset[int]]:
-        """Remote destination -> connected local neurons, from the bitmaps."""
-        return {c: frozenset(iter_bits(mask))
-                for c, mask in self.conn_bitmaps.items()}
-
-    def local_dests(self, idx: int) -> tuple[Coord, ...]:
-        """Remote destinations of one local neuron, row-major order."""
-        out = [c for c, mask in self.conn_bitmaps.items() if mask >> idx & 1]
-        return tuple(sorted(out, key=lambda c: (c[1], c[0])))
 
 
 @dataclass
@@ -109,6 +93,44 @@ def _size_report(synapse_table, local_count: int, n_dests: int,
                       ct_bytes <= budget.checking_table_bytes)
 
 
+def derive_tables(graph: SnnGraph, placement: dict[Coord, tuple[int, ...]]
+                  ) -> dict[Coord, tuple[SynapseTable, dict[Coord, int]]]:
+    """Each core's synapse table and connection bitmaps, as the graph gives
+    them for ``placement`` (core coord -> global ids in local-index order).
+
+    Keys ascend; a remote key's pairs ascend by (local post, raw), an
+    intra-core key's pairs follow the graph's post order; bitmaps are in
+    row-major destination order.  Neurons outside the graph are skipped.
+    """
+    where: list[tuple[Coord, int] | None] = [None] * graph.neuron_count
+    senders: list[int] = []         # in synapse-key order
+    for coord, ids in sorted(placement.items()):
+        for i, nid in enumerate(ids):
+            if 0 <= nid < graph.neuron_count:
+                where[nid] = (coord, i)
+                senders.append(nid)
+    # per core: sender key -> (local post, raw) pairs, filled in key order;
+    # equal pairs share one tuple
+    incoming: dict[Coord, dict] = {coord: {} for coord in placement}
+    pair_of: dict[int, tuple[int, int]] = {}
+    for pre in senders:
+        key = where[pre]
+        for post, raw in graph.adjacency[pre]:
+            to = where[post]
+            if to is not None:
+                pair = pair_of.setdefault(raw << 32 | to[1], (to[1], raw))
+                incoming[to[0]].setdefault(key, []).append(pair)
+    tables = {coord: ({}, {}) for coord in placement}
+    for coord in sorted(placement, key=lambda c: (c[1], c[0])):
+        for key, pairs in incoming[coord].items():
+            if key[0] != coord:
+                pairs.sort()
+                out = tables[key[0]][1]
+                out[coord] = out.get(coord, 0) | 1 << key[1]
+            tables[coord][0][key] = tuple(pairs)
+    return tables
+
+
 def build_bundle(graph: SnnGraph, partition: Partition, core_map: CoreMap,
                  budget: MemoryBudget) -> DeploymentBundle:
     """Assemble per-core artifacts from a placed partition.
@@ -116,50 +138,20 @@ def build_bundle(graph: SnnGraph, partition: Partition, core_map: CoreMap,
     Fails if any cluster exceeds its memory budget; the checking-table size
     is reported against its budget but does not fail the build.
     """
-    coords = [core_map.coord_of(ci) for ci in range(len(partition.clusters))]
-    local_index: dict[int, int] = {}
-    for cluster in partition.clusters:
-        for i, n in enumerate(cluster):
-            local_index[n] = i
-
+    placement = dict(zip(core_map.placement, partition.clusters, strict=True))
     cores = []
-    for ci, cluster in enumerate(partition.clusters):
-        coord = coords[ci]
-        table: dict[tuple[Coord, int], list[tuple[int, int]]] = {}
-        dest_sets: dict[Coord, set[int]] = {}
-        for i, n in enumerate(cluster):
-            for post, raw in graph.posts(n):
-                pc = partition.cluster_of[post]
-                if pc == ci:
-                    key = (coord, i)
-                    table.setdefault(key, []).append((local_index[post], raw))
-                else:
-                    dest_sets.setdefault(coords[pc], set()).add(i)
-        # incoming remote edges keyed by the sender's coordinates
-        for i, n in enumerate(cluster):
-            for pre, raw in graph.reverse_adjacency[n]:
-                pc = partition.cluster_of[pre]
-                if pc != ci:
-                    key = (coords[pc], local_index[pre])
-                    table.setdefault(key, []).append((i, raw))
-
-        dest_map = {c: frozenset(m) for c, m in dest_sets.items()}
-        queue, check = build_checking_table(dest_map)
-        queue = complete_queue(queue, len(cluster))
-        problems = validate_schedule(queue, check, dest_map, len(cluster))
+    for coord, (table, bitmaps) in derive_tables(graph, placement).items():
+        n = len(placement[coord])
+        queue, check = build_checking_table(bitmaps, n)
+        problems = validate_schedule(queue, check, bitmaps, n)
         if problems:
             raise ArtifactError(f"core {coord}: {problems[0]}")
-        bitmaps = {}
-        for c in sorted(dest_sets, key=lambda c: (c[1], c[0])):
-            bitmaps[c] = sum(1 << i for i in dest_sets[c])
-        synapse_table = {k: tuple(v) for k, v in sorted(table.items())}
-        check_t = {n: tuple(v) for n, v in check.items()}
-        report = _size_report(synapse_table, len(cluster), len(bitmaps),
-                              check_t, budget)
+        check_t = {b: tuple(v) for b, v in check.items()}
+        report = _size_report(table, n, len(bitmaps), check_t, budget)
         if not (report.synapse_fits and report.neuron_fits
                 and report.post_conn_fits):
             raise ArtifactError(f"core {coord}: cluster exceeds memory budget")
-        cores.append(CoreArtifact(coord, tuple(cluster), synapse_table,
+        cores.append(CoreArtifact(coord, tuple(placement[coord]), table,
                                   bitmaps, tuple(queue), check_t, report))
 
     return DeploymentBundle(core_map.mesh_width, core_map.mesh_height,
@@ -298,12 +290,21 @@ def load_bundle(path: str) -> DeploymentBundle:
 
 
 def validate_bundle(bundle: DeploymentBundle) -> list[str]:
-    """Cross-check every core's schedule, sizes, and connection bitmaps
-    against the bundle's graph; returns violations."""
+    """Cross-check every core's coordinate, neurons, synapse table, bitmaps,
+    schedule and sizes against the bundle's mesh and graph; returns
+    violations."""
     problems = []
     graph = bundle.graph
     seen: dict[int, Coord] = {}
+    coords: set[Coord] = set()
     for core in bundle.cores:
+        x, y = core.coord
+        if not (0 <= x < bundle.mesh_width and 0 <= y < bundle.mesh_height):
+            problems.append(f"core {core.coord}: outside the "
+                            f"{bundle.mesh_width}x{bundle.mesh_height} mesh")
+        if core.coord in coords:
+            problems.append(f"core {core.coord}: coordinate held by two cores")
+        coords.add(core.coord)
         for nid in core.neuron_ids:
             if not 0 <= nid < graph.neuron_count:
                 problems.append(f"core {core.coord}: neuron {nid} is not in "
@@ -312,17 +313,16 @@ def validate_bundle(bundle: DeploymentBundle) -> list[str]:
                 problems.append(f"core {core.coord}: neuron {nid} also on "
                                 f"core {seen[nid]}")
             seen[nid] = core.coord
+    derived = derive_tables(graph, {c.coord: c.neuron_ids
+                                    for c in bundle.cores})
     for core in bundle.cores:
         prefix = f"core {core.coord}"
-        # destination -> bitmap of the local neurons the graph connects to it
-        want: dict[Coord, int] = {}
-        for i, nid in enumerate(core.neuron_ids):
-            if not 0 <= nid < graph.neuron_count:
-                continue
-            for post, _ in graph.posts(nid):
-                dest = seen.get(post)
-                if dest is not None and dest != core.coord:
-                    want[dest] = want.get(dest, 0) | 1 << i
+        table, want = derived[core.coord]
+        if core.synapse_table != table:
+            for key in sorted(table.keys() | core.synapse_table.keys()):
+                if core.synapse_table.get(key) != table.get(key):
+                    problems.append(f"{prefix}: synapse entry {key} "
+                                    f"disagrees with the graph")
         for coord, mask in core.conn_bitmaps.items():
             if coord == core.coord:
                 problems.append(f"{prefix}: connection bitmap points at "
@@ -333,8 +333,8 @@ def validate_bundle(bundle: DeploymentBundle) -> list[str]:
         for coord in want.keys() - core.conn_bitmaps.keys():
             problems.append(f"{prefix}: destination {coord} has no bitmap")
         problems += [f"{prefix}: {v}" for v in validate_schedule(
-            list(core.exec_queue), {k: list(v) for k, v in core.checking_table.items()},
-            core.dest_map, core.local_count)]
+            core.exec_queue, core.checking_table, core.conn_bitmaps,
+            core.local_count)]
         r = core.size_report
         if not (r.synapse_fits and r.neuron_fits and r.post_conn_fits):
             problems.append(f"{prefix}: memory budget exceeded")

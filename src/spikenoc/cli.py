@@ -55,25 +55,36 @@ def workload_name(cfg: ExperimentConfig) -> str:
     return f"{w.kind}-{w.n_exc}+{w.n_inh}"
 
 
+PACKET_LOG_COLUMNS = ("pid", "timestep", "src_x", "src_y", "dest_x",
+                      "dest_y", "body_flits", "inject_ps", "eject_ps")
+
+
 def write_packet_log(records, path: str) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["pid", "timestep", "src_x", "src_y", "dest_x", "dest_y",
-                    "body_flits", "inject_ps", "eject_ps"])
+        w.writerow(PACKET_LOG_COLUMNS)
         for r in records:
             w.writerow([r.pid, r.timestep, r.src[0], r.src[1], r.dest[0],
                         r.dest[1], r.body_count, r.inject_ps, r.eject_ps])
 
 
 def read_packet_log(path: str) -> list[PacketRecord]:
+    """Parse a packet log; a missing column or a non-integer field raises
+    ValueError naming the file (and the line)."""
     out = []
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            out.append(PacketRecord(
-                int(row["pid"]), (int(row["src_x"]), int(row["src_y"])),
-                (int(row["dest_x"]), int(row["dest_y"])), int(row["timestep"]),
-                int(row["body_flits"]), int(row["inject_ps"]),
-                int(row["eject_ps"])))
+        reader = csv.DictReader(f)
+        for col in PACKET_LOG_COLUMNS:
+            if col not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: no {col!r} column")
+        for row in reader:
+            try:
+                (pid, step, sx, sy, dx, dy, body, inject,
+                 eject) = (int(row[col]) for col in PACKET_LOG_COLUMNS)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            out.append(PacketRecord(pid, (sx, sy), (dx, dy), step, body,
+                                    inject, eject))
     return out
 
 
@@ -187,14 +198,8 @@ def cmd_profile(args) -> int:
     by_step: dict[int, int] = {}
     for r in records:
         by_step[r.timestep] = by_step.get(r.timestep, 0) + 1
-    doc = {
-        "total_packets": prof.total_packets,
-        "effective_packets": prof.effective_packets,
-        "payload_flits": prof.payload_flits,
-        "ratio": prof.ratio,
-        "empty": prof.empty,
-        "packets_by_timestep": {str(t): n for t, n in sorted(by_step.items())},
-    }
+    doc = dataclasses.asdict(prof)
+    doc["packets_by_timestep"] = {str(t): n for t, n in sorted(by_step.items())}
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as f:
@@ -336,13 +341,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ArtifactError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ArtifactError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DeadlockError, NumericError) as exc:

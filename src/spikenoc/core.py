@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .artifact import ArtifactError, CoreArtifact, iter_bits
+from .artifact import ArtifactError, CoreArtifact
 from .neurons import ModelParams, NumericError, rest_state, step_population
+from .schedule import iter_bits
 
 Coord = tuple[int, int]
 
@@ -110,12 +111,12 @@ class CoreState:
         self.dt = dt
         self.acc = [0] * n
         self.act_bitmap = 0
-        self.self_pending: list[int] = []   # local fires awaiting next-step decode
+        self.self_pending: list[SpikePacket] = []   # own fires, next step
         # per-local-neuron remote destinations, row-major, for baseline emission
-        self._dests = [artifact.local_dests(i) for i in range(n)]
-        self._self_fanout = {
-            idx: pairs for (src, idx), pairs in artifact.synapse_table.items()
-            if src == artifact.coord and pairs}
+        self._dests: list[list[Coord]] = [[] for _ in range(n)]
+        for dest in sorted(artifact.conn_bitmaps, key=lambda c: (c[1], c[0])):
+            for idx in iter_bits(artifact.conn_bitmaps[dest]):
+                self._dests[idx].append(dest)
 
     # -- decode -------------------------------------------------------------
 
@@ -131,14 +132,6 @@ class CoreState:
             for post, raw in pairs:
                 self.acc[post] += raw
             events += len(pairs)
-        return events
-
-    def _decode_local(self, fired_indices: list[int]) -> int:
-        events = 0
-        for idx in fired_indices:
-            for post, raw in self._self_fanout[idx]:
-                self.acc[post] += raw
-            events += len(self._self_fanout[idx])
         return events
 
     def load_stimulus(self, events) -> None:
@@ -182,8 +175,8 @@ class CoreState:
         finishes its update ``events * decode_cycles_per_accum +
         (pos + 1) * update_cycles`` core cycles after ``t_start_ps``, so only
         fired and barrier neurons are walked to emit jobs."""
-        events = self._decode_local(self.self_pending)
-        for packet in arrived:
+        events = 0
+        for packet in arrived + self.self_pending:
             events += self.decode_packet(packet)
         if stimulus:
             self.load_stimulus(stimulus)
@@ -225,8 +218,10 @@ class CoreState:
         busy_ps = t0 - t_start_ps + n * update * period
         self.acc = [0] * n
         self.act_bitmap = 0
-        fanout = self._self_fanout
-        self.self_pending = [idx for idx in fired if idx in fanout]
+        table = self.artifact.synapse_table
+        own = [idx for idx in fired if (self.coord, idx) in table]
+        self.self_pending = ([SpikePacket(self.coord, self.coord, timestep,
+                                          tuple(own))] if own else [])
         ids = self.artifact.neuron_ids
         fired_globals = sorted(ids[idx] for idx in fired)
         return CoreStepResult(jobs, busy_ps, fired_globals, events, n)

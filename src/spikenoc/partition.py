@@ -82,9 +82,6 @@ class CoreMap:
     mesh_height: int
     placement: tuple[Coord, ...]
 
-    def coord_of(self, cluster_idx: int) -> Coord:
-        return self.placement[cluster_idx]
-
 
 @dataclass(frozen=True)
 class MemoryCost:

@@ -10,7 +10,7 @@ execution time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .artifact import DeploymentBundle, build_bundle
 from .core import CoreState, CoreTiming, MODE_BASELINE, MODE_UNISPIKE
@@ -167,7 +167,6 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
         t_start = t_end
 
     train = SpikeTrain(graph.neuron_count, tuple(steps))
-    red = redundancy_profile(packet_records)
     report = RunReport(
         workload=workload,
         mode=cfg.mode,
@@ -180,10 +179,7 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
         traffic=dict(ledger.totals),
         energy={"dynamic": dynamic_total, "static": static_total,
                 "total": dynamic_total + static_total},
-        redundancy={"total_packets": red.total_packets,
-                    "effective_packets": red.effective_packets,
-                    "payload_flits": red.payload_flits,
-                    "ratio": red.ratio, "empty": red.empty},
+        redundancy=asdict(redundancy_profile(packet_records)),
         per_timestep=rows)
     return RunResult(report, train, packet_records)
 

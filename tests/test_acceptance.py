@@ -26,8 +26,7 @@ from spikenoc.noc import MeshConfig, NocSim, manhattan
 from spikenoc.partition import (CoreMap, MemoryBudget, Partition,
                                 destination_objective, initial_partition,
                                 sss_refine)
-from spikenoc.schedule import (build_checking_table, complete_queue,
-                               validate_schedule)
+from spikenoc.schedule import build_checking_table, validate_schedule
 from spikenoc.stimulus import StimulusSpec, build_stimulus
 from spikenoc.system import SystemConfig, deploy, run_experiment
 
@@ -158,14 +157,14 @@ def test_04_redundancy_profile_flags_repeats_and_empty_logs():
 
 def test_05_dispatch_tables_always_validate():
     # two worked examples first
-    dm1 = {A: frozenset({1, 2}), B: frozenset({2, 3})}
-    q1, t1 = build_checking_table(dm1)
-    assert q1 == [1, 2, 3] and t1 == {2: [A], 3: [B]}
-    assert validate_schedule(complete_queue(q1, 4), t1, dm1, 4) == []
-    dm2 = {A: frozenset({1}), B: frozenset({1, 2}), (0, 1): frozenset({1, 2})}
-    q2, t2 = build_checking_table(dm2)
-    assert q2 == [1, 2] and t2 == {1: [A], 2: [B, (0, 1)]}
-    assert validate_schedule(complete_queue(q2, 3), t2, dm2, 3) == []
+    bm1 = {A: 0b0110, B: 0b1100}
+    q1, t1 = build_checking_table(bm1, 4)
+    assert q1 == [1, 2, 3, 0] and t1 == {2: [A], 3: [B]}
+    assert validate_schedule(q1, t1, bm1, 4) == []
+    bm2 = {A: 0b010, B: 0b110, (0, 1): 0b110}
+    q2, t2 = build_checking_table(bm2, 3)
+    assert q2 == [1, 2, 0] and t2 == {1: [A], 2: [B, (0, 1)]}
+    assert validate_schedule(q2, t2, bm2, 3) == []
 
     rng = random.Random(99)
     coords = [(x, y) for x in range(4) for y in range(4) if (x, y) != (0, 0)]
@@ -173,13 +172,13 @@ def test_05_dispatch_tables_always_validate():
     for _ in range(1000):
         n = rng.randint(1, 40)
         rng.shuffle(coords)
-        dm = {c: frozenset(rng.sample(range(n), rng.randint(1, n)))
+        bm = {c: sum(1 << i for i in rng.sample(range(n), rng.randint(1, n)))
               for c in coords[:rng.randint(0, 10)]}
-        queue, table = build_checking_table(dm)
-        if validate_schedule(complete_queue(queue, n), table, dm, n):
+        queue, table = build_checking_table(bm, n)
+        if validate_schedule(queue, table, bm, n):
             failures += 1
     gate("dispatch table construction", failures == 0,
-         "1000 random destination maps and 2 worked examples produce "
+         "1000 random connection-bitmap maps and 2 worked examples produce "
          "schedules with no structural violations")
 
 

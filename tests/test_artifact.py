@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spikenoc.artifact import (ArtifactError, build_bundle, core_from_bytes,
                                core_to_bytes, load_bundle, save_bundle,
@@ -9,6 +10,7 @@ from spikenoc.partition import CoreMap, MemoryBudget, Partition
 
 A, B = (0, 0), (1, 0)
 W = quantize_weight(1.0, 8)
+FAST = LifParams(tau_m=1.0, refractory_steps=0)
 
 
 def two_core_bundle(extra_edges=(), budget=None):
@@ -16,7 +18,7 @@ def two_core_bundle(extra_edges=(), budget=None):
     adjacency = [[(i + 3, W)] for i in range(3)] + [[], [], []]
     for pre, post in extra_edges:
         adjacency[pre].append((post, W))
-    g = SnnGraph(6, adjacency, model=LifParams(tau_m=1.0, refractory_steps=0))
+    g = SnnGraph(6, adjacency, model=FAST)
     part = Partition.from_clusters([(0, 1, 2), (3, 4, 5)], 6)
     cm = CoreMap(2, 1, (A, B))
     return build_bundle(g, part, cm, budget or MemoryBudget(neuron_bytes=3 * 24))
@@ -25,10 +27,17 @@ def two_core_bundle(extra_edges=(), budget=None):
 class TestBuildBundle:
     def test_destination_map_and_bitmap(self):
         bundle = two_core_bundle()
-        a = bundle.core_at(A)
-        assert a.dest_map == {B: frozenset({0, 1, 2})}
-        assert a.conn_bitmaps == {B: 0b111}
-        assert bundle.core_at(B).dest_map == {}
+        assert bundle.core_at(A).conn_bitmaps == {B: 0b111}
+        assert bundle.core_at(B).conn_bitmaps == {}
+
+    def test_bitmaps_in_row_major_destination_order(self):
+        # core (1, 0) feeds (1, 1) through neuron 0 and (0, 0) through neuron 1
+        g = SnnGraph(4, [[(2, W), (1, W)], [(3, W)], [], []], model=FAST)
+        part = Partition.from_clusters([(0, 1), (2,), (3,)], 4)
+        bundle = build_bundle(g, part, CoreMap(2, 2, ((1, 0), (1, 1), A)),
+                              MemoryBudget(neuron_bytes=2 * 24))
+        src = bundle.core_at((1, 0))
+        assert list(src.conn_bitmaps.items()) == [(A, 0b10), ((1, 1), 0b01)]
 
     def test_remote_synapses_keyed_by_sender(self):
         bundle = two_core_bundle()
@@ -51,10 +60,25 @@ class TestBuildBundle:
         assert b.checking_table == {}
 
     def test_local_dests(self):
-        bundle = two_core_bundle()
-        a = bundle.core_at(A)
-        assert a.local_dests(0) == (B,)
-        assert bundle.core_at(B).local_dests(0) == ()
+        # a neuron's remote destinations are the bitmaps holding its bit
+        bundle = two_core_bundle(extra_edges=[(4, 1)])
+        a, b = bundle.core_at(A), bundle.core_at(B)
+        assert [c for c, mask in a.conn_bitmaps.items() if mask & 1] == [B]
+        assert [c for c, mask in b.conn_bitmaps.items() if mask & 1] == []
+        assert [c for c, mask in b.conn_bitmaps.items() if mask & 2] == [A]
+
+    def test_pair_order(self):
+        # clusters list neurons out of id order: remote pairs ascend by
+        # local post, intra-core pairs follow the graph's post order
+        g = SnnGraph(6, [[(1, W), (2, 2 * W), (3, W), (4, W), (5, W)],
+                         [], [], [], [], []], model=FAST)
+        part = Partition.from_clusters([(0, 2, 1), (5, 4, 3)], 6)
+        bundle = build_bundle(g, part, CoreMap(2, 1, (A, B)),
+                              MemoryBudget(neuron_bytes=3 * 24))
+        assert bundle.core_at(A).synapse_table == {
+            (A, 0): ((2, W), (1, 2 * W))}
+        assert bundle.core_at(B).synapse_table == {
+            (A, 0): ((0, W), (1, W), (2, W))}
 
     def test_neuron_ids(self):
         bundle = two_core_bundle()
@@ -84,7 +108,6 @@ class TestCoreBytes:
             assert back.coord == core.coord
             assert back.neuron_ids == core.neuron_ids
             assert back.synapse_table == core.synapse_table
-            assert back.dest_map == core.dest_map
             assert back.conn_bitmaps == core.conn_bitmaps
             assert back.exec_queue == core.exec_queue
             assert back.checking_table == core.checking_table
@@ -205,3 +228,158 @@ class TestValidateBundle:
         a = bundle.core_at(A)
         a.conn_bitmaps[A] = 0b1
         assert any("itself" in v for v in validate_bundle(bundle))
+
+    def test_changed_weight_detected(self):
+        bundle = two_core_bundle()
+        b = bundle.core_at(B)
+        b.synapse_table[(A, 1)] = ((1, W + 1),)
+        assert validate_bundle(bundle) == [
+            f"core {B}: synapse entry ({A}, 1) disagrees with the graph"]
+
+    def test_extra_synapse_key_detected(self):
+        bundle = two_core_bundle()
+        bundle.core_at(B).synapse_table[(A, 7)] = ((0, W),)
+        assert validate_bundle(bundle) == [
+            f"core {B}: synapse entry ({A}, 7) disagrees with the graph"]
+
+    def test_missing_synapse_key_detected(self):
+        bundle = two_core_bundle()
+        del bundle.core_at(B).synapse_table[(A, 0)]
+        assert validate_bundle(bundle) == [
+            f"core {B}: synapse entry ({A}, 0) disagrees with the graph"]
+
+    def test_pair_order_is_part_of_the_table(self):
+        bundle = two_core_bundle(extra_edges=[(0, 4)])
+        b = bundle.core_at(B)
+        assert b.synapse_table[(A, 0)] == ((0, W), (1, W))
+        b.synapse_table[(A, 0)] = ((1, W), (0, W))
+        assert any("disagrees" in v for v in validate_bundle(bundle))
+
+    def test_core_off_mesh_detected(self):
+        bundle = two_core_bundle()
+        bundle.core_at(B).coord = (2, 0)
+        assert f"core (2, 0): outside the 2x1 mesh" in validate_bundle(bundle)
+
+    def test_shared_coordinate_detected(self):
+        bundle = two_core_bundle()
+        bundle.core_at(B).coord = A
+        assert (f"core {A}: coordinate held by two cores"
+                in validate_bundle(bundle))
+
+
+# -- random deployments --------------------------------------------------------
+
+@st.composite
+def deployments(draw):
+    """A random small graph, cut into random clusters, placed on random
+    cells of a random mesh."""
+    n = draw(st.integers(2, 24))
+    raw = st.integers(-300, 300).filter(bool)
+    adjacency = [draw(st.lists(st.tuples(st.integers(0, n - 1), raw),
+                               max_size=6)) for _ in range(n)]
+    g = SnnGraph(n, adjacency, model=FAST)
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, min(n, 6)))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=k - 1,
+                                max_size=k - 1, unique=True)))
+    clusters = [tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+    width = draw(st.integers(1, 4))
+    height = draw(st.integers(-(-len(clusters) // width), 6))
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    coords = draw(st.permutations(cells))[:len(clusters)]
+    cap = max(len(c) for c in clusters)
+    bundle = build_bundle(g, Partition.from_clusters(clusters, n),
+                          CoreMap(width, height, tuple(coords)),
+                          MemoryBudget(neuron_bytes=cap * 24))
+    return bundle, draw(st.randoms(use_true_random=False))
+
+
+def names(core, problems) -> bool:
+    return any(p.startswith(f"core {core.coord}:") for p in problems)
+
+
+def two_pass_tables(graph, clusters, coords):
+    """Each core's synapse table and bitmaps as the deployment code built
+    them before ``derive_tables``: outgoing edges give the intra-core keys
+    and the bitmaps, incoming edges (in the graph's reverse adjacency
+    order) give the remote keys."""
+    cluster_of = {n: ci for ci, c in enumerate(clusters) for n in c}
+    local_index = {n: i for c in clusters for i, n in enumerate(c)}
+    out = []
+    for ci, cluster in enumerate(clusters):
+        coord = coords[ci]
+        table, dest_sets = {}, {}
+        for i, n in enumerate(cluster):
+            for post, raw in graph.posts(n):
+                if cluster_of[post] == ci:
+                    table.setdefault((coord, i), []).append(
+                        (local_index[post], raw))
+                else:
+                    dest_sets.setdefault(coords[cluster_of[post]],
+                                         set()).add(i)
+        for i, n in enumerate(cluster):
+            for pre, raw in graph.reverse_adjacency[n]:
+                if cluster_of[pre] != ci:
+                    key = (coords[cluster_of[pre]], local_index[pre])
+                    table.setdefault(key, []).append((i, raw))
+        bitmaps = {c: sum(1 << i for i in dest_sets[c])
+                   for c in sorted(dest_sets, key=lambda c: (c[1], c[0]))}
+        out.append(({k: tuple(v) for k, v in sorted(table.items())}, bitmaps))
+    return out
+
+
+@given(deployments())
+@settings(max_examples=100, deadline=None)
+def test_random_bundle_validates(case):
+    bundle, _ = case
+    assert validate_bundle(bundle) == []
+
+
+@given(deployments())
+@settings(max_examples=100, deadline=None)
+def test_tables_equal_two_pass_derivation(case):
+    bundle, _ = case
+    want = two_pass_tables(bundle.graph, [c.neuron_ids for c in bundle.cores],
+                           [c.coord for c in bundle.cores])
+    for core, (table, bitmaps) in zip(bundle.cores, want):
+        assert list(core.synapse_table.items()) == list(table.items())
+        assert list(core.conn_bitmaps.items()) == list(bitmaps.items())
+
+
+@given(deployments())
+@settings(max_examples=75, deadline=None)
+def test_flipped_bitmap_bit_names_the_core(case):
+    bundle, rng = case
+    cores = [c for c in bundle.cores if c.conn_bitmaps]
+    assume(cores)
+    core = rng.choice(cores)
+    dest = rng.choice(list(core.conn_bitmaps))
+    core.conn_bitmaps[dest] ^= 1 << rng.randrange(core.local_count)
+    assert names(core, validate_bundle(bundle))
+
+
+@given(deployments())
+@settings(max_examples=75, deadline=None)
+def test_changed_synapse_weight_names_the_core(case):
+    bundle, rng = case
+    cores = [c for c in bundle.cores if c.synapse_table]
+    assume(cores)
+    core = rng.choice(cores)
+    key = rng.choice(list(core.synapse_table))
+    pairs = list(core.synapse_table[key])
+    k = rng.randrange(len(pairs))
+    pairs[k] = (pairs[k][0], pairs[k][1] + rng.choice((-1, 1)))
+    core.synapse_table[key] = tuple(pairs)
+    assert names(core, validate_bundle(bundle))
+
+
+@given(deployments())
+@settings(max_examples=75, deadline=None)
+def test_core_moved_off_mesh_names_the_core(case):
+    bundle, rng = case
+    core = rng.choice(bundle.cores)
+    core.coord = rng.choice([(bundle.mesh_width, rng.randrange(8)),
+                             (rng.randrange(8), bundle.mesh_height)])
+    problems = validate_bundle(bundle)
+    assert f"core {core.coord}: outside the {bundle.mesh_width}x" \
+           f"{bundle.mesh_height} mesh" in problems

@@ -240,6 +240,59 @@ class TestExitCodes:
                      str(bundle_dir), "--out", str(tmp_path / "run")]) == 2
         assert "neuron 50 is not in the graph" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_resigned_weight_change(self, tmp_path, config_path, capsys,
+                                    command):
+        bundle_dir = tmp_path / "bundle"
+        assert main(["partition", "--config", config_path,
+                     "--out", str(bundle_dir)]) == 0
+        core = load_bundle(str(bundle_dir)).core_at((0, 0))
+        key, pairs = next(iter(core.synapse_table.items()))
+        core.synapse_table[key] = ((pairs[0][0], 30000),) + pairs[1:]
+        resign(bundle_dir, "cores/core_0_0.bin", core_to_bytes(core))
+        args = [command, "--bundle", str(bundle_dir)]
+        if command == "simulate":
+            args += ["--config", config_path, "--out", str(tmp_path / "run")]
+        assert main(args) == 2
+        assert (f"core (0, 0): synapse entry {key} disagrees with the graph"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_resigned_core_off_mesh(self, tmp_path, config_path, capsys,
+                                    command):
+        bundle_dir = tmp_path / "bundle"
+        assert main(["partition", "--config", config_path,
+                     "--out", str(bundle_dir)]) == 0
+        core = load_bundle(str(bundle_dir)).core_at((0, 0))
+        core.coord = (3, 0)                         # the mesh is 3x3
+        resign(bundle_dir, "cores/core_0_0.bin", core_to_bytes(core))
+        args = [command, "--bundle", str(bundle_dir)]
+        if command == "simulate":
+            args += ["--config", config_path, "--out", str(tmp_path / "run")]
+        assert main(args) == 2
+        assert "core (3, 0): outside the 3x3 mesh" in capsys.readouterr().err
+
+    def test_profile_missing_column(self, tmp_path, capsys):
+        log = tmp_path / "packets.csv"
+        log.write_text("pid,timestep,src_y,dest_x,dest_y,"
+                       "body_flits,inject_ps,eject_ps\n1,0,0,1,0,2,5,9\n")
+        assert main(["profile", "--packets", str(log)]) == 2
+        assert f"{log}: no 'src_x' column" in capsys.readouterr().err
+
+    def test_profile_non_integer_field(self, tmp_path, capsys):
+        log = tmp_path / "packets.csv"
+        log.write_text("pid,timestep,src_x,src_y,dest_x,dest_y,"
+                       "body_flits,inject_ps,eject_ps\n"
+                       "1,0,0,0,1,0,2,5,9\n2,0,0,0,1,0,two,5,9\n"
+                       "3,0,0,0,1,0\n")
+        assert main(["profile", "--packets", str(log)]) == 2
+        assert f"{log}:3: invalid literal" in capsys.readouterr().err
+        log.write_text("pid,timestep,src_x,src_y,dest_x,dest_y,"
+                       "body_flits,inject_ps,eject_ps\n3,0,0,0,1,0\n")
+        assert main(["profile", "--packets", str(log)]) == 2
+        assert f"{log}:2: " in capsys.readouterr().err
+
     def test_resigned_truncated_core(self, tmp_path, config_path, capsys):
         bundle_dir = tmp_path / "bundle"
         assert main(["partition", "--config", config_path,

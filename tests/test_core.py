@@ -44,6 +44,7 @@ def fanout_core(mode, timing=None, overrides=None):
 def test_iter_bits():
     assert list(iter_bits(0)) == []
     assert list(iter_bits(0b10110)) == [1, 2, 4]
+    assert list(iter_bits(1 << 40 | 1 << 3 | 1)) == [0, 3, 40]
 
 
 def test_timing_validation():
