@@ -4,19 +4,27 @@ A core artifact carries everything one core needs at runtime: its neuron
 roster, the incoming synapse table keyed by (source core, source-local
 index), per-destination connection bitmaps, and the execution queue plus
 checking table produced by the scheduler.  The bitmaps are the one form of
-"which local neurons feed destination d".  ``derive_tables`` derives the
-synapse table and bitmaps from the graph, once for ``build_bundle`` and once
-for ``validate_bundle`` to compare against.  The binary layout is
-little-endian throughout (u16/u32 integer widths as noted field by field
-below).
+"which local neurons feed destination d".  All of it follows from the graph
+and the placement (core coord -> global neuron ids in local-index order), so
+``assemble_cores`` derives it, for ``build_bundle`` and for ``load_bundle``
+alike, and the bundle stores only what cannot be derived.
+
+A bundle directory holds two files:
+
+- ``graph.snnb``: the network, in the binary graph format;
+- ``manifest.json`` (version 2): the mesh size, ``frac_bits``, the graph's
+  digest, the memory budget and, per core, its coordinate, its neuron ids in
+  local-index order and its size report.
+
+``load_bundle`` checks the graph against its digest and the placement with
+``validate_placement`` before it derives anything, then compares each derived
+size report with the stored one.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import struct
 from dataclasses import dataclass, asdict
 
 from .graph import SnnGraph, load_binary, save_binary
@@ -100,15 +108,15 @@ def derive_tables(graph: SnnGraph, placement: dict[Coord, tuple[int, ...]]
 
     Keys ascend; a remote key's pairs ascend by (local post, raw), an
     intra-core key's pairs follow the graph's post order; bitmaps are in
-    row-major destination order.  Neurons outside the graph are skipped.
+    row-major destination order.  The placement must hold every neuron of
+    the graph exactly once.
     """
     where: list[tuple[Coord, int] | None] = [None] * graph.neuron_count
     senders: list[int] = []         # in synapse-key order
     for coord, ids in sorted(placement.items()):
         for i, nid in enumerate(ids):
-            if 0 <= nid < graph.neuron_count:
-                where[nid] = (coord, i)
-                senders.append(nid)
+            where[nid] = (coord, i)
+            senders.append(nid)
     # per core: sender key -> (local post, raw) pairs, filled in key order;
     # equal pairs share one tuple
     incoming: dict[Coord, dict] = {coord: {} for coord in placement}
@@ -117,9 +125,8 @@ def derive_tables(graph: SnnGraph, placement: dict[Coord, tuple[int, ...]]
         key = where[pre]
         for post, raw in graph.adjacency[pre]:
             to = where[post]
-            if to is not None:
-                pair = pair_of.setdefault(raw << 32 | to[1], (to[1], raw))
-                incoming[to[0]].setdefault(key, []).append(pair)
+            pair = pair_of.setdefault(raw << 32 | to[1], (to[1], raw))
+            incoming[to[0]].setdefault(key, []).append(pair)
     tables = {coord: ({}, {}) for coord in placement}
     for coord in sorted(placement, key=lambda c: (c[1], c[0])):
         for key, pairs in incoming[coord].items():
@@ -131,14 +138,14 @@ def derive_tables(graph: SnnGraph, placement: dict[Coord, tuple[int, ...]]
     return tables
 
 
-def build_bundle(graph: SnnGraph, partition: Partition, core_map: CoreMap,
-                 budget: MemoryBudget) -> DeploymentBundle:
-    """Assemble per-core artifacts from a placed partition.
+def assemble_cores(graph: SnnGraph, placement: dict[Coord, tuple[int, ...]],
+                   budget: MemoryBudget) -> list[CoreArtifact]:
+    """Every core's artifact for ``placement`` (core coord -> global ids in
+    local-index order), in placement order.
 
-    Fails if any cluster exceeds its memory budget; the checking-table size
-    is reported against its budget but does not fail the build.
+    Fails if any core exceeds its memory budget; the checking-table size is
+    reported against its budget but does not fail.
     """
-    placement = dict(zip(core_map.placement, partition.clusters, strict=True))
     cores = []
     for coord, (table, bitmaps) in derive_tables(graph, placement).items():
         n = len(placement[coord])
@@ -153,192 +160,144 @@ def build_bundle(graph: SnnGraph, partition: Partition, core_map: CoreMap,
             raise ArtifactError(f"core {coord}: cluster exceeds memory budget")
         cores.append(CoreArtifact(coord, tuple(placement[coord]), table,
                                   bitmaps, tuple(queue), check_t, report))
+    return cores
 
+
+def build_bundle(graph: SnnGraph, partition: Partition, core_map: CoreMap,
+                 budget: MemoryBudget) -> DeploymentBundle:
+    """Assemble per-core artifacts from a placed partition."""
+    placement = dict(zip(core_map.placement, partition.clusters, strict=True))
     return DeploymentBundle(core_map.mesh_width, core_map.mesh_height,
-                            graph.frac_bits, graph.digest(), budget, cores, graph)
+                            graph.frac_bits, graph.digest(), budget,
+                            assemble_cores(graph, placement, budget), graph)
+
+
+def validate_placement(graph: SnnGraph,
+                       placed: list[tuple[Coord, tuple[int, ...]]],
+                       mesh_width: int, mesh_height: int) -> list[str]:
+    """Check ``(core coord, neuron ids)`` entries: every core on the mesh, no
+    cell held twice, every id in the graph and every neuron on exactly one
+    core.  Returns the violations, each naming its core."""
+    problems = []
+    seen: dict[int, Coord] = {}
+    coords: set[Coord] = set()
+    for coord, ids in placed:
+        x, y = coord
+        if not (0 <= x < mesh_width and 0 <= y < mesh_height):
+            problems.append(f"core {coord}: outside the "
+                            f"{mesh_width}x{mesh_height} mesh")
+        if coord in coords:
+            problems.append(f"core {coord}: coordinate held by two cores")
+        coords.add(coord)
+        for nid in ids:
+            if not 0 <= nid < graph.neuron_count:
+                problems.append(f"core {coord}: neuron {nid} is not in the "
+                                f"graph")
+            elif nid in seen:
+                problems.append(f"core {coord}: neuron {nid} also on core "
+                                f"{seen[nid]}")
+            else:
+                seen[nid] = coord
+    missing = [n for n in range(graph.neuron_count) if n not in seen]
+    if missing:
+        problems.append(f"neurons {missing[:8]} not deployed on any core")
+    return problems
+
+
+def validate_bundle(bundle: DeploymentBundle) -> list[str]:
+    """``validate_placement`` over an in-memory bundle's cores."""
+    return validate_placement(bundle.graph,
+                              [(c.coord, c.neuron_ids) for c in bundle.cores],
+                              bundle.mesh_width, bundle.mesh_height)
 
 
 # ---------------------------------------------------------------------------
-# binary core image
+# bundle directory
 
-_CORE_MAGIC = b"SNCR"
-
-
-def core_to_bytes(core: CoreArtifact) -> bytes:
-    p = [_CORE_MAGIC, struct.pack("<HHHI", 1, core.coord[0], core.coord[1],
-                                  core.local_count)]
-    p.append(struct.pack(f"<{core.local_count}I", *core.neuron_ids))
-    p.append(struct.pack("<I", len(core.synapse_table)))
-    for (src, idx), pairs in core.synapse_table.items():
-        p.append(struct.pack("<HHHH", src[0], src[1], idx, len(pairs)))
-        for post, raw in pairs:
-            p.append(struct.pack("<Hh", post, raw))
-    bitmap_len = (core.local_count + 7) // 8
-    p.append(struct.pack("<I", len(core.conn_bitmaps)))
-    for coord, mask in core.conn_bitmaps.items():
-        p.append(struct.pack("<HH", coord[0], coord[1]))
-        p.append(mask.to_bytes(bitmap_len, "little"))
-    p.append(struct.pack("<I", len(core.exec_queue)))
-    p.append(struct.pack(f"<{len(core.exec_queue)}H", *core.exec_queue))
-    p.append(struct.pack("<H", len(core.checking_table)))
-    for n, coords in core.checking_table.items():
-        p.append(struct.pack("<HH", n, len(coords)))
-        for c in coords:
-            p.append(struct.pack("<HH", c[0], c[1]))
-    return b"".join(p)
-
-
-def core_from_bytes(buf: bytes, budget: MemoryBudget) -> CoreArtifact:
-    """Parse one core image.  Raises ArtifactError if the image is truncated,
-    has trailing bytes, or names a local neuron index out of range."""
-    if buf[:4] != _CORE_MAGIC:
-        raise ArtifactError("bad core image magic")
-    off = 4
-
-    def take(fmt: str) -> tuple:
-        nonlocal off
-        try:
-            values = struct.unpack_from(fmt, buf, off)
-        except struct.error:
-            raise ArtifactError(
-                f"core image truncated at byte {off}") from None
-        off += struct.calcsize(fmt)
-        return values
-
-    version, x, y, n_local = take("<HHHI")
-    if version != 1:
-        raise ArtifactError(f"unsupported core image version {version}")
-    ids = take(f"<{n_local}I")
-    table = {}
-    for _ in range(take("<I")[0]):
-        sx, sy, idx, n_pairs = take("<HHHH")
-        flat = take("<" + "Hh" * n_pairs)
-        table[((sx, sy), idx)] = tuple(zip(flat[::2], flat[1::2]))
-    bitmap_fmt = f"<{(n_local + 7) // 8}s"
-    bitmaps = {}
-    for _ in range(take("<I")[0]):
-        dx, dy = take("<HH")
-        bitmaps[(dx, dy)] = int.from_bytes(take(bitmap_fmt)[0], "little")
-    queue = take(f"<{take('<I')[0]}H")
-    check = {}
-    for _ in range(take("<H")[0]):
-        n, n_coords = take("<HH")
-        flat = take("<" + "HH" * n_coords)
-        check[n] = tuple(zip(flat[::2], flat[1::2]))
-    if off != len(buf):
-        raise ArtifactError(f"{len(buf) - off} trailing bytes in core image")
-
-    if (any(post >= n_local for pairs in table.values() for post, _ in pairs)
-            or any(mask >> n_local for mask in bitmaps.values())
-            or any(i >= n_local for i in queue)
-            or any(n >= n_local for n in check)):
-        raise ArtifactError(f"core ({x}, {y}): local index out of range "
-                            f"for {n_local} neurons")
-    report = _size_report(table, n_local, len(bitmaps), check, budget)
-    return CoreArtifact((x, y), tuple(ids), table, bitmaps, tuple(queue),
-                        check, report)
+MANIFEST_VERSION = 2
 
 
 def save_bundle(bundle: DeploymentBundle, path: str) -> None:
-    os.makedirs(os.path.join(path, "cores"), exist_ok=True)
+    os.makedirs(path, exist_ok=True)
     save_binary(bundle.graph, os.path.join(path, "graph.snnb"))
     manifest = {
-        "version": 1,
+        "version": MANIFEST_VERSION,
         "mesh_width": bundle.mesh_width,
         "mesh_height": bundle.mesh_height,
         "frac_bits": bundle.frac_bits,
         "graph_digest": bundle.graph_digest,
         "budget": asdict(bundle.budget),
-        "cores": [],
+        "cores": [{"coord": list(core.coord),
+                   "neurons": list(core.neuron_ids),
+                   "size_report": asdict(core.size_report)}
+                  for core in bundle.cores],
     }
-    for core in bundle.cores:
-        blob = core_to_bytes(core)
-        name = f"core_{core.coord[0]}_{core.coord[1]}.bin"
-        with open(os.path.join(path, "cores", name), "wb") as f:
-            f.write(blob)
-        manifest["cores"].append({
-            "coord": list(core.coord),
-            "file": f"cores/{name}",
-            "neurons": core.local_count,
-            "sha256": hashlib.sha256(blob).hexdigest(),
-            "size_report": asdict(core.size_report),
-        })
     with open(os.path.join(path, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
+def _is_ints(values) -> bool:
+    return all(type(v) is int for v in values)
+
+
 def load_bundle(path: str) -> DeploymentBundle:
-    with open(os.path.join(path, "manifest.json")) as f:
-        manifest = json.load(f)
-    if manifest.get("version") != 1:
-        raise ArtifactError("unsupported bundle version")
-    budget = MemoryBudget(**manifest["budget"])
-    graph = load_binary(os.path.join(path, "graph.snnb"))
-    if graph.digest() != manifest["graph_digest"]:
-        raise ArtifactError("graph file does not match manifest digest")
-    cores = []
-    for entry in manifest["cores"]:
-        with open(os.path.join(path, entry["file"]), "rb") as f:
-            blob = f.read()
-        if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
-            raise ArtifactError(f"{entry['file']}: checksum mismatch")
-        cores.append(core_from_bytes(blob, budget))
-    return DeploymentBundle(manifest["mesh_width"], manifest["mesh_height"],
-                            manifest["frac_bits"], manifest["graph_digest"],
-                            budget, cores, graph)
-
-
-def validate_bundle(bundle: DeploymentBundle) -> list[str]:
-    """Cross-check every core's coordinate, neurons, synapse table, bitmaps,
-    schedule and sizes against the bundle's mesh and graph; returns
-    violations."""
-    problems = []
-    graph = bundle.graph
-    seen: dict[int, Coord] = {}
-    coords: set[Coord] = set()
-    for core in bundle.cores:
-        x, y = core.coord
-        if not (0 <= x < bundle.mesh_width and 0 <= y < bundle.mesh_height):
-            problems.append(f"core {core.coord}: outside the "
-                            f"{bundle.mesh_width}x{bundle.mesh_height} mesh")
-        if core.coord in coords:
-            problems.append(f"core {core.coord}: coordinate held by two cores")
-        coords.add(core.coord)
-        for nid in core.neuron_ids:
-            if not 0 <= nid < graph.neuron_count:
-                problems.append(f"core {core.coord}: neuron {nid} is not in "
-                                f"the graph")
-            elif nid in seen:
-                problems.append(f"core {core.coord}: neuron {nid} also on "
-                                f"core {seen[nid]}")
-            seen[nid] = core.coord
-    derived = derive_tables(graph, {c.coord: c.neuron_ids
-                                    for c in bundle.cores})
-    for core in bundle.cores:
-        prefix = f"core {core.coord}"
-        table, want = derived[core.coord]
-        if core.synapse_table != table:
-            for key in sorted(table.keys() | core.synapse_table.keys()):
-                if core.synapse_table.get(key) != table.get(key):
-                    problems.append(f"{prefix}: synapse entry {key} "
-                                    f"disagrees with the graph")
-        for coord, mask in core.conn_bitmaps.items():
-            if coord == core.coord:
-                problems.append(f"{prefix}: connection bitmap points at "
-                                f"itself")
-            elif mask != want.get(coord):
-                problems.append(f"{prefix}: bitmap for {coord} disagrees with "
-                                f"the graph")
-        for coord in want.keys() - core.conn_bitmaps.keys():
-            problems.append(f"{prefix}: destination {coord} has no bitmap")
-        problems += [f"{prefix}: {v}" for v in validate_schedule(
-            core.exec_queue, core.checking_table, core.conn_bitmaps,
-            core.local_count)]
-        r = core.size_report
-        if not (r.synapse_fits and r.neuron_fits and r.post_conn_fits):
-            problems.append(f"{prefix}: memory budget exceeded")
-    missing = [n for n in range(graph.neuron_count) if n not in seen]
-    if missing:
-        problems.append(f"neurons {missing[:8]} not deployed on any core")
-    return problems
+    """Load a bundle directory, deriving every core from its graph and
+    placement.  Raises ArtifactError naming the file or the core when the
+    manifest is malformed or of another version, the graph does not match
+    its digest, the placement is invalid, or a stored size report differs
+    from the derived one."""
+    manifest_path = os.path.join(path, "manifest.json")
+    with open(manifest_path) as f:
+        try:
+            manifest = json.load(f)
+        except ValueError as exc:
+            raise ArtifactError(f"{manifest_path}: {exc}") from None
+    try:
+        version = manifest["version"]
+        if version != MANIFEST_VERSION:
+            raise ArtifactError(f"{manifest_path}: unsupported bundle version "
+                                f"{version!r} (this build reads version "
+                                f"{MANIFEST_VERSION})")
+        width, height, frac_bits = header = (
+            manifest["mesh_width"], manifest["mesh_height"],
+            manifest["frac_bits"])
+        if not _is_ints(header):
+            raise TypeError("mesh size and frac_bits must be integers")
+        digest = manifest["graph_digest"]
+        budget = MemoryBudget(**manifest["budget"])
+        placed, stored = [], []
+        for i, entry in enumerate(manifest["cores"]):
+            x, y = entry["coord"]
+            ids = tuple(entry["neurons"])
+            if not _is_ints((x, y, *ids)):
+                raise TypeError(f"core entry {i}: coordinates and neuron ids "
+                                f"must be integers")
+            placed.append(((x, y), ids))
+            stored.append(entry["size_report"])
+    except KeyError as exc:
+        raise ArtifactError(f"{manifest_path}: no {exc} field") from None
+    except (TypeError, ValueError) as exc:
+        raise ArtifactError(f"{manifest_path}: malformed manifest: "
+                            f"{exc}") from None
+    graph_path = os.path.join(path, "graph.snnb")
+    graph = load_binary(graph_path)
+    if graph.digest() != digest:
+        raise ArtifactError(f"{graph_path}: does not match the graph digest "
+                            f"in {manifest_path}")
+    if frac_bits != graph.frac_bits:
+        raise ArtifactError(f"{manifest_path}: frac_bits {frac_bits} differs "
+                            f"from the graph's {graph.frac_bits}")
+    problems = validate_placement(graph, placed, width, height)
+    if problems:
+        raise ArtifactError(f"{manifest_path}: invalid bundle\n"
+                            + "\n".join(problems))
+    cores = assemble_cores(graph, dict(placed), budget)
+    problems = [f"core {core.coord}: stored size report differs from the "
+                f"derived one" for core, report in zip(cores, stored)
+                if asdict(core.size_report) != report]
+    if problems:
+        raise ArtifactError(f"{manifest_path}: invalid bundle\n"
+                            + "\n".join(problems))
+    return DeploymentBundle(width, height, frac_bits, digest, budget, cores,
+                            graph)

@@ -42,7 +42,7 @@ class CoreTiming:
             raise ValueError("max_body and output queue must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpikePacket:
     """One head flit (route + source) plus one body flit per spike address."""
 
@@ -56,7 +56,7 @@ class SpikePacket:
         return 1 + len(self.indices)
 
 
-@dataclass
+@dataclass(slots=True)
 class GenJob:
     """A packet handed to the generator pipeline at a known core time."""
 
@@ -64,7 +64,7 @@ class GenJob:
     packet: SpikePacket
 
 
-@dataclass
+@dataclass(slots=True)
 class CoreStepResult:
     jobs: list[GenJob]
     busy_ps: int            # decode plus update pass, excluding generation

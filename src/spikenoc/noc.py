@@ -78,7 +78,7 @@ def manhattan(a: Coord, b: Coord) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketRecord:
     pid: int
     src: Coord

@@ -1,9 +1,13 @@
+import json
+import os
+import re
+import tempfile
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spikenoc.artifact import (ArtifactError, build_bundle, core_from_bytes,
-                               core_to_bytes, load_bundle, save_bundle,
-                               validate_bundle)
+from spikenoc.artifact import (ArtifactError, build_bundle, load_bundle,
+                               save_bundle, validate_bundle)
 from spikenoc.graph import SnnGraph, quantize_weight
 from spikenoc.neurons import LifParams
 from spikenoc.partition import CoreMap, MemoryBudget, Partition
@@ -100,24 +104,107 @@ class TestBuildBundle:
                                                 synapse_bytes=2))
 
 
-class TestCoreBytes:
-    def test_round_trip(self):
-        bundle = two_core_bundle(extra_edges=[(0, 1), (4, 3), (2, 4)])
-        for core in bundle.cores:
-            back = core_from_bytes(core_to_bytes(core), bundle.budget)
-            assert back.coord == core.coord
-            assert back.neuron_ids == core.neuron_ids
-            assert back.synapse_table == core.synapse_table
-            assert back.conn_bitmaps == core.conn_bitmaps
-            assert back.exec_queue == core.exec_queue
-            assert back.checking_table == core.checking_table
-            assert back.size_report == core.size_report
+class TestBundleIo:
+    def test_save_load_round_trip(self, tmp_path):
+        bundle = two_core_bundle(extra_edges=[(0, 1)])
+        d = str(tmp_path / "bundle")
+        save_bundle(bundle, d)
+        assert sorted(p.name for p in (tmp_path / "bundle").iterdir()) == [
+            "graph.snnb", "manifest.json"]
+        back = load_bundle(d)
+        assert back.graph_digest == bundle.graph_digest
+        assert back.graph.digest() == bundle.graph.digest()
+        assert (back.mesh_width, back.mesh_height) == (2, 1)
+        assert back.budget == bundle.budget
+        assert_same_cores(back.cores, bundle.cores)
+        assert validate_bundle(back) == []
 
-    def test_bad_magic_rejected(self):
+    def test_corrupted_core_detected(self, tmp_path):
+        # core A's entry lists neuron 4, which core B holds, instead of 2
+        d = saved(tmp_path, two_core_bundle())
+        edit_manifest(d, lambda m: m["cores"][0].update(neurons=[0, 1, 4]))
+        with pytest.raises(ArtifactError) as err:
+            load_bundle(d)
+        assert f"core {B}: neuron 4 also on core {A}" in str(err.value)
+        assert "neurons [2] not deployed on any core" in str(err.value)
+
+    def test_wrong_graph_detected(self, tmp_path):
+        from spikenoc.graph import save_binary, build_brunel
         bundle = two_core_bundle()
-        blob = core_to_bytes(bundle.cores[0])
-        with pytest.raises(ArtifactError):
-            core_from_bytes(b"XXXX" + blob[4:], bundle.budget)
+        d = str(tmp_path / "bundle")
+        save_bundle(bundle, d)
+        save_binary(build_brunel(10, 2, seed=0), str(tmp_path / "bundle" / "graph.snnb"))
+        with pytest.raises(ArtifactError, match="digest"):
+            load_bundle(d)
+
+    def test_changed_size_report_detected(self, tmp_path):
+        d = saved(tmp_path, two_core_bundle())
+        edit_manifest(d, lambda m: m["cores"][1]["size_report"].update(
+            synapse_bytes=4))
+        with pytest.raises(ArtifactError,
+                           match=re.escape(f"core {B}: stored size report")):
+            load_bundle(d)
+
+    def test_frac_bits_must_match_the_graph(self, tmp_path):
+        d = saved(tmp_path, two_core_bundle())
+        edit_manifest(d, lambda m: m.update(frac_bits=m["frac_bits"] + 1))
+        with pytest.raises(ArtifactError, match="frac_bits"):
+            load_bundle(d)
+
+    def test_budget_overflow_on_load_names_the_core(self, tmp_path):
+        d = saved(tmp_path, two_core_bundle())
+        edit_manifest(d, lambda m: m["budget"].update(synapse_bytes=2))
+        with pytest.raises(ArtifactError,
+                           match=re.escape(f"core {B}: cluster exceeds memory")):
+            load_bundle(d)
+
+
+def saved(tmp_path, bundle) -> str:
+    d = str(tmp_path / "bundle")
+    save_bundle(bundle, d)
+    return d
+
+
+def edit_manifest(bundle_dir: str, edit) -> None:
+    """Apply ``edit`` to the parsed manifest and write it back."""
+    path = os.path.join(bundle_dir, "manifest.json")
+    with open(path) as f:
+        manifest = json.load(f)
+    edit(manifest)
+    with open(path, "w") as f:
+        json.dump(manifest, f)
+
+
+def assert_same_cores(got, want) -> None:
+    """Field by field, including the order of every table."""
+    assert [c.coord for c in got] == [c.coord for c in want]
+    for g, w in zip(got, want):
+        assert g.neuron_ids == w.neuron_ids
+        assert list(g.synapse_table.items()) == list(w.synapse_table.items())
+        assert list(g.conn_bitmaps.items()) == list(w.conn_bitmaps.items())
+        assert g.exec_queue == w.exec_queue
+        assert (list(g.checking_table.items())
+                == list(w.checking_table.items()))
+        assert g.size_report == w.size_report
+
+
+class TestCoreBytes:
+    """The bytes a core is loaded from: its entry in ``manifest.json``,
+    derived against ``graph.snnb``."""
+
+    def test_round_trip(self, tmp_path):
+        bundle = two_core_bundle(extra_edges=[(0, 1), (4, 3), (2, 4)])
+        assert_same_cores(load_bundle(saved(tmp_path, bundle)).cores,
+                          bundle.cores)
+
+    def test_bad_magic_rejected(self, tmp_path):
+        # the manifest's version identifies the format; version 1 stored
+        # core images
+        d = saved(tmp_path, two_core_bundle())
+        edit_manifest(d, lambda m: m.update(version=1))
+        with pytest.raises(ArtifactError,
+                           match=r"manifest.json: unsupported bundle version 1"):
+            load_bundle(d)
 
 
 def local_indices_in_range(core) -> bool:
@@ -130,84 +217,122 @@ def local_indices_in_range(core) -> bool:
 
 
 class TestCoreBytesFuzz:
-    """Malformed images raise ArtifactError, never struct.error or
-    IndexError, and never parse into a core that indexes past its neurons."""
+    """A malformed ``manifest.json`` raises ArtifactError, never a JSON,
+    Unicode, Key or Type error, and never loads into a core that indexes past
+    its neurons."""
 
     BUNDLE = two_core_bundle(extra_edges=[(0, 1), (4, 3), (2, 4)])
-    BLOBS = [core_to_bytes(core) for core in BUNDLE.cores]
 
-    def test_every_prefix_rejected(self):
-        for blob in self.BLOBS:
-            for end in range(len(blob)):
-                with pytest.raises(ArtifactError):
-                    core_from_bytes(blob[:end], self.BUNDLE.budget)
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        d = saved(tmp_path, self.BUNDLE)
+        path = tmp_path / "bundle" / "manifest.json"
+        return d, path, path.read_bytes()
 
-    def test_trailing_bytes_rejected(self):
-        for blob in self.BLOBS:
-            with pytest.raises(ArtifactError, match="trailing"):
-                core_from_bytes(blob + b"\0", self.BUNDLE.budget)
+    def test_every_prefix_rejected(self, manifest):
+        d, path, blob = manifest
+        assert blob.endswith(b"}\n")
+        for end in range(len(blob) - 1):
+            path.write_bytes(blob[:end])
+            with pytest.raises(ArtifactError):
+                load_bundle(d)
 
-    def test_every_byte_flip_rejected_or_in_range(self):
-        for blob in self.BLOBS:
-            for pos in range(len(blob)):
-                for bits in (0x01, 0x80, 0xFF):
-                    bad = bytearray(blob)
-                    bad[pos] ^= bits
-                    try:
-                        core = core_from_bytes(bytes(bad), self.BUNDLE.budget)
-                    except ArtifactError:
-                        continue
-                    assert local_indices_in_range(core), (pos, bits)
+    def test_trailing_bytes_rejected(self, manifest):
+        d, path, blob = manifest
+        for tail in (b"\0", b"x", b"{}", b"]"):
+            path.write_bytes(blob + tail)
+            with pytest.raises(ArtifactError, match="manifest.json"):
+                load_bundle(d)
+
+    def test_every_byte_flip_rejected_or_in_range(self, manifest):
+        d, path, blob = manifest
+        for pos in range(len(blob)):
+            for bits in (0x01, 0x80, 0xFF):
+                bad = bytearray(blob)
+                bad[pos] ^= bits
+                path.write_bytes(bytes(bad))
+                try:
+                    back = load_bundle(d)
+                except ArtifactError:
+                    continue
+                assert validate_bundle(back) == [], (pos, bits)
+                assert all(local_indices_in_range(c) for c in back.cores), (
+                    pos, bits)
 
 
-class TestBundleIo:
-    def test_save_load_round_trip(self, tmp_path):
-        bundle = two_core_bundle(extra_edges=[(0, 1)])
-        d = str(tmp_path / "bundle")
-        save_bundle(bundle, d)
-        back = load_bundle(d)
-        assert back.graph_digest == bundle.graph_digest
-        assert back.graph.digest() == bundle.graph.digest()
-        assert (back.mesh_width, back.mesh_height) == (2, 1)
-        assert back.budget == bundle.budget
-        for orig, loaded in zip(bundle.cores, back.cores):
-            assert core_to_bytes(orig) == core_to_bytes(loaded)
-        assert validate_bundle(back) == []
+class TestManifestFuzz:
+    """Every malformed placement or manifest field raises ArtifactError that
+    names the manifest (and the core, where there is one), never KeyError,
+    TypeError or a half-built bundle."""
 
-    def test_corrupted_core_detected(self, tmp_path):
-        bundle = two_core_bundle()
-        d = str(tmp_path / "bundle")
-        save_bundle(bundle, d)
-        target = tmp_path / "bundle" / "cores" / "core_0_0.bin"
-        blob = bytearray(target.read_bytes())
-        blob[-1] ^= 0xFF
-        target.write_bytes(bytes(blob))
-        with pytest.raises(ArtifactError, match="checksum"):
+    BUNDLE = two_core_bundle(extra_edges=[(0, 1), (4, 3), (2, 4)])
+
+    def load_edited(self, tmp_path, edit) -> str:
+        d = saved(tmp_path, self.BUNDLE)
+        edit_manifest(d, edit)
+        with pytest.raises(ArtifactError) as err:
             load_bundle(d)
+        message = str(err.value)
+        assert "manifest.json" in message
+        return message
 
-    def test_wrong_graph_detected(self, tmp_path):
-        from spikenoc.graph import save_binary, build_brunel
-        bundle = two_core_bundle()
-        d = str(tmp_path / "bundle")
-        save_bundle(bundle, d)
-        save_binary(build_brunel(10, 2, seed=0), str(tmp_path / "bundle" / "graph.snnb"))
-        with pytest.raises(ArtifactError, match="digest"):
-            load_bundle(d)
+    @pytest.mark.parametrize("entry", [0, 1])
+    def test_every_truncated_entry_rejected(self, tmp_path, entry):
+        for keep in range(3):
+            message = self.load_edited(tmp_path, lambda m: m["cores"][entry]
+                                       .update(neurons=m["cores"][entry]
+                                               ["neurons"][:keep]))
+            assert "not deployed on any core" in message
+
+    @pytest.mark.parametrize("entry", [0, 1])
+    def test_missing_entry_rejected(self, tmp_path, entry):
+        message = self.load_edited(tmp_path,
+                                   lambda m: m["cores"].pop(entry))
+        assert "not deployed on any core" in message
+
+    @pytest.mark.parametrize("entry", [0, 1])
+    def test_duplicated_entry_rejected(self, tmp_path, entry):
+        coord = self.BUNDLE.cores[entry].coord
+        message = self.load_edited(tmp_path, lambda m: m["cores"].append(
+            m["cores"][entry]))
+        assert f"core {coord}: coordinate held by two cores" in message
+        assert f"core {coord}: neuron" in message
+
+    @pytest.mark.parametrize("nid", [6, -1, 2 ** 40])
+    def test_id_outside_graph_rejected(self, tmp_path, nid):
+        message = self.load_edited(tmp_path, lambda m: m["cores"][1].update(
+            neurons=[3, 4, nid]))
+        assert f"core {B}: neuron {nid} is not in the graph" in message
+
+    @pytest.mark.parametrize("coord", [[2, 0], [0, 1], [-1, 0]])
+    def test_core_off_mesh_rejected(self, tmp_path, coord):
+        message = self.load_edited(tmp_path, lambda m: m["cores"][1].update(
+            coord=coord))
+        assert f"core {tuple(coord)}: outside the 2x1 mesh" in message
+
+    @pytest.mark.parametrize("key", ["coord", "neurons", "size_report"])
+    def test_every_bad_entry_field_rejected(self, tmp_path, key):
+        for value in (None, "x", 1.5, True, [], [0], [5, 5], ["0", 0],
+                      {"coord": 1}):
+            def edit(m):
+                m["cores"][0][key] = value
+            self.load_edited(tmp_path, edit)
+        self.load_edited(tmp_path, lambda m: m["cores"][0].pop(key))
+
+    @pytest.mark.parametrize("key", ["version", "mesh_width", "mesh_height",
+                                     "frac_bits", "graph_digest", "budget",
+                                     "cores"])
+    def test_every_bad_header_field_rejected(self, tmp_path, key):
+        for value in (None, "x", 1.5, [], {"a": 1}):
+            def edit(m):
+                m[key] = value
+            self.load_edited(tmp_path, edit)
+        self.load_edited(tmp_path, lambda m: m.pop(key))
 
 
 class TestValidateBundle:
     def test_clean(self):
         assert validate_bundle(two_core_bundle()) == []
-
-    def test_bitmap_mismatch_detected(self):
-        bundle = two_core_bundle()
-        bundle.core_at(A).conn_bitmaps[B] = 0b101
-        assert any("bitmap" in v for v in validate_bundle(bundle))
-
-    def test_missing_bitmap_detected(self):
-        bundle = two_core_bundle()
-        del bundle.core_at(A).conn_bitmaps[B]
-        assert any("has no bitmap" in v for v in validate_bundle(bundle))
 
     def test_neuron_outside_graph_detected(self):
         bundle = two_core_bundle()
@@ -222,38 +347,6 @@ class TestValidateBundle:
         problems = validate_bundle(bundle)
         assert any("also on core" in v for v in problems)
         assert any("not deployed" in v for v in problems)
-
-    def test_self_destination_detected(self):
-        bundle = two_core_bundle()
-        a = bundle.core_at(A)
-        a.conn_bitmaps[A] = 0b1
-        assert any("itself" in v for v in validate_bundle(bundle))
-
-    def test_changed_weight_detected(self):
-        bundle = two_core_bundle()
-        b = bundle.core_at(B)
-        b.synapse_table[(A, 1)] = ((1, W + 1),)
-        assert validate_bundle(bundle) == [
-            f"core {B}: synapse entry ({A}, 1) disagrees with the graph"]
-
-    def test_extra_synapse_key_detected(self):
-        bundle = two_core_bundle()
-        bundle.core_at(B).synapse_table[(A, 7)] = ((0, W),)
-        assert validate_bundle(bundle) == [
-            f"core {B}: synapse entry ({A}, 7) disagrees with the graph"]
-
-    def test_missing_synapse_key_detected(self):
-        bundle = two_core_bundle()
-        del bundle.core_at(B).synapse_table[(A, 0)]
-        assert validate_bundle(bundle) == [
-            f"core {B}: synapse entry ({A}, 0) disagrees with the graph"]
-
-    def test_pair_order_is_part_of_the_table(self):
-        bundle = two_core_bundle(extra_edges=[(0, 4)])
-        b = bundle.core_at(B)
-        assert b.synapse_table[(A, 0)] == ((0, W), (1, W))
-        b.synapse_table[(A, 0)] = ((1, W), (0, W))
-        assert any("disagrees" in v for v in validate_bundle(bundle))
 
     def test_core_off_mesh_detected(self):
         bundle = two_core_bundle()
@@ -348,33 +441,6 @@ def test_tables_equal_two_pass_derivation(case):
 
 @given(deployments())
 @settings(max_examples=75, deadline=None)
-def test_flipped_bitmap_bit_names_the_core(case):
-    bundle, rng = case
-    cores = [c for c in bundle.cores if c.conn_bitmaps]
-    assume(cores)
-    core = rng.choice(cores)
-    dest = rng.choice(list(core.conn_bitmaps))
-    core.conn_bitmaps[dest] ^= 1 << rng.randrange(core.local_count)
-    assert names(core, validate_bundle(bundle))
-
-
-@given(deployments())
-@settings(max_examples=75, deadline=None)
-def test_changed_synapse_weight_names_the_core(case):
-    bundle, rng = case
-    cores = [c for c in bundle.cores if c.synapse_table]
-    assume(cores)
-    core = rng.choice(cores)
-    key = rng.choice(list(core.synapse_table))
-    pairs = list(core.synapse_table[key])
-    k = rng.randrange(len(pairs))
-    pairs[k] = (pairs[k][0], pairs[k][1] + rng.choice((-1, 1)))
-    core.synapse_table[key] = tuple(pairs)
-    assert names(core, validate_bundle(bundle))
-
-
-@given(deployments())
-@settings(max_examples=75, deadline=None)
 def test_core_moved_off_mesh_names_the_core(case):
     bundle, rng = case
     core = rng.choice(bundle.cores)
@@ -383,3 +449,17 @@ def test_core_moved_off_mesh_names_the_core(case):
     problems = validate_bundle(bundle)
     assert f"core {core.coord}: outside the {bundle.mesh_width}x" \
            f"{bundle.mesh_height} mesh" in problems
+
+
+@given(deployments())
+@settings(max_examples=60, deadline=None)
+def test_save_load_equals_build_bundle(case):
+    bundle, _ = case
+    with tempfile.TemporaryDirectory() as d:
+        save_bundle(bundle, d)
+        back = load_bundle(d)
+    assert (back.mesh_width, back.mesh_height, back.frac_bits,
+            back.graph_digest, back.budget) == (
+        bundle.mesh_width, bundle.mesh_height, bundle.frac_bits,
+        bundle.graph_digest, bundle.budget)
+    assert_same_cores(back.cores, bundle.cores)

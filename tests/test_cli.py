@@ -1,9 +1,12 @@
-import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from spikenoc.artifact import core_to_bytes, load_bundle
+import spikenoc
+
 from spikenoc.cli import main
 from spikenoc.config import parse_config_text
 from spikenoc.graph import (SnnGraph, SpikeTrain, build_brunel, load_graph,
@@ -56,15 +59,33 @@ def with_setting(section: str, *settings: str) -> str:
     return text
 
 
-def resign(bundle_dir, name: str, blob: bytes) -> None:
-    """Replace one bundle file and update its checksum in the manifest."""
-    (bundle_dir / name).write_bytes(blob)
-    manifest_path = bundle_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    for entry in manifest["cores"]:
-        if entry["file"] == name:
-            entry["sha256"] = hashlib.sha256(blob).hexdigest()
-    manifest_path.write_text(json.dumps(manifest))
+def edit_manifest(bundle_dir, edit) -> None:
+    """Apply ``edit`` to the bundle's parsed manifest and write it back."""
+    path = bundle_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def entry_at(manifest, coord) -> dict:
+    """The manifest's core entry for ``coord``."""
+    return next(e for e in manifest["cores"] if e["coord"] == list(coord))
+
+
+def deployed(tmp_path, config_path):
+    """``spikenoc partition`` of the config into ``tmp_path/bundle``."""
+    bundle_dir = tmp_path / "bundle"
+    assert main(["partition", "--config", config_path,
+                 "--out", str(bundle_dir)]) == 0
+    return bundle_dir
+
+
+def on_bundle(command: str, bundle_dir, config_path, tmp_path) -> int:
+    """``validate --bundle``, or ``simulate --bundle`` into ``tmp_path/run``."""
+    args = [command, "--bundle", str(bundle_dir)]
+    if command == "simulate":
+        args += ["--config", config_path, "--out", str(tmp_path / "run")]
+    return main(args)
 
 
 @pytest.fixture
@@ -189,89 +210,76 @@ class TestExitCodes:
         assert "nothing to validate" in capsys.readouterr().err
 
     def test_corrupted_bundle(self, tmp_path, config_path, capsys):
-        bundle_dir = tmp_path / "bundle"
-        assert main(["partition", "--config", config_path,
-                     "--out", str(bundle_dir)]) == 0
-        victim = sorted((bundle_dir / "cores").iterdir())[0]
-        blob = victim.read_bytes()
-        victim.write_bytes(blob[:-1] + bytes([blob[-1] ^ 0xFF]))
+        bundle_dir = deployed(tmp_path, config_path)
+        manifest = bundle_dir / "manifest.json"
+        manifest.write_text(manifest.read_text()[:-40])
         assert main(["validate", "--bundle", str(bundle_dir)]) == 2
-        assert "checksum" in capsys.readouterr().err
-
-    def test_resigned_bitmap_corruption(self, tmp_path, config_path, capsys):
-        bundle_dir = tmp_path / "bundle"
-        assert main(["partition", "--config", config_path,
-                     "--out", str(bundle_dir)]) == 0
-        core = load_bundle(str(bundle_dir)).core_at((0, 0))
-        assert core.conn_bitmaps
-        # keep only the highest-index neuron in each destination's bitmap
-        for coord, mask in core.conn_bitmaps.items():
-            core.conn_bitmaps[coord] = 1 << (mask.bit_length() - 1)
-        resign(bundle_dir, "cores/core_0_0.bin", core_to_bytes(core))
-        assert main(["validate", "--bundle", str(bundle_dir)]) == 2
-        assert "disagrees with the graph" in capsys.readouterr().err
-
-    def test_simulate_rejects_resigned_bitmap_corruption(self, tmp_path,
-                                                         config_path, capsys):
-        bundle_dir = tmp_path / "bundle"
-        assert main(["partition", "--config", config_path,
-                     "--out", str(bundle_dir)]) == 0
-        core = load_bundle(str(bundle_dir)).core_at((0, 0))
-        # keep only the highest-index neuron in each destination's bitmap
-        for coord, mask in core.conn_bitmaps.items():
-            core.conn_bitmaps[coord] = 1 << (mask.bit_length() - 1)
-        resign(bundle_dir, "cores/core_0_0.bin", core_to_bytes(core))
-        out_dir = tmp_path / "run"
-        assert main(["simulate", "--config", config_path, "--bundle",
-                     str(bundle_dir), "--mode", "unispike",
-                     "--out", str(out_dir)]) == 2
-        assert "disagrees with the graph" in capsys.readouterr().err
-        assert not out_dir.exists()
+        assert f"error: {manifest}: " in capsys.readouterr().err
 
     def test_simulate_rejects_neuron_outside_graph(self, tmp_path,
                                                    config_path, capsys):
-        bundle_dir = tmp_path / "bundle"
-        assert main(["partition", "--config", config_path,
-                     "--out", str(bundle_dir)]) == 0
-        core = load_bundle(str(bundle_dir)).core_at((0, 0))
-        core.neuron_ids = core.neuron_ids[:-1] + (50,)   # the graph has 50
-        resign(bundle_dir, "cores/core_0_0.bin", core_to_bytes(core))
-        assert main(["simulate", "--config", config_path, "--bundle",
-                     str(bundle_dir), "--out", str(tmp_path / "run")]) == 2
-        assert "neuron 50 is not in the graph" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["validate", "simulate"])
-    def test_resigned_weight_change(self, tmp_path, config_path, capsys,
-                                    command):
-        bundle_dir = tmp_path / "bundle"
-        assert main(["partition", "--config", config_path,
-                     "--out", str(bundle_dir)]) == 0
-        core = load_bundle(str(bundle_dir)).core_at((0, 0))
-        key, pairs = next(iter(core.synapse_table.items()))
-        core.synapse_table[key] = ((pairs[0][0], 30000),) + pairs[1:]
-        resign(bundle_dir, "cores/core_0_0.bin", core_to_bytes(core))
-        args = [command, "--bundle", str(bundle_dir)]
-        if command == "simulate":
-            args += ["--config", config_path, "--out", str(tmp_path / "run")]
-        assert main(args) == 2
-        assert (f"core (0, 0): synapse entry {key} disagrees with the graph"
+        bundle_dir = deployed(tmp_path, config_path)
+        edit_manifest(bundle_dir, lambda m: entry_at(m, (0, 0))["neurons"]
+                      .__setitem__(-1, 50))         # the graph has 50
+        assert on_bundle("simulate", bundle_dir, config_path, tmp_path) == 2
+        assert ("core (0, 0): neuron 50 is not in the graph"
                 in capsys.readouterr().err)
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_resigned_core_off_mesh(self, tmp_path, config_path, capsys,
                                     command):
-        bundle_dir = tmp_path / "bundle"
-        assert main(["partition", "--config", config_path,
-                     "--out", str(bundle_dir)]) == 0
-        core = load_bundle(str(bundle_dir)).core_at((0, 0))
-        core.coord = (3, 0)                         # the mesh is 3x3
-        resign(bundle_dir, "cores/core_0_0.bin", core_to_bytes(core))
-        args = [command, "--bundle", str(bundle_dir)]
-        if command == "simulate":
-            args += ["--config", config_path, "--out", str(tmp_path / "run")]
-        assert main(args) == 2
+        bundle_dir = deployed(tmp_path, config_path)
+        edit_manifest(bundle_dir, lambda m: entry_at(m, (0, 0)).update(
+            coord=[3, 0]))                          # the mesh is 3x3
+        assert on_bundle(command, bundle_dir, config_path, tmp_path) == 2
         assert "core (3, 0): outside the 3x3 mesh" in capsys.readouterr().err
+
+    def test_resigned_truncated_core(self, tmp_path, config_path, capsys):
+        bundle_dir = deployed(tmp_path, config_path)
+        dropped = []
+        edit_manifest(bundle_dir, lambda m: dropped.append(
+            entry_at(m, (0, 0))["neurons"].pop()))
+        assert main(["validate", "--bundle", str(bundle_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bundle_dir / 'manifest.json'}: invalid bundle" in err
+        assert f"neurons {dropped} not deployed on any core" in err
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_flipped_graph_byte_exits_2(self, tmp_path, config_path, capsys,
+                                        command):
+        bundle_dir = deployed(tmp_path, config_path)
+        graph_path = bundle_dir / "graph.snnb"
+        blob = bytearray(graph_path.read_bytes())
+        blob[-1] ^= 0x01                            # a synapse weight
+        graph_path.write_bytes(bytes(blob))
+        assert on_bundle(command, bundle_dir, config_path, tmp_path) == 2
+        assert (f"{graph_path}: does not match the graph digest"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("edit,needle", [
+        (lambda m: m["cores"].append(entry_at(m, (0, 0))),
+         "core (0, 0): coordinate held by two cores"),
+        (lambda m: m["cores"].remove(entry_at(m, (0, 0))),
+         "not deployed on any core"),
+        (lambda m: entry_at(m, (0, 0))["size_report"].update(neuron_bytes=1),
+         "core (0, 0): stored size report differs from the derived one"),
+        (lambda m: entry_at(m, (0, 0)).update(neurons="all"),
+         "coordinates and neuron ids must be integers"),
+        (lambda m: m.update(version=1), "unsupported bundle version 1"),
+    ], ids=["duplicated", "missing", "size-report", "non-integer",
+            "version-1"])
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_manifest_edit_exits_2(self, tmp_path, config_path, capsys,
+                                   command, edit, needle):
+        bundle_dir = deployed(tmp_path, config_path)
+        edit_manifest(bundle_dir, edit)
+        assert on_bundle(command, bundle_dir, config_path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bundle_dir / 'manifest.json'}: " in err
+        assert needle in err
+        assert not (tmp_path / "run").exists()
 
     def test_profile_missing_column(self, tmp_path, capsys):
         log = tmp_path / "packets.csv"
@@ -292,15 +300,6 @@ class TestExitCodes:
                        "body_flits,inject_ps,eject_ps\n3,0,0,0,1,0\n")
         assert main(["profile", "--packets", str(log)]) == 2
         assert f"{log}:2: " in capsys.readouterr().err
-
-    def test_resigned_truncated_core(self, tmp_path, config_path, capsys):
-        bundle_dir = tmp_path / "bundle"
-        assert main(["partition", "--config", config_path,
-                     "--out", str(bundle_dir)]) == 0
-        blob = (bundle_dir / "cores" / "core_0_0.bin").read_bytes()
-        resign(bundle_dir, "cores/core_0_0.bin", blob[:-3])
-        assert main(["validate", "--bundle", str(bundle_dir)]) == 2
-        assert "truncated" in capsys.readouterr().err
 
     def test_truncated_binary_graph_exits_2(self, tmp_path, config_path,
                                             capsys):
@@ -486,3 +485,23 @@ height = 3
         err = capsys.readouterr().err
         assert "runtime error: core (" in err
         assert "neuron 3: non-finite state" in err
+
+
+def test_cli_imports_only_the_standard_library():
+    # pyproject.toml declares no runtime dependency, so importing the CLI
+    # must load nothing outside the standard library and spikenoc itself;
+    # sys.modules is read before the import because site hooks may already
+    # have loaded third-party modules
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import spikenoc.cli\n"
+            "for name in sorted(set(sys.modules) - before):\n"
+            "    print(name.partition('.')[0])\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spikenoc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    loaded = set(proc.stdout.split())
+    assert "spikenoc" in loaded
+    assert loaded - set(sys.stdlib_module_names) - {"spikenoc"} == set()

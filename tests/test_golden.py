@@ -4,11 +4,12 @@
 The simulate digests were taken from the simulator before its NoC hot path
 was rewritten.  A change to arbitration order, flit timing or accounting shows
 up here as a changed ``trace.csv``, ``packets.csv`` or ``report.json``, even
-when the spike trains and totals still agree.  The bundle digests were taken
-before the core artifact stopped storing its destination map next to its
-connection bitmaps; they pin the on-disk bundle format.  Regenerate these
-digests only with a change that means to alter the model's output or the
-bundle format, and say so in CHANGES.md.
+when the spike trains and totals still agree.  The bundle digests pin the
+on-disk bundle format: ``graph.snnb`` and the version-2 ``manifest.json``
+(placement, budget and size reports; the per-core tables are derived on
+load, not stored).  The ``graph.snnb`` digests predate that format and did
+not change with it.  Regenerate these digests only with a change that means
+to alter the model's output or the bundle format, and say so in CHANGES.md.
 """
 
 import hashlib
@@ -130,127 +131,27 @@ def test_simulate_outputs_match_golden_digests(tmp_path, key):
 BUNDLE_GOLDEN = {
     ("brunel", "hsfc"): {
         "manifest.json":
-            "076121af8e91e44910ac43a1121d0047d6edc2e0cfa303b831eef977a62d21c4",
+            "1289d1b14d3d35f4275c616bf8276bac12e7d6cdf6b06fa5ea3bad17f7935152",
         "graph.snnb":
             "f5fc2eb002fb778bab6dd96b15be7c0f4c9b13c21450900c95fc8e0bc9533090",
-        "cores/core_0_0.bin":
-            "fc7dd00e79c1288cb4c9aaed58446cbd36d9e99c2a200fe74d59c0cf4834bffd",
-        "cores/core_0_1.bin":
-            "d12b42a1298a138a1610a2d2089c20e9f2f645374d4bbe0636b5a53a8dec5032",
-        "cores/core_0_2.bin":
-            "9dbd29f45769b86483edee05775cfbeb2913fed5869c99b81b44fe12918e7bb5",
-        "cores/core_1_0.bin":
-            "866aa1ea47e778dd590e99dcf445ef674cae42483636feebbe01fa5a217bc125",
-        "cores/core_1_1.bin":
-            "c3a37a10b4b8600b38827d903c74d8b493f5c938e62455238c828e144280121a",
-        "cores/core_1_2.bin":
-            "feccf2222ec01fc79583c45437613af4969184c1b092ea1084509a43baef19dd",
-        "cores/core_2_0.bin":
-            "3a9afe02a54151ed1105db257f00df93c230d764ae27bcb6fa8daa14d35ab14f",
-        "cores/core_2_1.bin":
-            "9f469ceee7ef59a8e4d2a5ef8c93e5f678c2ca2cf1a33c35f0e9ab9aa7169a0b",
-        "cores/core_2_2.bin":
-            "5b1212415920dcba646ace1b1c691ef95bf59dfb6a3e13341e17ec6a9dcb38e0",
     },
     ("brunel", "hsfc-sss"): {
         "manifest.json":
-            "46a182297898374b4408c5dff4a906e621ae233b603c2448b9003c4782e11cc3",
+            "c7a68538fd877e292a00ee9e2c95132669dbe8ca11f8213cef649504a768e6ae",
         "graph.snnb":
             "f5fc2eb002fb778bab6dd96b15be7c0f4c9b13c21450900c95fc8e0bc9533090",
-        "cores/core_0_0.bin":
-            "42d44a204c181d5899e0f82543c2a3c60e2456eae7e489c61cf119f92ee17074",
-        "cores/core_0_1.bin":
-            "a10d43cc6987f6bdf25be62b8a96d4c44bef871d2b8e4108bcd4f21ee78a09bf",
-        "cores/core_0_2.bin":
-            "57198070460f27257e6f89562fa780c74097284bebbdcb9263d68f13e000c225",
-        "cores/core_1_0.bin":
-            "df75ddce2148c57b5437925d59a223bf20a0dc74784a445275d3e79233941df6",
-        "cores/core_1_1.bin":
-            "4661ea9bd6d756c3d80e28ef1acd5525c6e58a6d0e0e1515fb5c8b0cd51df759",
-        "cores/core_1_2.bin":
-            "c9bc9177845ec3aa454511b033d2dcf15e20c9f31bab135f259585ec6c9317ed",
-        "cores/core_2_0.bin":
-            "8854c640940908ce8933e8f701f61071bdf125da87612967d3c988845b257e9c",
-        "cores/core_2_1.bin":
-            "8656e9894f6e3cb4eeff64e10a333a2e3ad4be15eb0cf1467c4ca203bd976424",
-        "cores/core_2_2.bin":
-            "d164806ce2e29f6010556e9b9109c40dbe3840f01e89a5b908b60741fd5a42b7",
     },
     ("conv", "hsfc"): {
         "manifest.json":
-            "f3b9b7a40243540624178e70d90689a4a129354b5e84116ff82e47f4a6cd5c1a",
+            "d84d6b217525dcca38a85316e6ce136c1110d0a0051913447c0729ad916662c9",
         "graph.snnb":
             "41683c758cf100d18ad3aca76dfe80831caae435afd065461ca2b9a85b7450e1",
-        "cores/core_0_0.bin":
-            "63db1395a60345072f1c8dc8b5d6a272836f075d9c81889c3b6aabb39d9a62d0",
-        "cores/core_0_1.bin":
-            "a0107603f99ff91a2f7ef57d4322ef607d341c0e8ced27afc90c471f841bc4a3",
-        "cores/core_0_2.bin":
-            "7e41413259334b1fab22810802157999819255096f25dfc7c61b3ff902581d21",
-        "cores/core_0_3.bin":
-            "3682ac687d094a86420ddefdef5ede87a4e8d6ca9825ace9426e1f97293bfcbc",
-        "cores/core_1_0.bin":
-            "c82d2c0288b036780aba2382c5460ab13131bdc06766df5fb887c752616ac784",
-        "cores/core_1_1.bin":
-            "17d618fa16f390003bc446602e23be1ed72f8f52e57d8aef28b643531649b841",
-        "cores/core_1_2.bin":
-            "1507096a964c1ab0ffb7f74336d1ff3263cc8f795ad7a6e6d6f867ffe727ac72",
-        "cores/core_1_3.bin":
-            "9124b860a7658c4bbf61ba1ab4efc9e9add6c935a10ca2cccf3998f01f07c7c4",
-        "cores/core_2_0.bin":
-            "73976feeceb82691c3904dfb783d8960d5f14bdfd66bf497128477051e1dea98",
-        "cores/core_2_1.bin":
-            "fadf4cdb17eaf97b1a57d9ccb74802b53a6f47ec6e097681fb8f0acf802daa26",
-        "cores/core_2_2.bin":
-            "534649b4e12ba2edb6dc217b94e6d0d13d9d87e0e847bdf8a814147867f48790",
-        "cores/core_2_3.bin":
-            "7cb72bd6bcf60d399d39d9148029e10b11d54fb9ebb90296edbe8c0e067da9cb",
-        "cores/core_3_0.bin":
-            "ddbf9632bb029a6aa62183d34a76317f485b9d6332d506f3f07e1d85d5a365df",
-        "cores/core_3_1.bin":
-            "ab7591c0271791e030909f6e6c468de7f41299a3b0405de76773a3342f6cb487",
-        "cores/core_3_2.bin":
-            "ea96c5009e52a87cfae0fa55682656aca201da0d7d0e6a19d9665ee563ee4138",
-        "cores/core_3_3.bin":
-            "6ddd92e1dbab4e4a401b2020f6cc2d3d847200299ba502ad30e2dd69a9fe1207",
     },
     ("conv", "hsfc-sss"): {
         "manifest.json":
-            "f3b9b7a40243540624178e70d90689a4a129354b5e84116ff82e47f4a6cd5c1a",
+            "d84d6b217525dcca38a85316e6ce136c1110d0a0051913447c0729ad916662c9",
         "graph.snnb":
             "41683c758cf100d18ad3aca76dfe80831caae435afd065461ca2b9a85b7450e1",
-        "cores/core_0_0.bin":
-            "63db1395a60345072f1c8dc8b5d6a272836f075d9c81889c3b6aabb39d9a62d0",
-        "cores/core_0_1.bin":
-            "a0107603f99ff91a2f7ef57d4322ef607d341c0e8ced27afc90c471f841bc4a3",
-        "cores/core_0_2.bin":
-            "7e41413259334b1fab22810802157999819255096f25dfc7c61b3ff902581d21",
-        "cores/core_0_3.bin":
-            "3682ac687d094a86420ddefdef5ede87a4e8d6ca9825ace9426e1f97293bfcbc",
-        "cores/core_1_0.bin":
-            "c82d2c0288b036780aba2382c5460ab13131bdc06766df5fb887c752616ac784",
-        "cores/core_1_1.bin":
-            "17d618fa16f390003bc446602e23be1ed72f8f52e57d8aef28b643531649b841",
-        "cores/core_1_2.bin":
-            "1507096a964c1ab0ffb7f74336d1ff3263cc8f795ad7a6e6d6f867ffe727ac72",
-        "cores/core_1_3.bin":
-            "9124b860a7658c4bbf61ba1ab4efc9e9add6c935a10ca2cccf3998f01f07c7c4",
-        "cores/core_2_0.bin":
-            "73976feeceb82691c3904dfb783d8960d5f14bdfd66bf497128477051e1dea98",
-        "cores/core_2_1.bin":
-            "fadf4cdb17eaf97b1a57d9ccb74802b53a6f47ec6e097681fb8f0acf802daa26",
-        "cores/core_2_2.bin":
-            "534649b4e12ba2edb6dc217b94e6d0d13d9d87e0e847bdf8a814147867f48790",
-        "cores/core_2_3.bin":
-            "7cb72bd6bcf60d399d39d9148029e10b11d54fb9ebb90296edbe8c0e067da9cb",
-        "cores/core_3_0.bin":
-            "ddbf9632bb029a6aa62183d34a76317f485b9d6332d506f3f07e1d85d5a365df",
-        "cores/core_3_1.bin":
-            "ab7591c0271791e030909f6e6c468de7f41299a3b0405de76773a3342f6cb487",
-        "cores/core_3_2.bin":
-            "ea96c5009e52a87cfae0fa55682656aca201da0d7d0e6a19d9665ee563ee4138",
-        "cores/core_3_3.bin":
-            "6ddd92e1dbab4e4a401b2020f6cc2d3d847200299ba502ad30e2dd69a9fe1207",
     },
 }
 
