@@ -15,13 +15,13 @@ from .graph import (ConvLayerSpec, SnnGraph, SpikeTrain, build_brunel,
                     save_text)
 from .stimulus import StimulusSpec, build_stimulus
 from .hilbert import hilbert_cells, hilbert_index
-from .partition import (CoreMap, MemoryBudget, MemoryCost, Partition,
+from .partition import (MemoryBudget, MemoryCost, Partition, Placement,
                         destination_objective, hsfc_order, initial_partition,
                         map_clusters, memory_cost, sss_refine)
 from .schedule import build_checking_table, validate_schedule
 from .artifact import (ArtifactError, CoreArtifact, DeploymentBundle,
                        build_bundle, load_bundle, save_bundle,
-                       validate_bundle)
+                       validate_placement)
 from .core import (MODE_BASELINE, MODE_UNISPIKE, CoreState, CoreTiming,
                    SpikePacket)
 from .noc import DeadlockError, MeshConfig, NocSim, PacketRecord, manhattan, xy_route

@@ -6,8 +6,7 @@ index), per-destination connection bitmaps, and the execution queue plus
 checking table produced by the scheduler.  The bitmaps are the one form of
 "which local neurons feed destination d".  All of it follows from the graph
 and the placement (core coord -> global neuron ids in local-index order), so
-``assemble_cores`` derives it, for ``build_bundle`` and for ``load_bundle``
-alike, and the bundle stores only what cannot be derived.
+``build_bundle`` derives every core from it, in memory and on load alike.
 
 A bundle directory holds two files:
 
@@ -17,8 +16,9 @@ A bundle directory holds two files:
   local-index order and its size report.
 
 ``load_bundle`` checks the graph against its digest and the placement with
-``validate_placement`` before it derives anything, then compares each derived
-size report with the stored one.
+``validate_placement`` before ``build_bundle``, then compares each derived
+size report with the stored one.  ``save_bundle`` reads ``frac_bits`` and
+the digest from the graph.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import os
 from dataclasses import dataclass, asdict
 
 from .graph import SnnGraph, load_binary, save_binary
-from .partition import CoreMap, MemoryBudget, Partition
+from .partition import MemoryBudget, Placement
 from .schedule import build_checking_table, validate_schedule
 
 Coord = tuple[int, int]
@@ -73,35 +73,12 @@ class CoreArtifact:
 class DeploymentBundle:
     mesh_width: int
     mesh_height: int
-    frac_bits: int
-    graph_digest: str
     budget: MemoryBudget
     cores: list[CoreArtifact]
     graph: SnnGraph
 
-    def core_at(self, coord: Coord) -> CoreArtifact:
-        for c in self.cores:
-            if c.coord == coord:
-                return c
-        raise KeyError(coord)
 
-
-def _size_report(synapse_table, local_count: int, n_dests: int,
-                 checking_table, budget: MemoryBudget) -> SizeReport:
-    syn = (sum(len(v) for v in synapse_table.values())
-           * budget.bytes_per_synapse)
-    neu = local_count * budget.bytes_per_neuron_state
-    post_b = n_dests * budget.dest_entry_bytes
-    # 2-byte entry count; per entry a 2-byte neuron index, 2-byte destination
-    # count and 4 bytes (x, y as u16) per bound destination
-    ct_bytes = 2 + sum(4 + 4 * len(v) for v in checking_table.values())
-    return SizeReport(syn, neu, post_b, ct_bytes,
-                      syn <= budget.synapse_bytes, neu <= budget.neuron_bytes,
-                      post_b <= budget.post_conn_bytes,
-                      ct_bytes <= budget.checking_table_bytes)
-
-
-def derive_tables(graph: SnnGraph, placement: dict[Coord, tuple[int, ...]]
+def derive_tables(graph: SnnGraph, placement: Placement
                   ) -> dict[Coord, tuple[SynapseTable, dict[Coord, int]]]:
     """Each core's synapse table and connection bitmaps, as the graph gives
     them for ``placement`` (core coord -> global ids in local-index order).
@@ -138,10 +115,10 @@ def derive_tables(graph: SnnGraph, placement: dict[Coord, tuple[int, ...]]
     return tables
 
 
-def assemble_cores(graph: SnnGraph, placement: dict[Coord, tuple[int, ...]],
-                   budget: MemoryBudget) -> list[CoreArtifact]:
-    """Every core's artifact for ``placement`` (core coord -> global ids in
-    local-index order), in placement order.
+def build_bundle(graph: SnnGraph, placement: Placement, mesh_width: int,
+                 mesh_height: int, budget: MemoryBudget) -> DeploymentBundle:
+    """The bundle that deploys ``graph`` by ``placement``: every core's
+    artifact, in placement order.
 
     Fails if any core exceeds its memory budget; the checking-table size is
     reported against its budget but does not fail.
@@ -154,22 +131,21 @@ def assemble_cores(graph: SnnGraph, placement: dict[Coord, tuple[int, ...]],
         if problems:
             raise ArtifactError(f"core {coord}: {problems[0]}")
         check_t = {b: tuple(v) for b, v in check.items()}
-        report = _size_report(table, n, len(bitmaps), check_t, budget)
-        if not (report.synapse_fits and report.neuron_fits
-                and report.post_conn_fits):
+        synapses, dests = sum(len(v) for v in table.values()), len(bitmaps)
+        if not budget.fits(synapses, n, dests):
             raise ArtifactError(f"core {coord}: cluster exceeds memory budget")
+        # 2-byte entry count; per entry a 2-byte neuron index, 2-byte
+        # destination count and 4 bytes (x, y as u16) per bound destination
+        ct_bytes = 2 + sum(4 + 4 * len(v) for v in check_t.values())
+        report = SizeReport(
+            synapses * budget.bytes_per_synapse,
+            n * budget.bytes_per_neuron_state,
+            dests * budget.dest_entry_bytes, ct_bytes,
+            budget.fits(synapses, 0, 0), budget.fits(0, n, 0),
+            budget.fits(0, 0, dests), ct_bytes <= budget.checking_table_bytes)
         cores.append(CoreArtifact(coord, tuple(placement[coord]), table,
                                   bitmaps, tuple(queue), check_t, report))
-    return cores
-
-
-def build_bundle(graph: SnnGraph, partition: Partition, core_map: CoreMap,
-                 budget: MemoryBudget) -> DeploymentBundle:
-    """Assemble per-core artifacts from a placed partition."""
-    placement = dict(zip(core_map.placement, partition.clusters, strict=True))
-    return DeploymentBundle(core_map.mesh_width, core_map.mesh_height,
-                            graph.frac_bits, graph.digest(), budget,
-                            assemble_cores(graph, placement, budget), graph)
+    return DeploymentBundle(mesh_width, mesh_height, budget, cores, graph)
 
 
 def validate_placement(graph: SnnGraph,
@@ -204,13 +180,6 @@ def validate_placement(graph: SnnGraph,
     return problems
 
 
-def validate_bundle(bundle: DeploymentBundle) -> list[str]:
-    """``validate_placement`` over an in-memory bundle's cores."""
-    return validate_placement(bundle.graph,
-                              [(c.coord, c.neuron_ids) for c in bundle.cores],
-                              bundle.mesh_width, bundle.mesh_height)
-
-
 # ---------------------------------------------------------------------------
 # bundle directory
 
@@ -224,8 +193,8 @@ def save_bundle(bundle: DeploymentBundle, path: str) -> None:
         "version": MANIFEST_VERSION,
         "mesh_width": bundle.mesh_width,
         "mesh_height": bundle.mesh_height,
-        "frac_bits": bundle.frac_bits,
-        "graph_digest": bundle.graph_digest,
+        "frac_bits": bundle.graph.frac_bits,
+        "graph_digest": bundle.graph.digest(),
         "budget": asdict(bundle.budget),
         "cores": [{"coord": list(core.coord),
                    "neurons": list(core.neuron_ids),
@@ -292,12 +261,11 @@ def load_bundle(path: str) -> DeploymentBundle:
     if problems:
         raise ArtifactError(f"{manifest_path}: invalid bundle\n"
                             + "\n".join(problems))
-    cores = assemble_cores(graph, dict(placed), budget)
+    bundle = build_bundle(graph, dict(placed), width, height, budget)
     problems = [f"core {core.coord}: stored size report differs from the "
-                f"derived one" for core, report in zip(cores, stored)
+                f"derived one" for core, report in zip(bundle.cores, stored)
                 if asdict(core.size_report) != report]
     if problems:
         raise ArtifactError(f"{manifest_path}: invalid bundle\n"
                             + "\n".join(problems))
-    return DeploymentBundle(width, height, frac_bits, digest, budget, cores,
-                            graph)
+    return bundle

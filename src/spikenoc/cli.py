@@ -131,15 +131,15 @@ def cmd_partition(args) -> int:
                                                partitioner=args.partitioner))
     sys_cfg = to_system_config(cfg)
     graph = load_graph(args.graph) if args.graph else build_graph(cfg)
+    width, height = sys_cfg.mesh.width, sys_cfg.mesh.height
     part = make_partition(graph, sys_cfg)
-    core_map = map_clusters(part, sys_cfg.mesh.width, sys_cfg.mesh.height,
-                            sys_cfg.placement)
-    bundle = build_bundle(graph, part, core_map, sys_cfg.budget)
-    save_bundle(bundle, args.out)
+    placement = map_clusters(part, width, height, sys_cfg.placement)
+    save_bundle(build_bundle(graph, placement, width, height, sys_cfg.budget),
+                args.out)
     j = destination_objective(part, graph)
     sizes = sorted(len(c) for c in part.clusters)
     print(f"wrote {args.out}: {len(part.clusters)} cores on "
-          f"{sys_cfg.mesh.width}x{sys_cfg.mesh.height} mesh, "
+          f"{width}x{height} mesh, "
           f"objective J={j}, cluster sizes {sizes[0]}..{sizes[-1]}")
     return EXIT_OK
 

@@ -4,8 +4,9 @@ Every key has a default, so an empty file is a valid experiment.  Unknown
 sections or keys are rejected with the offending line number rather than
 silently ignored, since a typo like `n_ecx` would otherwise change the
 experiment without warning.  The [mesh], [core] and [energy] sections parse
-straight into `MeshConfig`, `CoreTiming` and `EnergyCostTable`, which
-range-check their own values, so a bad value fails at parse time.
+straight into `MeshConfig`, `CoreTiming` and `EnergyCostTable`, and the
+budget keys of [partition] into `MemoryBudget`; each class range-checks its
+own values, so a bad value fails at parse time.
 """
 
 from __future__ import annotations
@@ -75,12 +76,6 @@ class PartitionConfig:
     sss_iters: int = 0          # 0 selects the size-scaled default
     sss_t0: float = 0.0         # 0 selects a tenth of the starting objective
     sss_cooling: float = 0.995
-    synapse_bytes: int = 103168
-    neuron_bytes: int = 3072
-    post_conn_bytes: int = 33408
-    checking_table_bytes: int = 1152
-    bytes_per_synapse: int = 1
-    bytes_per_neuron_state: int = 24
 
 
 @dataclass(frozen=True)
@@ -88,6 +83,7 @@ class ExperimentConfig:
     workload: WorkloadConfig = WorkloadConfig()
     run: RunConfig = RunConfig()
     partition: PartitionConfig = PartitionConfig()
+    budget: MemoryBudget = MemoryBudget()
     mesh: MeshConfig = MeshConfig()
     core: CoreTiming = CoreTiming()
     energy: EnergyCostTable = EnergyCostTable()
@@ -96,14 +92,17 @@ class ExperimentConfig:
         return hashlib.sha256(render_config(self).encode()).hexdigest()[:16]
 
 
-_SECTIONS: dict[str, type] = {
-    "workload": WorkloadConfig,
-    "run": RunConfig,
-    "partition": PartitionConfig,
-    "mesh": MeshConfig,
-    "core": CoreTiming,
-    "energy": EnergyCostTable,
+# section -> the ExperimentConfig fields its keys fill, in rendering order
+_SECTIONS: dict[str, tuple[str, ...]] = {
+    "workload": ("workload",),
+    "run": ("run",),
+    "partition": ("partition", "budget"),
+    "mesh": ("mesh",),
+    "core": ("core",),
+    "energy": ("energy",),
 }
+_CLASSES: dict[str, type] = {f.name: type(f.default)
+                             for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _parse_value(raw: str, target_type: type, where: str):
@@ -155,28 +154,26 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         if name not in _SECTIONS:
             line = _line_of(text, name, None)
             raise ConfigError(f"{source}:{line}: unknown section [{section}]")
-        cls = _SECTIONS[name]
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        values: dict[str, object] = {}
+        owner = {f.name: part for part in _SECTIONS[name]
+                 for f in dataclasses.fields(_CLASSES[part])}
+        values: dict[str, dict[str, object]] = {p: {} for p in _SECTIONS[name]}
         for key, raw in parser.items(section):
-            if key not in fields:
+            if key not in owner:
                 line = _line_of(text, name, key)
                 raise ConfigError(
                     f"{source}:{line}: unknown key {key!r} in [{section}]")
-            values[key] = _parse_value(raw, _field_type(cls, key),
-                                       f"{source}: [{section}] {key}")
-        try:
-            kwargs[name] = cls(**values)
-        except ValueError as exc:
-            raise ConfigError(f"{source}: [{section}] {exc}") from None
+            part = owner[key]
+            default = getattr(_CLASSES[part](), key)
+            values[part][key] = _parse_value(
+                raw, type(default), f"{source}: [{section}] {key}")
+        for part, given in values.items():
+            try:
+                kwargs[part] = _CLASSES[part](**given)
+            except ValueError as exc:
+                raise ConfigError(f"{source}: [{section}] {exc}") from None
     cfg = ExperimentConfig(**kwargs)
     _validate(cfg, source)
     return cfg
-
-
-def _field_type(cls: type, name: str) -> type:
-    default = getattr(cls(), name)
-    return type(default)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -307,12 +304,7 @@ def to_system_config(cfg: ExperimentConfig) -> SystemConfig:
         mesh=cfg.mesh,
         timing=cfg.core,
         energy=cfg.energy,
-        budget=MemoryBudget(
-            synapse_bytes=p.synapse_bytes, neuron_bytes=p.neuron_bytes,
-            post_conn_bytes=p.post_conn_bytes,
-            checking_table_bytes=p.checking_table_bytes,
-            bytes_per_synapse=p.bytes_per_synapse,
-            bytes_per_neuron_state=p.bytes_per_neuron_state),
+        budget=cfg.budget,
         stimulus=make_stimulus_spec(cfg),
         mode=cfg.run.mode,
         partitioner=p.partitioner,
@@ -339,13 +331,14 @@ def override_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
 def render_config(cfg: ExperimentConfig) -> str:
     """Render the fully resolved configuration as an INI document."""
     out = io.StringIO()
-    for section, cls in _SECTIONS.items():
-        obj = getattr(cfg, section)
+    for section, parts in _SECTIONS.items():
         out.write(f"[{section}]\n")
-        for f in dataclasses.fields(cls):
-            value = getattr(obj, f.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            out.write(f"{f.name} = {value}\n")
+        for part in parts:
+            obj = getattr(cfg, part)
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                if isinstance(value, bool):
+                    value = "true" if value else "false"
+                out.write(f"{f.name} = {value}\n")
         out.write("\n")
     return out.getvalue()

@@ -110,7 +110,6 @@ class CoreState:
         self.mode = mode
         self.dt = dt
         self.acc = [0] * n
-        self.act_bitmap = 0
         self.self_pending: list[SpikePacket] = []   # own fires, next step
         # per-local-neuron remote destinations, row-major, for baseline emission
         self._dests: list[list[Coord]] = [[] for _ in range(n)]
@@ -143,10 +142,11 @@ class CoreState:
 
     # -- packet generation ----------------------------------------------------
 
-    def generate_merged_packets(self, dest: Coord, timestep: int) -> list[SpikePacket]:
-        """AND the destination's connection bitmap with the activation bitmap
+    def generate_merged_packets(self, dest: Coord, fired_mask: int,
+                                timestep: int) -> list[SpikePacket]:
+        """AND the destination's connection bitmap with the fired neurons'
         and pack the surviving addresses, at most max_body per packet."""
-        payload = self.artifact.conn_bitmaps[dest] & self.act_bitmap
+        payload = self.artifact.conn_bitmaps[dest] & fired_mask
         if payload == 0:
             return []
         indices = list(iter_bits(payload))
@@ -199,25 +199,20 @@ class CoreState:
                 t_ps = t0 + (pos[idx] + 1) * update * period
                 for packet in self.generate_baseline_packets(idx, timestep):
                     jobs.append(GenJob(t_ps, packet))
-        else:
-            # a barrier's payload holds the fires at or before its position
-            n_fired = len(fired)
-            k = 0
+        elif fired:
+            # a destination's feeders all update by its barrier, so the
+            # step's fired set gives each barrier its payload
+            fired_mask = sum(1 << idx for idx in fired)     # distinct
             for bpos, dests in self._barriers:
-                while k < n_fired and pos[fired[k]] <= bpos:
-                    self.act_bitmap |= 1 << fired[k]
-                    k += 1
-                if not self.act_bitmap:
-                    continue
                 t_ps = t0 + (bpos + 1) * update * period
                 for dest in dests:
-                    for packet in self.generate_merged_packets(dest, timestep):
+                    for packet in self.generate_merged_packets(
+                            dest, fired_mask, timestep):
                         jobs.append(GenJob(t_ps, packet))
 
         n = len(pos)
         busy_ps = t0 - t_start_ps + n * update * period
         self.acc = [0] * n
-        self.act_bitmap = 0
         table = self.artifact.synapse_table
         own = [idx for idx in fired if (self.coord, idx) in table]
         self.self_pending = ([SpikePacket(self.coord, self.coord, timestep,
@@ -230,9 +225,12 @@ class CoreState:
         """Raise NumericError, naming the first neuron in queue order, if an
         input or a state value is not finite."""
         # a sum is finite only if every term is; a finite sum clears the list
-        if (math.isfinite(sum(self.acc)) and math.isfinite(sum(self.v))
-                and math.isfinite(sum(self.w))):
-            return
+        try:
+            if (math.isfinite(sum(self.acc)) and math.isfinite(sum(self.v))
+                    and math.isfinite(sum(self.w))):
+                return
+        except OverflowError:       # an int sum past the float range
+            pass
         isfinite = math.isfinite
         for idx in self.artifact.exec_queue:
             i_in = self.acc[idx] * self.scale

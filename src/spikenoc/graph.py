@@ -15,16 +15,16 @@ from dataclasses import dataclass
 
 from .neurons import (ModelParams, LifParams, model_kind, params_from_fields,
                       params_to_fields)
-from .stimulus import StepEvents, check_stimulus
+from .stimulus import MAX_FRAC_BITS, StepEvents, check_stimulus
 
 RAW_MIN = -(1 << 15)
 RAW_MAX = (1 << 15) - 1
 
 
 def quantize_weight(value: float, frac_bits: int) -> int:
-    """Round to the nearest representable raw weight, saturating at i16."""
-    raw = round(value * (1 << frac_bits))
-    return max(RAW_MIN, min(RAW_MAX, raw))
+    """Round to the nearest representable raw weight, saturating at i16
+    even where the product overflows; NaN, kept by min and max, fails."""
+    return round(max(min(value * (1 << frac_bits), RAW_MAX), RAW_MIN))
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,9 @@ class SnnGraph:
 # functions, so a value that would fail a build fails when it is parsed.
 
 def check_frac_bits(frac_bits: int) -> None:
-    if not (0 <= frac_bits <= 15):
-        raise ValueError(f"frac_bits must be in [0, 15]; got {frac_bits}")
+    if not (0 <= frac_bits <= MAX_FRAC_BITS):
+        raise ValueError(f"frac_bits must be in [0, {MAX_FRAC_BITS}]; got "
+                         f"{frac_bits}")
 
 
 def check_random_params(n_exc: int, n_inh: int, conn_prob: float,
@@ -485,16 +486,21 @@ class _Reader:
 
 
 def _unpack_model(r: _Reader) -> ModelParams:
+    start = r.off
     (klen,) = r.take("B")
-    kind = r.take_bytes(klen).decode()
+    kind = r.take_bytes(klen)
     (nfields,) = r.take("B")
     fields = {}
     for _ in range(nfields):
         (nlen,) = r.take("B")
-        name = r.take_bytes(nlen).decode()
-        (val,) = r.take("d")
-        fields[name] = val
-    return params_from_fields(kind, fields)
+        name = r.take_bytes(nlen)
+        fields[name] = r.take("d")[0]
+    try:
+        return params_from_fields(kind.decode(), {
+            name.decode(): val for name, val in fields.items()})
+    except ValueError as exc:
+        raise ValueError(f"{r.path}: model record at byte {start}: "
+                         f"{exc}") from None
 
 
 def save_binary(graph: SnnGraph, path: str) -> None:

@@ -19,6 +19,20 @@ class NumericError(Exception):
     """Membrane state became non-finite (diverging parameters or inputs)."""
 
 
+def _check_params(params, positive=(), non_negative=()) -> None:
+    """Raise ValueError unless every field of ``params`` is finite, the
+    fields in ``positive`` are above zero and those in ``non_negative`` are
+    not below it."""
+    for name in params.__dataclass_fields__:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite; got {value}")
+        if value <= 0 and name in positive:
+            raise ValueError(f"{name} must be positive; got {value}")
+        if value < 0 and name in non_negative:
+            raise ValueError(f"{name} must be non-negative; got {value}")
+
+
 @dataclass(frozen=True)
 class LifParams:
     """Leaky integrate-and-fire.
@@ -36,6 +50,9 @@ class LifParams:
     v_th: float = 1.0
     refractory_steps: int = 2
 
+    def __post_init__(self):
+        _check_params(self, ("tau_m",), ("refractory_steps",))
+
 
 @dataclass(frozen=True)
 class IzhikevichParams:
@@ -52,6 +69,9 @@ class IzhikevichParams:
     c: float = -65.0
     d: float = 8.0
     v_peak: float = 30.0
+
+    def __post_init__(self):
+        _check_params(self)
 
 
 @dataclass(frozen=True)
@@ -77,6 +97,9 @@ class AdexParams:
     tau_w: float = 144.0
     v_th: float = 0.0
     v_reset: float = -70.6
+
+    def __post_init__(self):
+        _check_params(self, ("c_m", "delta_t", "tau_w"))
 
 
 ModelParams = LifParams | IzhikevichParams | AdexParams
@@ -248,5 +271,7 @@ def params_from_fields(kind: str, fields: dict[str, float]) -> ModelParams:
         if name not in cls.__dataclass_fields__:
             raise ValueError(f"unknown parameter {name!r} for model {kind!r}")
         want = cls.__dataclass_fields__[name].type
-        typed[name] = int(val) if want == "int" else float(val)
+        # a non-finite count stays a float, for the class to reject
+        typed[name] = (int(val) if want == "int" and math.isfinite(val)
+                       else float(val))
     return cls(**typed)

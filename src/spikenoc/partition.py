@@ -3,7 +3,8 @@
 The pipeline is: order neurons along a locality-preserving curve, cut the
 order greedily into clusters that fit the per-core memory budget, optionally
 refine by annealed segment swaps that minimise the number of distinct remote
-destination clusters, then place clusters onto mesh coordinates.
+destination clusters, then place clusters onto mesh coordinates.  The result,
+a ``Placement``, is the one form a deployment takes.
 """
 
 from __future__ import annotations
@@ -11,11 +12,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import SnnGraph
 from .hilbert import hilbert_cells, hilbert_index, order_for
 
 Coord = tuple[int, int]
+# core coord -> global neuron ids in local-index order
+Placement = dict[Coord, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -24,7 +28,8 @@ class MemoryBudget:
 
     A destination entry stores a 2-byte core coordinate plus a connection
     bitmap over the core's neuron capacity, so its size follows from the
-    neuron budget.
+    neuron budget.  ``fits`` is the one rule for a cluster's counts: ``count
+    * unit_bytes <= bytes`` holds exactly when ``count <= bytes // unit_bytes``.
     """
 
     synapse_bytes: int = 103168        # 100.75 KB
@@ -41,13 +46,27 @@ class MemoryBudget:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
+    @cached_property
+    def max_synapses(self) -> int:
+        return self.synapse_bytes // self.bytes_per_synapse
+
+    @cached_property
     def neuron_capacity(self) -> int:
         return self.neuron_bytes // self.bytes_per_neuron_state
 
-    @property
+    @cached_property
     def dest_entry_bytes(self) -> int:
         return 2 + (self.neuron_capacity + 7) // 8
+
+    @cached_property
+    def max_dests(self) -> int:
+        return self.post_conn_bytes // self.dest_entry_bytes
+
+    def fits(self, synapses: int, neurons: int, dests: int) -> bool:
+        """Whether incoming synapses, neurons and remote destinations fit."""
+        return (synapses <= self.max_synapses
+                and neurons <= self.neuron_capacity
+                and dests <= self.max_dests)
 
 
 @dataclass(frozen=True)
@@ -75,15 +94,6 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class CoreMap:
-    """Cluster index -> mesh coordinate placement."""
-
-    mesh_width: int
-    mesh_height: int
-    placement: tuple[Coord, ...]
-
-
-@dataclass(frozen=True)
 class MemoryCost:
     synapse_bytes: int
     neuron_bytes: int
@@ -104,18 +114,17 @@ def memory_cost(cluster, graph: SnnGraph, budget: MemoryBudget,
     if not members:
         return MemoryCost(0, 0, 0, True)
     self_idx = cluster_of[members[0]]
-    syn = sum(graph.in_degree(n) for n in members) * budget.bytes_per_synapse
-    neu = len(members) * budget.bytes_per_neuron_state
+    syn = sum(graph.in_degree(n) for n in members)
     dests = set()
     for n in members:
         for post, _ in graph.posts(n):
             pc = cluster_of[post]
             if pc != self_idx:
                 dests.add(pc)
-    post_bytes = len(dests) * budget.dest_entry_bytes
-    fits = (syn <= budget.synapse_bytes and neu <= budget.neuron_bytes
-            and post_bytes <= budget.post_conn_bytes)
-    return MemoryCost(syn, neu, post_bytes, fits)
+    return MemoryCost(syn * budget.bytes_per_synapse,
+                      len(members) * budget.bytes_per_neuron_state,
+                      len(dests) * budget.dest_entry_bytes,
+                      budget.fits(syn, len(members), len(dests)))
 
 
 def hsfc_order(graph: SnnGraph) -> list[int]:
@@ -161,13 +170,11 @@ def _greedy_cut(order, graph: SnnGraph, budget: MemoryBudget,
 
     for n in order:
         ci = len(clusters)
-        add_syn = graph.in_degree(n) * budget.bytes_per_synapse
+        add_syn = graph.in_degree(n)
         trial = cur_dests | {assigned.get(post, FUTURE) for post, _ in graph.posts(n)}
         trial.discard(ci)
         ok = (len(cur) < cap_limit
-              and cur_syn + add_syn <= budget.synapse_bytes
-              and (len(cur) + 1) * budget.bytes_per_neuron_state <= budget.neuron_bytes
-              and len(trial) * budget.dest_entry_bytes <= budget.post_conn_bytes)
+              and budget.fits(cur_syn + add_syn, len(cur) + 1, len(trial)))
         if not ok and cur:
             flush()
             ci = len(clusters)
@@ -188,9 +195,7 @@ def initial_partition(order, graph: SnnGraph, budget: MemoryBudget) -> Partition
         raise ValueError("order must be a permutation of all neurons")
     for n in range(graph.neuron_count):
         has_remote = any(post != n for post, _ in graph.posts(n))
-        if (graph.in_degree(n) * budget.bytes_per_synapse > budget.synapse_bytes
-                or budget.bytes_per_neuron_state > budget.neuron_bytes
-                or (has_remote and budget.dest_entry_bytes > budget.post_conn_bytes)):
+        if not budget.fits(graph.in_degree(n), 1, int(has_remote)):
             raise ValueError(f"neuron {n} alone exceeds the memory budget")
 
     cap = max(1, budget.neuron_capacity)
@@ -245,9 +250,9 @@ class _SwapState:
         self.pres = [[pre for pre, _ in edges if pre != n]
                      for n, edges in enumerate(rev)]
         self.in_degree = [len(edges) for edges in rev]
-        self.syn_limit = budget.synapse_bytes // budget.bytes_per_synapse
-        self.size_limit = budget.neuron_bytes // budget.bytes_per_neuron_state
-        self.dest_limit = budget.post_conn_bytes // budget.dest_entry_bytes
+        self.syn_limit = budget.max_synapses
+        self.size_limit = budget.neuron_capacity
+        self.dest_limit = budget.max_dests
         self.rows = [[0] * (k + 1) for _ in range(k)]
         self.row_of = [self.rows[c] for c in self.cluster_of]
         self.in_syn = [0] * k
@@ -406,7 +411,7 @@ def sss_refine(partition: Partition, graph: SnnGraph, budget: MemoryBudget,
 
 
 def map_clusters(partition: Partition, mesh_width: int, mesh_height: int,
-                 policy: str = "hilbert") -> CoreMap:
+                 policy: str = "hilbert") -> Placement:
     """Place clusters onto mesh coordinates in curve or row-major order, so
     that clusters adjacent in the partition land on nearby cores."""
     k = len(partition.clusters)
@@ -420,4 +425,4 @@ def map_clusters(partition: Partition, mesh_width: int, mesh_height: int,
         cells = [(x, y) for y in range(mesh_height) for x in range(mesh_width)]
     else:
         raise ValueError(f"unknown placement policy {policy!r}")
-    return CoreMap(mesh_width, mesh_height, tuple(cells[:k]))
+    return dict(zip(cells, partition.clusters))

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 # the (neuron id, raw current) pairs presented during one timestep
 StepEvents = tuple[tuple[int, int], ...]
 
+MAX_FRAC_BITS = 15      # a raw weight is an i16
+
 
 @dataclass(frozen=True)
 class StimulusSpec:
@@ -45,9 +47,10 @@ class StimulusSpec:
             raise ValueError(f"unknown stimulus kind {self.kind!r}")
         if self.kind == "poisson" and not (0.0 <= self.rate <= 1.0):
             raise ValueError(f"stimulus rate {self.rate} outside [0, 1]")
-        if not math.isfinite(self.amplitude):
+        # finite at the largest frac_bits, so the raw current is an int
+        if not math.isfinite(self.amplitude * (1 << MAX_FRAC_BITS)):
             raise ValueError(f"stimulus amplitude {self.amplitude} is not "
-                             f"finite")
+                             f"finite in fixed point")
 
 
 def build_stimulus(spec: StimulusSpec, neuron_count: int, timesteps: int,

@@ -18,7 +18,7 @@ from .graph import SnnGraph, SpikeTrain
 from .metrics import (EnergyCostTable, RunReport, TimestepRow, TrafficLedger,
                       compare_reports, redundancy_profile)
 from .noc import MeshConfig, NocSim, PacketRecord
-from .partition import (CoreMap, MemoryBudget, Partition, hsfc_order,
+from .partition import (MemoryBudget, Partition, hsfc_order,
                         initial_partition, map_clusters, sss_refine)
 from .stimulus import (StepEvents, StimulusSpec, build_stimulus,
                        check_stimulus)
@@ -65,9 +65,10 @@ def make_partition(graph: SnnGraph, cfg: SystemConfig) -> Partition:
 
 
 def deploy(graph: SnnGraph, cfg: SystemConfig) -> DeploymentBundle:
-    part = make_partition(graph, cfg)
-    core_map = map_clusters(part, cfg.mesh.width, cfg.mesh.height, cfg.placement)
-    return build_bundle(graph, part, core_map, cfg.budget)
+    width, height = cfg.mesh.width, cfg.mesh.height
+    placement = map_clusters(make_partition(graph, cfg), width, height,
+                             cfg.placement)
+    return build_bundle(graph, placement, width, height, cfg.budget)
 
 
 @dataclass
@@ -95,7 +96,7 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
     place: list = [None] * graph.neuron_count   # id -> (core, local index)
     for c, art in enumerate(order):
         params = [graph.params_of(nid) for nid in art.neuron_ids]
-        cores.append(CoreState(art, params, bundle.frac_bits, cfg.timing,
+        cores.append(CoreState(art, params, graph.frac_bits, cfg.timing,
                                cfg.mode, cfg.dt))
         for local, nid in enumerate(art.neuron_ids):
             place[nid] = (c, local)

@@ -23,7 +23,7 @@ from spikenoc.metrics import (EnergyCostTable, TrafficLedger, compare_reports,
                               redundancy_profile)
 from spikenoc.neurons import LifParams
 from spikenoc.noc import MeshConfig, NocSim, manhattan
-from spikenoc.partition import (CoreMap, MemoryBudget, Partition,
+from spikenoc.partition import (MemoryBudget, Partition,
                                 destination_objective, initial_partition,
                                 sss_refine)
 from spikenoc.schedule import build_checking_table, validate_schedule
@@ -45,8 +45,7 @@ def micro_bundle():
     """Three source neurons on one core, each wired to its own neuron on a
     second core; one pulse makes all three fire in the same step."""
     g = SnnGraph(6, [[(3, W)], [(4, W)], [(5, W)], [], [], []], model=FAST)
-    part = Partition.from_clusters([(0, 1, 2), (3, 4, 5)], 6)
-    bundle = build_bundle(g, part, CoreMap(2, 1, (A, B)),
+    bundle = build_bundle(g, {A: (0, 1, 2), B: (3, 4, 5)}, 2, 1,
                           MemoryBudget(neuron_bytes=3 * 24))
     cfg = SystemConfig(mesh=MeshConfig(2, 1),
                        budget=MemoryBudget(neuron_bytes=3 * 24), timesteps=3,

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spikenoc.artifact import (ArtifactError, build_bundle, load_bundle,
-                               save_bundle, validate_bundle)
+                               save_bundle, validate_placement)
 from spikenoc.graph import SnnGraph, quantize_weight
 from spikenoc.neurons import LifParams
-from spikenoc.partition import CoreMap, MemoryBudget, Partition
+from spikenoc.partition import MemoryBudget
 
 A, B = (0, 0), (1, 0)
 W = quantize_weight(1.0, 8)
@@ -23,50 +23,53 @@ def two_core_bundle(extra_edges=(), budget=None):
     for pre, post in extra_edges:
         adjacency[pre].append((post, W))
     g = SnnGraph(6, adjacency, model=FAST)
-    part = Partition.from_clusters([(0, 1, 2), (3, 4, 5)], 6)
-    cm = CoreMap(2, 1, (A, B))
-    return build_bundle(g, part, cm, budget or MemoryBudget(neuron_bytes=3 * 24))
+    return build_bundle(g, {A: (0, 1, 2), B: (3, 4, 5)}, 2, 1,
+                        budget or MemoryBudget(neuron_bytes=3 * 24))
+
+
+def placed(bundle) -> list:
+    """The bundle's cores as ``validate_placement`` entries."""
+    return [(c.coord, c.neuron_ids) for c in bundle.cores]
 
 
 class TestBuildBundle:
     def test_destination_map_and_bitmap(self):
         bundle = two_core_bundle()
-        assert bundle.core_at(A).conn_bitmaps == {B: 0b111}
-        assert bundle.core_at(B).conn_bitmaps == {}
+        assert bundle.cores[0].conn_bitmaps == {B: 0b111}
+        assert bundle.cores[1].conn_bitmaps == {}
 
     def test_bitmaps_in_row_major_destination_order(self):
         # core (1, 0) feeds (1, 1) through neuron 0 and (0, 0) through neuron 1
         g = SnnGraph(4, [[(2, W), (1, W)], [(3, W)], [], []], model=FAST)
-        part = Partition.from_clusters([(0, 1), (2,), (3,)], 4)
-        bundle = build_bundle(g, part, CoreMap(2, 2, ((1, 0), (1, 1), A)),
-                              MemoryBudget(neuron_bytes=2 * 24))
-        src = bundle.core_at((1, 0))
+        bundle = build_bundle(g, {(1, 0): (0, 1), (1, 1): (2,), A: (3,)},
+                              2, 2, MemoryBudget(neuron_bytes=2 * 24))
+        src = bundle.cores[0]
         assert list(src.conn_bitmaps.items()) == [(A, 0b10), ((1, 1), 0b01)]
 
     def test_remote_synapses_keyed_by_sender(self):
         bundle = two_core_bundle()
-        b = bundle.core_at(B)
+        b = bundle.cores[1]
         assert b.synapse_table == {(A, 0): ((0, W),), (A, 1): ((1, W),),
                                    (A, 2): ((2, W),)}
 
     def test_intra_core_fanout_keyed_by_own_coord(self):
         bundle = two_core_bundle(extra_edges=[(0, 1), (0, 2)])
-        a = bundle.core_at(A)
+        a = bundle.cores[0]
         assert a.synapse_table == {(A, 0): ((1, W), (2, W))}
 
     def test_schedule_fields(self):
         bundle = two_core_bundle()
-        a = bundle.core_at(A)
+        a = bundle.cores[0]
         assert a.exec_queue == (0, 1, 2)
         assert a.checking_table == {2: (B,)}
-        b = bundle.core_at(B)
+        b = bundle.cores[1]
         assert b.exec_queue == (0, 1, 2)
         assert b.checking_table == {}
 
     def test_local_dests(self):
         # a neuron's remote destinations are the bitmaps holding its bit
         bundle = two_core_bundle(extra_edges=[(4, 1)])
-        a, b = bundle.core_at(A), bundle.core_at(B)
+        a, b = bundle.cores[0], bundle.cores[1]
         assert [c for c, mask in a.conn_bitmaps.items() if mask & 1] == [B]
         assert [c for c, mask in b.conn_bitmaps.items() if mask & 1] == []
         assert [c for c, mask in b.conn_bitmaps.items() if mask & 2] == [A]
@@ -76,22 +79,21 @@ class TestBuildBundle:
         # local post, intra-core pairs follow the graph's post order
         g = SnnGraph(6, [[(1, W), (2, 2 * W), (3, W), (4, W), (5, W)],
                          [], [], [], [], []], model=FAST)
-        part = Partition.from_clusters([(0, 2, 1), (5, 4, 3)], 6)
-        bundle = build_bundle(g, part, CoreMap(2, 1, (A, B)),
+        bundle = build_bundle(g, {A: (0, 2, 1), B: (5, 4, 3)}, 2, 1,
                               MemoryBudget(neuron_bytes=3 * 24))
-        assert bundle.core_at(A).synapse_table == {
+        assert bundle.cores[0].synapse_table == {
             (A, 0): ((2, W), (1, 2 * W))}
-        assert bundle.core_at(B).synapse_table == {
+        assert bundle.cores[1].synapse_table == {
             (A, 0): ((0, W), (1, W), (2, W))}
 
     def test_neuron_ids(self):
         bundle = two_core_bundle()
-        assert bundle.core_at(A).neuron_ids == (0, 1, 2)
-        assert bundle.core_at(B).neuron_ids == (3, 4, 5)
+        assert bundle.cores[0].neuron_ids == (0, 1, 2)
+        assert bundle.cores[1].neuron_ids == (3, 4, 5)
 
     def test_size_report(self):
         bundle = two_core_bundle()
-        r = bundle.core_at(A).size_report
+        r = bundle.cores[0].size_report
         assert r.synapse_bytes == 0       # nothing points into core A
         assert r.neuron_bytes == 72
         assert r.post_conn_bytes == MemoryBudget(neuron_bytes=72).dest_entry_bytes
@@ -112,12 +114,11 @@ class TestBundleIo:
         assert sorted(p.name for p in (tmp_path / "bundle").iterdir()) == [
             "graph.snnb", "manifest.json"]
         back = load_bundle(d)
-        assert back.graph_digest == bundle.graph_digest
         assert back.graph.digest() == bundle.graph.digest()
         assert (back.mesh_width, back.mesh_height) == (2, 1)
         assert back.budget == bundle.budget
         assert_same_cores(back.cores, bundle.cores)
-        assert validate_bundle(back) == []
+        assert validate_placement(back.graph, placed(back), 2, 1) == []
 
     def test_corrupted_core_detected(self, tmp_path):
         # core A's entry lists neuron 4, which core B holds, instead of 2
@@ -255,7 +256,9 @@ class TestCoreBytesFuzz:
                     back = load_bundle(d)
                 except ArtifactError:
                     continue
-                assert validate_bundle(back) == [], (pos, bits)
+                assert validate_placement(back.graph, placed(back),
+                                          back.mesh_width,
+                                          back.mesh_height) == [], (pos, bits)
                 assert all(local_indices_in_range(c) for c in back.cores), (
                     pos, bits)
 
@@ -331,33 +334,36 @@ class TestManifestFuzz:
 
 
 class TestValidateBundle:
+    """``validate_placement`` over a bundle's placement, edited."""
+
+    BUNDLE = two_core_bundle()
+
     def test_clean(self):
-        assert validate_bundle(two_core_bundle()) == []
+        assert validate_placement(self.BUNDLE.graph, placed(self.BUNDLE),
+                                  2, 1) == []
 
     def test_neuron_outside_graph_detected(self):
-        bundle = two_core_bundle()
-        bundle.core_at(A).neuron_ids = (0, 1, 99)
-        problems = validate_bundle(bundle)
+        problems = validate_placement(self.BUNDLE.graph,
+                                      [(A, (0, 1, 99)), (B, (3, 4, 5))], 2, 1)
         assert any("99 is not in the graph" in v for v in problems)
         assert any("not deployed" in v for v in problems)
 
     def test_duplicate_deployment_detected(self):
-        bundle = two_core_bundle()
-        bundle.core_at(B).neuron_ids = (0, 4, 5)
-        problems = validate_bundle(bundle)
+        problems = validate_placement(self.BUNDLE.graph,
+                                      [(A, (0, 1, 2)), (B, (0, 4, 5))], 2, 1)
         assert any("also on core" in v for v in problems)
         assert any("not deployed" in v for v in problems)
 
     def test_core_off_mesh_detected(self):
-        bundle = two_core_bundle()
-        bundle.core_at(B).coord = (2, 0)
-        assert f"core (2, 0): outside the 2x1 mesh" in validate_bundle(bundle)
+        problems = validate_placement(self.BUNDLE.graph,
+                                      [(A, (0, 1, 2)), ((2, 0), (3, 4, 5))],
+                                      2, 1)
+        assert f"core (2, 0): outside the 2x1 mesh" in problems
 
     def test_shared_coordinate_detected(self):
-        bundle = two_core_bundle()
-        bundle.core_at(B).coord = A
-        assert (f"core {A}: coordinate held by two cores"
-                in validate_bundle(bundle))
+        problems = validate_placement(self.BUNDLE.graph,
+                                      [(A, (0, 1, 2)), (A, (3, 4, 5))], 2, 1)
+        assert f"core {A}: coordinate held by two cores" in problems
 
 
 # -- random deployments --------------------------------------------------------
@@ -381,8 +387,7 @@ def deployments(draw):
     cells = [(x, y) for y in range(height) for x in range(width)]
     coords = draw(st.permutations(cells))[:len(clusters)]
     cap = max(len(c) for c in clusters)
-    bundle = build_bundle(g, Partition.from_clusters(clusters, n),
-                          CoreMap(width, height, tuple(coords)),
+    bundle = build_bundle(g, dict(zip(coords, clusters)), width, height,
                           MemoryBudget(neuron_bytes=cap * 24))
     return bundle, draw(st.randoms(use_true_random=False))
 
@@ -425,7 +430,8 @@ def two_pass_tables(graph, clusters, coords):
 @settings(max_examples=100, deadline=None)
 def test_random_bundle_validates(case):
     bundle, _ = case
-    assert validate_bundle(bundle) == []
+    assert validate_placement(bundle.graph, placed(bundle), bundle.mesh_width,
+                              bundle.mesh_height) == []
 
 
 @given(deployments())
@@ -443,11 +449,14 @@ def test_tables_equal_two_pass_derivation(case):
 @settings(max_examples=75, deadline=None)
 def test_core_moved_off_mesh_names_the_core(case):
     bundle, rng = case
-    core = rng.choice(bundle.cores)
-    core.coord = rng.choice([(bundle.mesh_width, rng.randrange(8)),
-                             (rng.randrange(8), bundle.mesh_height)])
-    problems = validate_bundle(bundle)
-    assert f"core {core.coord}: outside the {bundle.mesh_width}x" \
+    entries = placed(bundle)
+    i = rng.randrange(len(entries))
+    coord = rng.choice([(bundle.mesh_width, rng.randrange(8)),
+                        (rng.randrange(8), bundle.mesh_height)])
+    entries[i] = (coord, entries[i][1])
+    problems = validate_placement(bundle.graph, entries, bundle.mesh_width,
+                                  bundle.mesh_height)
+    assert f"core {coord}: outside the {bundle.mesh_width}x" \
            f"{bundle.mesh_height} mesh" in problems
 
 
@@ -458,8 +467,8 @@ def test_save_load_equals_build_bundle(case):
     with tempfile.TemporaryDirectory() as d:
         save_bundle(bundle, d)
         back = load_bundle(d)
-    assert (back.mesh_width, back.mesh_height, back.frac_bits,
-            back.graph_digest, back.budget) == (
-        bundle.mesh_width, bundle.mesh_height, bundle.frac_bits,
-        bundle.graph_digest, bundle.budget)
+    assert (back.mesh_width, back.mesh_height, back.graph.frac_bits,
+            back.graph.digest(), back.budget) == (
+        bundle.mesh_width, bundle.mesh_height, bundle.graph.frac_bits,
+        bundle.graph.digest(), bundle.budget)
     assert_same_cores(back.cores, bundle.cores)

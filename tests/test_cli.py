@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import spikenoc
 from spikenoc.cli import main
 from spikenoc.config import parse_config_text
 from spikenoc.graph import (SnnGraph, SpikeTrain, build_brunel, load_graph,
-                            save_text)
+                            save_binary, save_text)
 from spikenoc.metrics import parse_report
 from spikenoc.neurons import IzhikevichParams
 from spikenoc.noc import NocSim
@@ -373,7 +374,8 @@ class TestExitCodes:
          "[core] decode and generation cycles must be non-negative"),
         ("energy", "router_per_flit = -5",
          "[energy] router_per_flit must be finite and non-negative"),
-        ("partition", "synapse_bytes = 0", "synapse_bytes must be positive"),
+        ("partition", "synapse_bytes = 0",
+         "[partition] synapse_bytes must be positive"),
         ("run", "stim_rate = 1.5", "stimulus rate 1.5 outside [0, 1]"),
         ("run", "dt = 0", "dt must be finite and positive"),
     ])
@@ -454,6 +456,17 @@ class TestExitCodes:
         assert "no flit progress" in capsys.readouterr().err
         assert out_dir.is_dir() and list(out_dir.iterdir()) == []
 
+    def test_core_input_sum_past_the_float_range_runs(self, tmp_path):
+        # every neuron's raw input is a finite float, but a core's sum of
+        # them is an int too large to convert
+        big = tmp_path / "big.ini"
+        big.write_text(CONFIG.replace("seed = 6", "seed = 6\nfrac_bits = 15")
+                       .replace("stimulus = poisson", "stimulus = constant")
+                       .replace("stim_amplitude = 12.0",
+                                "stim_amplitude = 5e303"))
+        assert main(["simulate", "--config", str(big),
+                     "--out", str(tmp_path / "run")]) == 0
+
     def test_numeric_blow_up_exits_1(self, tmp_path, capsys):
         # d=1e308 drives neuron 3's recovery variable past the float range
         graph = build_brunel(40, 10, 0.1, 0.4, -0.3, seed=6)
@@ -485,6 +498,32 @@ height = 3
         err = capsys.readouterr().err
         assert "runtime error: core (" in err
         assert "neuron 3: non-finite state" in err
+
+
+@pytest.mark.parametrize("value,needle", [
+    ("0.0", "tau_m must be positive"), ("nan", "tau_m must be finite")])
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_bad_neuron_parameter_exits_2(tmp_path, capsys, fmt, value, needle):
+    net = tmp_path / "net.snn"
+    net.write_text(f"snn 1\nneurons 3\nmodel lif tau_m=1.0\nsyn 0 1 5\n")
+    if fmt == "binary":
+        graph = load_graph(str(net))
+        net = tmp_path / "net.snnb"
+        save_binary(graph, str(net))
+        blob = bytearray(net.read_bytes())
+        at = blob.index(b"tau_m") + len(b"tau_m")
+        struct.pack_into("<d", blob, at, float(value))
+        net.write_bytes(bytes(blob))
+        where = f"{net}: model record at byte 12"
+    else:
+        net.write_text(net.read_text().replace("tau_m=1.0", f"tau_m={value}"))
+        where = f"{net}:3"
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[workload]\nkind = file\npath = {net}\n"
+                   f"[run]\ntimesteps = 3\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert f"error: {where}: {needle}" in capsys.readouterr().err
 
 
 def test_cli_imports_only_the_standard_library():

@@ -7,7 +7,7 @@ from spikenoc.core import (CoreState, CoreTiming, MODE_BASELINE,
                            MODE_UNISPIKE, SpikePacket, iter_bits)
 from spikenoc.graph import SnnGraph, quantize_weight
 from spikenoc.neurons import LifParams
-from spikenoc.partition import CoreMap, MemoryBudget, Partition
+from spikenoc.partition import MemoryBudget
 
 A, B, C = (0, 0), (1, 0), (0, 1)
 W = quantize_weight(1.0, 8)
@@ -18,10 +18,9 @@ def make_core(adjacency, clusters, coords, which=0, mode=MODE_UNISPIKE,
               timing=None, n=None, overrides=None):
     n = n if n is not None else sum(len(c) for c in clusters)
     g = SnnGraph(n, adjacency, model=MODEL, model_overrides=overrides)
-    part = Partition.from_clusters(clusters, n)
-    cm = CoreMap(2, 2, tuple(coords))
     cap = max(len(c) for c in clusters)
-    bundle = build_bundle(g, part, cm, MemoryBudget(neuron_bytes=cap * 24))
+    bundle = build_bundle(g, dict(zip(coords, clusters)), 2, 2,
+                          MemoryBudget(neuron_bytes=cap * 24))
     art = bundle.cores[which]
     params = [g.params_of(i) for i in art.neuron_ids]
     return CoreState(art, params, g.frac_bits, timing or CoreTiming(), mode)
@@ -108,24 +107,23 @@ class TestGeneration:
 
     def test_merged_masks_by_connection(self):
         core = fanout_core(MODE_UNISPIKE)
-        core.act_bitmap = 0b111          # everyone fired
-        [p] = core.generate_merged_packets(B, timestep=1)
+        fired = 0b111                    # everyone fired
+        [p] = core.generate_merged_packets(B, fired, timestep=1)
         assert p.indices == (0, 1)       # only 0 and 1 connect to B
-        [p] = core.generate_merged_packets(C, timestep=1)
+        [p] = core.generate_merged_packets(C, fired, timestep=1)
         assert p.indices == (0, 2)
 
     def test_merged_empty_when_nothing_relevant_fired(self):
         core = fanout_core(MODE_UNISPIKE)
-        core.act_bitmap = 0b100          # neuron 2 fired; 2 -> B not connected
-        assert core.generate_merged_packets(B, timestep=0) == []
+        fired = 0b100                    # neuron 2 fired; 2 -> B not connected
+        assert core.generate_merged_packets(B, fired, timestep=0) == []
 
     def test_chunking_at_max_body(self):
         n = 20
         adjacency = [[(n, W)] for _ in range(n)] + [[]]
         core = make_core(adjacency, [tuple(range(n)), (n,)], [A, B],
                          which=0, timing=CoreTiming(max_body=16))
-        core.act_bitmap = (1 << n) - 1
-        packets = core.generate_merged_packets(B, timestep=0)
+        packets = core.generate_merged_packets(B, (1 << n) - 1, timestep=0)
         assert [len(p.indices) for p in packets] == [16, 4]
         assert packets[0].indices == tuple(range(16))
         assert packets[1].indices == tuple(range(16, 20))

@@ -31,6 +31,16 @@ class TestQuantize:
         assert quantize_weight(1000.0, 8) == 32767
         assert quantize_weight(-1000.0, 8) == -32768
 
+    def test_saturation_when_the_product_overflows(self):
+        # 1e307 * 2**15 is not a finite float
+        assert quantize_weight(1e307, 15) == 32767
+        assert quantize_weight(-1e307, 15) == -32768
+        assert quantize_weight(-1e307, 0) == -32768
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            quantize_weight(float("nan"), 8)
+
 
 class TestRandomBuilders:
     def test_edge_count_within_binomial_bounds(self):
@@ -376,6 +386,36 @@ class TestSerialization:
         with pytest.raises(ValueError,
                            match=rf"^{re.escape(str(path))}: {what} "
                                  r"neuron 7 outside 0\.\.2"):
+            load_binary(str(path))
+
+    @pytest.mark.parametrize("value,needle", [
+        ("0.0", "tau_m must be positive; got 0.0"),
+        ("nan", "tau_m must be finite; got nan"),
+    ])
+    def test_bad_model_parameter_named_with_file_and_line(self, tmp_path,
+                                                          value, needle):
+        path = tmp_path / "net.snn"
+        path.write_text(f"snn 1\nneurons 3\nmodel lif tau_m={value}\n")
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}:3: {needle}"):
+            load_text(str(path))
+
+    @pytest.mark.parametrize("value,needle", [
+        (0.0, "tau_m must be positive; got 0.0"),
+        (float("nan"), "tau_m must be finite; got nan"),
+    ])
+    def test_bad_model_parameter_named_with_file(self, tmp_path, value,
+                                                 needle):
+        path = tmp_path / "net.snnb"
+        save_binary(SnnGraph(3, [[], [], []]), str(path))
+        blob = bytearray(path.read_bytes())
+        at = blob.index(b"tau_m") + len(b"tau_m")
+        struct.pack_into("<d", blob, at, value)
+        path.write_bytes(bytes(blob))
+        # the default model record follows the magic and the header
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}: model record "
+                                 rf"at byte 12: {needle}"):
             load_binary(str(path))
 
     def test_digest_changes_with_weights(self):

@@ -175,6 +175,29 @@ def test_params_field_round_trip():
         assert params_from_fields(kind, fields) == params
 
 
+@pytest.mark.parametrize("cls,name,value,needle", [
+    (LifParams, "tau_m", 0.0, "tau_m must be positive"),
+    (LifParams, "tau_m", -2.0, "tau_m must be positive"),
+    (LifParams, "tau_m", math.nan, "tau_m must be finite"),
+    (LifParams, "v_th", math.inf, "v_th must be finite"),
+    (LifParams, "refractory_steps", -1, "refractory_steps must be non-neg"),
+    (IzhikevichParams, "d", -math.inf, "d must be finite"),
+    (AdexParams, "c_m", 0.0, "c_m must be positive"),
+    (AdexParams, "delta_t", -1.0, "delta_t must be positive"),
+    (AdexParams, "tau_w", 0.0, "tau_w must be positive"),
+    (AdexParams, "g_l", math.nan, "g_l must be finite"),
+])
+def test_params_range_checked(cls, name, value, needle):
+    with pytest.raises(ValueError, match=needle):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_count_rejected_from_fields(value):
+    with pytest.raises(ValueError, match="refractory_steps must be finite"):
+        params_from_fields("lif", {"refractory_steps": value})
+
+
 def test_params_from_fields_rejects_unknowns():
     with pytest.raises(ValueError):
         params_from_fields("lif", {"tau_q": 1.0})

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikenoc.graph import ConvLayerSpec, SnnGraph, build_brunel, build_conv_topology
-from spikenoc.partition import (CoreMap, MemoryBudget, Partition, _SwapState,
+from spikenoc.partition import (MemoryBudget, Partition, _SwapState,
                                 destination_objective, hsfc_order,
                                 initial_partition, map_clusters, memory_cost,
                                 sss_refine)
@@ -72,6 +72,32 @@ class TestMemoryBudget:
     def test_positive_required(self):
         with pytest.raises(ValueError):
             MemoryBudget(synapse_bytes=0)
+
+    def test_fits_at_each_limit(self):
+        # byte sizes that are not multiples of their units, so the limits
+        # round down: 10 synapses of 3 bytes, 4 neurons of 50 bytes, and
+        # 40 // (2 + 1) = 13 destination entries
+        b = MemoryBudget(synapse_bytes=32, neuron_bytes=230,
+                         post_conn_bytes=40, bytes_per_synapse=3,
+                         bytes_per_neuron_state=50)
+        assert (b.max_synapses, b.neuron_capacity, b.max_dests) == (10, 4, 13)
+        assert b.fits(10, 4, 13)
+        assert not b.fits(11, 4, 13)
+        assert not b.fits(10, 5, 13)
+        assert not b.fits(10, 4, 14)
+        assert b.fits(0, 0, 0)
+
+    @given(st.integers(1, 400), st.integers(1, 400), st.integers(1, 400),
+           st.integers(1, 9), st.integers(1, 60), st.integers(0, 60),
+           st.integers(0, 12), st.integers(0, 30))
+    def test_fits_is_the_byte_rule(self, syn_b, neu_b, post_b, per_syn,
+                                   per_neuron, synapses, neurons, dests):
+        b = MemoryBudget(synapse_bytes=syn_b, neuron_bytes=neu_b,
+                         post_conn_bytes=post_b, bytes_per_synapse=per_syn,
+                         bytes_per_neuron_state=per_neuron)
+        assert b.fits(synapses, neurons, dests) == (
+            synapses * per_syn <= syn_b and neurons * per_neuron <= neu_b
+            and dests * b.dest_entry_bytes <= post_b)
 
 
 class TestMemoryCost:
@@ -351,18 +377,19 @@ class TestSwapState:
 class TestMapClusters:
     def test_hilbert_placement_prefix(self):
         part = Partition.from_clusters([(0,), (1,), (2,)], 3)
-        cm = map_clusters(part, 2, 2, policy="hilbert")
-        assert cm.placement == ((0, 0), (0, 1), (1, 1))
+        placement = map_clusters(part, 2, 2, policy="hilbert")
+        assert placement == {(0, 0): (0,), (0, 1): (1,), (1, 1): (2,)}
+        assert list(placement) == [(0, 0), (0, 1), (1, 1)]
 
     def test_row_major_placement(self):
         part = Partition.from_clusters([(0,), (1,), (2,)], 3)
-        cm = map_clusters(part, 2, 2, policy="row-major")
-        assert cm.placement == ((0, 0), (1, 0), (0, 1))
+        placement = map_clusters(part, 2, 2, policy="row-major")
+        assert list(placement) == [(0, 0), (1, 0), (0, 1)]
 
     def test_adjacent_clusters_adjacent_cores(self):
         part = Partition.from_clusters([(i,) for i in range(16)], 16)
-        cm = map_clusters(part, 4, 4, policy="hilbert")
-        for a, b in zip(cm.placement, cm.placement[1:]):
+        cells = list(map_clusters(part, 4, 4, policy="hilbert"))
+        for a, b in zip(cells, cells[1:]):
             assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
 
     def test_mesh_overflow_rejected(self):

@@ -126,3 +126,16 @@ def test_bad_specs_rejected():
 def test_bad_spec_rejected_at_construction(bad):
     with pytest.raises(ValueError):
         StimulusSpec(**bad)
+
+
+@pytest.mark.parametrize("amplitude", [1e307, -1e307])
+def test_amplitude_must_stay_finite_in_fixed_point(amplitude):
+    with pytest.raises(ValueError, match="not finite in fixed point"):
+        StimulusSpec(amplitude=amplitude)
+
+
+def test_largest_fixed_point_amplitude_accepted():
+    amplitude = 1.7e308 / (1 << 15)
+    steps = build_stimulus(StimulusSpec(kind="constant", amplitude=amplitude),
+                           1, 1, 15)
+    assert steps[0] == ((0, round(amplitude * (1 << 15))),)
