@@ -23,7 +23,7 @@ import sys
 from .artifact import ArtifactError, build_bundle, load_bundle, save_bundle
 from .config import (ConfigError, ExperimentConfig, build_graph, load_config,
                      override_seed, render_config, to_system_config)
-from .core import MODE_BASELINE, MODE_UNISPIKE
+from .core import MODES
 from .graph import load_graph, save_binary, save_text
 from .metrics import emit_report, redundancy_profile
 from .neurons import NumericError
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--bundle", help="bundle directory; omitted means deploy "
                                     "the config workload in memory")
-    p.add_argument("--mode", choices=[MODE_BASELINE, MODE_UNISPIKE],
+    p.add_argument("--mode", choices=list(MODES),
                    help="override the config transmission mode")
     p.add_argument("--trace", action="store_true",
                    help="also write a per-flit link trace")

@@ -6,7 +6,8 @@ silently ignored, since a typo like `n_ecx` would otherwise change the
 experiment without warning.  The [mesh], [core] and [energy] sections parse
 straight into `MeshConfig`, `CoreTiming` and `EnergyCostTable`, and the
 budget keys of [partition] into `MemoryBudget`; each class range-checks its
-own values, so a bad value fails at parse time.
+own values, so a bad value fails at parse time.  `SystemConfig` and
+`StimulusSpec` check the [run] and [partition] choices and ranges alike.
 """
 
 from __future__ import annotations
@@ -17,15 +18,15 @@ import hashlib
 import io
 from dataclasses import dataclass
 
-from .core import CoreTiming, MODE_BASELINE, MODE_UNISPIKE
+from .core import CoreTiming, MODE_UNISPIKE
 from .graph import (ConvLayerSpec, SnnGraph, build_brunel, build_conv_topology,
                     check_conv_params, check_random_params, load_graph)
 from .metrics import EnergyCostTable
 from .neurons import params_from_fields
 from .noc import MeshConfig
-from .partition import MemoryBudget, check_sss_settings
+from .partition import MemoryBudget
 from .stimulus import StimulusSpec
-from .system import PARTITIONERS, SystemConfig
+from .system import SystemConfig
 
 
 class ConfigError(ValueError):
@@ -33,7 +34,6 @@ class ConfigError(ValueError):
 
 
 WORKLOAD_KINDS = ("brunel", "conv", "file")
-MODELS = ("lif", "izhikevich", "adex")
 
 
 @dataclass(frozen=True)
@@ -182,32 +182,14 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig, source: str) -> None:
-    w, r, p = cfg.workload, cfg.run, cfg.partition
+    w = cfg.workload
     if w.kind not in WORKLOAD_KINDS:
         raise ConfigError(f"{source}: workload.kind must be one of "
                           f"{', '.join(WORKLOAD_KINDS)}; got {w.kind!r}")
-    if w.model not in MODELS:
-        raise ConfigError(f"{source}: workload.model must be one of "
-                          f"{', '.join(MODELS)}; got {w.model!r}")
     if w.kind == "file" and not w.path:
         raise ConfigError(f"{source}: workload.kind=file requires workload.path")
-    if r.mode not in (MODE_BASELINE, MODE_UNISPIKE):
-        raise ConfigError(f"{source}: run.mode must be {MODE_BASELINE} or "
-                          f"{MODE_UNISPIKE}; got {r.mode!r}")
-    if r.timesteps <= 0:
-        raise ConfigError(f"{source}: run.timesteps must be positive")
-    if r.stimulus not in ("poisson", "pulse", "constant", "none"):
-        raise ConfigError(f"{source}: run.stimulus must be poisson, pulse, "
-                          f"constant, or none; got {r.stimulus!r}")
-    if p.partitioner not in PARTITIONERS:
-        raise ConfigError(f"{source}: partition.partitioner must be one of "
-                          f"{', '.join(PARTITIONERS)}; got {p.partitioner!r}")
-    if p.placement not in ("hilbert", "row-major"):
-        raise ConfigError(f"{source}: partition.placement must be hilbert or "
-                          f"row-major; got {p.placement!r}")
     try:
-        # 0 selects the default sss_iters or sss_t0, and is in range
-        check_sss_settings(p.sss_iters, p.sss_t0, p.sss_cooling, p.seg_ratio)
+        params_from_fields(w.model, {})
         layers = parse_layers(w.layers)
         # the builder's own checks, for the keys the chosen kind uses
         if w.kind == "brunel":

@@ -19,6 +19,7 @@ Coord = tuple[int, int]
 
 MODE_BASELINE = "baseline"
 MODE_UNISPIKE = "unispike"
+MODES = (MODE_BASELINE, MODE_UNISPIKE)
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ class CoreState:
     def __init__(self, artifact: CoreArtifact, params: list[ModelParams],
                  frac_bits: int, timing: CoreTiming, mode: str,
                  dt: float = 1.0):
-        if mode not in (MODE_BASELINE, MODE_UNISPIKE):
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         n = artifact.local_count
         if len(params) != n:

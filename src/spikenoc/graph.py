@@ -40,7 +40,8 @@ class LayerTag:
 class SnnGraph:
     """Directed weighted synapse graph over neurons ``0..neuron_count-1``.
 
-    ``adjacency[pre]`` is a tuple of ``(post, raw_weight)`` sorted by post id.
+    ``adjacency[pre]`` is a tuple of ``(post, raw_weight)`` sorted by post id,
+    the one copy of the synapses; ``in_degrees[post]`` counts those into post.
     Treated as immutable after construction.
     """
 
@@ -67,13 +68,15 @@ class SnnGraph:
         self.layer_tags = layer_tags
         self.adjacency: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple(sorted(edges)) for edges in adjacency)
+        in_degrees = [0] * neuron_count
         for pre, edges in enumerate(self.adjacency):
             for post, raw in edges:
                 if not (0 <= post < neuron_count):
                     raise ValueError(f"synapse {pre}->{post} out of range")
                 if not (RAW_MIN <= raw <= RAW_MAX):
                     raise ValueError(f"raw weight {raw} outside i16")
-        self._reverse: tuple[tuple[tuple[int, int], ...], ...] | None = None
+                in_degrees[post] += 1
+        self.in_degrees: tuple[int, ...] = tuple(in_degrees)
 
     def posts(self, pre: int) -> tuple[tuple[int, int], ...]:
         return self.adjacency[pre]
@@ -84,20 +87,6 @@ class SnnGraph:
     @property
     def synapse_count(self) -> int:
         return sum(len(e) for e in self.adjacency)
-
-    @property
-    def reverse_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """``reverse_adjacency[post]`` lists ``(pre, raw_weight)``; built lazily."""
-        if self._reverse is None:
-            rev: list[list[tuple[int, int]]] = [[] for _ in range(self.neuron_count)]
-            for pre, edges in enumerate(self.adjacency):
-                for post, raw in edges:
-                    rev[post].append((pre, raw))
-            self._reverse = tuple(tuple(sorted(r)) for r in rev)
-        return self._reverse
-
-    def in_degree(self, nid: int) -> int:
-        return len(self.reverse_adjacency[nid])
 
     def weight_scale(self) -> float:
         return 1.0 / (1 << self.frac_bits)

@@ -265,7 +265,8 @@ def params_to_fields(params: ModelParams) -> dict[str, float]:
 def params_from_fields(kind: str, fields: dict[str, float]) -> ModelParams:
     cls = _MODEL_KINDS.get(kind)
     if cls is None:
-        raise ValueError(f"unknown neuron model kind {kind!r}")
+        raise ValueError(f"unknown neuron model kind {kind!r}; expected one "
+                         f"of {', '.join(_MODEL_KINDS)}")
     typed = {}
     for name, val in fields.items():
         if name not in cls.__dataclass_fields__:

@@ -4,14 +4,15 @@ The pipeline is: order neurons along a locality-preserving curve, cut the
 order greedily into clusters that fit the per-core memory budget, optionally
 refine by annealed segment swaps that minimise the number of distinct remote
 destination clusters, then place clusters onto mesh coordinates.  The result,
-a ``Placement``, is the one form a deployment takes.
+a ``Placement``, is the one form a deployment takes.  Of the network, it reads
+each neuron's outgoing synapses and its incoming-synapse count.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .graph import SnnGraph
@@ -20,6 +21,8 @@ from .hilbert import hilbert_cells, hilbert_index, order_for
 Coord = tuple[int, int]
 # core coord -> global neuron ids in local-index order
 Placement = dict[Coord, tuple[int, ...]]
+
+PLACEMENTS = ("hilbert", "row-major")
 
 
 @dataclass(frozen=True)
@@ -40,11 +43,12 @@ class MemoryBudget:
     bytes_per_neuron_state: int = 24
 
     def __post_init__(self):
-        for name in ("synapse_bytes", "neuron_bytes", "post_conn_bytes",
-                     "checking_table_bytes", "bytes_per_synapse",
-                     "bytes_per_neuron_state"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int:      # a bool or a float from JSON
+                raise ValueError(f"{f.name} must be an integer")
+            if value <= 0:
+                raise ValueError(f"{f.name} must be positive")
 
     @cached_property
     def max_synapses(self) -> int:
@@ -114,7 +118,7 @@ def memory_cost(cluster, graph: SnnGraph, budget: MemoryBudget,
     if not members:
         return MemoryCost(0, 0, 0, True)
     self_idx = cluster_of[members[0]]
-    syn = sum(graph.in_degree(n) for n in members)
+    syn = sum(graph.in_degrees[n] for n in members)
     dests = set()
     for n in members:
         for post, _ in graph.posts(n):
@@ -170,7 +174,7 @@ def _greedy_cut(order, graph: SnnGraph, budget: MemoryBudget,
 
     for n in order:
         ci = len(clusters)
-        add_syn = graph.in_degree(n)
+        add_syn = graph.in_degrees[n]
         trial = cur_dests | {assigned.get(post, FUTURE) for post, _ in graph.posts(n)}
         trial.discard(ci)
         ok = (len(cur) < cap_limit
@@ -195,7 +199,7 @@ def initial_partition(order, graph: SnnGraph, budget: MemoryBudget) -> Partition
         raise ValueError("order must be a permutation of all neurons")
     for n in range(graph.neuron_count):
         has_remote = any(post != n for post, _ in graph.posts(n))
-        if not budget.fits(graph.in_degree(n), 1, int(has_remote)):
+        if not budget.fits(graph.in_degrees[n], 1, int(has_remote)):
             raise ValueError(f"neuron {n} alone exceeds the memory budget")
 
     cap = max(1, budget.neuron_capacity)
@@ -241,15 +245,17 @@ class _SwapState:
 
     def __init__(self, partition: Partition, graph: SnnGraph, budget: MemoryBudget):
         k = len(partition.clusters)
-        rev = graph.reverse_adjacency
         self.k = k
         self.clusters = [list(c) for c in partition.clusters]
         self.cluster_of = list(partition.cluster_of)
         self.posts = [[post for post, _ in edges] for edges in graph.adjacency]
-        # a self-loop is counted once, as a post of the moved neuron
-        self.pres = [[pre for pre, _ in edges if pre != n]
-                     for n, edges in enumerate(rev)]
-        self.in_degree = [len(edges) for edges in rev]
+        # in ascending pre order; a self-loop counts once, as a post
+        self.pres: list[list[int]] = [[] for _ in self.posts]
+        for pre, posts in enumerate(self.posts):
+            for post in posts:
+                if post != pre:
+                    self.pres[post].append(pre)
+        self.in_degrees = graph.in_degrees
         self.syn_limit = budget.max_synapses
         self.size_limit = budget.neuron_capacity
         self.dest_limit = budget.max_dests
@@ -257,7 +263,7 @@ class _SwapState:
         self.row_of = [self.rows[c] for c in self.cluster_of]
         self.in_syn = [0] * k
         for n, row in enumerate(self.row_of):
-            self.in_syn[self.cluster_of[n]] += self.in_degree[n]
+            self.in_syn[self.cluster_of[n]] += self.in_degrees[n]
             for d in map(self.cluster_of.__getitem__, self.posts[n]):
                 row[d] += 1
         for c, row in enumerate(self.rows):
@@ -299,7 +305,7 @@ class _SwapState:
                 row[k] += 1
                 j += 1
         self.j_total = j
-        deg = self.in_degree[n]
+        deg = self.in_degrees[n]
         self.in_syn[frm] -= deg
         self.in_syn[to] += deg
 
@@ -419,10 +425,10 @@ def map_clusters(partition: Partition, mesh_width: int, mesh_height: int,
         raise ValueError("mesh dimensions must be positive")
     if k > mesh_width * mesh_height:
         raise ValueError(f"{k} clusters exceed {mesh_width}x{mesh_height} mesh")
+    if policy not in PLACEMENTS:
+        raise ValueError(f"unknown placement policy {policy!r}")
     if policy == "hilbert":
         cells = hilbert_cells(mesh_width, mesh_height)
-    elif policy == "row-major":
-        cells = [(x, y) for y in range(mesh_height) for x in range(mesh_width)]
     else:
-        raise ValueError(f"unknown placement policy {policy!r}")
+        cells = [(x, y) for y in range(mesh_height) for x in range(mesh_width)]
     return dict(zip(cells, partition.clusters))

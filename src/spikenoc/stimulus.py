@@ -23,10 +23,12 @@ StepEvents = tuple[tuple[int, int], ...]
 
 MAX_FRAC_BITS = 15      # a raw weight is an i16
 
+STIMULUS_KINDS = ("none", "constant", "poisson", "pulse")
+
 
 @dataclass(frozen=True)
 class StimulusSpec:
-    """``kind`` is one of none | constant | poisson | pulse.
+    """``kind`` is one of ``STIMULUS_KINDS``.
 
     constant: ``amplitude`` into every selected neuron each step.
     poisson:  per step, each selected neuron independently receives
@@ -43,8 +45,9 @@ class StimulusSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("none", "constant", "poisson", "pulse"):
-            raise ValueError(f"unknown stimulus kind {self.kind!r}")
+        if self.kind not in STIMULUS_KINDS:
+            raise ValueError(f"unknown stimulus kind {self.kind!r}; expected "
+                             f"one of {', '.join(STIMULUS_KINDS)}")
         if self.kind == "poisson" and not (0.0 <= self.rate <= 1.0):
             raise ValueError(f"stimulus rate {self.rate} outside [0, 1]")
         # finite at the largest frac_bits, so the raw current is an int

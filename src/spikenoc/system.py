@@ -12,14 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-from .artifact import DeploymentBundle, build_bundle
-from .core import CoreState, CoreTiming, MODE_BASELINE, MODE_UNISPIKE
+from .artifact import DeploymentBundle, build_bundle, validate_placement
+from .core import CoreState, CoreTiming, MODE_BASELINE, MODE_UNISPIKE, MODES
 from .graph import SnnGraph, SpikeTrain
 from .metrics import (EnergyCostTable, RunReport, TimestepRow, TrafficLedger,
                       compare_reports, redundancy_profile)
 from .noc import MeshConfig, NocSim, PacketRecord
-from .partition import (MemoryBudget, Partition, hsfc_order,
-                        initial_partition, map_clusters, sss_refine)
+from .partition import (PLACEMENTS, MemoryBudget, Partition,
+                        check_sss_settings, hsfc_order, initial_partition,
+                        map_clusters, sss_refine)
 from .stimulus import (StepEvents, StimulusSpec, build_stimulus,
                        check_stimulus)
 
@@ -30,6 +31,7 @@ PARTITIONERS = ("naive", "hsfc", "hsfc-sss")
 
 @dataclass(frozen=True)
 class SystemConfig:
+    """One run's settings; construction checks those no component owns."""
     mesh: MeshConfig = MeshConfig()
     timing: CoreTiming = CoreTiming()
     energy: EnergyCostTable = EnergyCostTable()
@@ -47,13 +49,21 @@ class SystemConfig:
     sss_cooling: float = 0.995
 
     def __post_init__(self):
+        for name, choices in (("mode", MODES), ("partitioner", PARTITIONERS),
+                              ("placement", PLACEMENTS)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
+                                 f"expected one of {', '.join(choices)}")
+        if self.timesteps < 1:
+            raise ValueError(f"timesteps must be positive; got "
+                             f"{self.timesteps}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive; got {self.dt}")
+        check_sss_settings(self.sss_iters, self.sss_t0, self.sss_cooling,
+                           self.seg_ratio)
 
 
 def make_partition(graph: SnnGraph, cfg: SystemConfig) -> Partition:
-    if cfg.partitioner not in PARTITIONERS:
-        raise ValueError(f"unknown partitioner {cfg.partitioner!r}")
     order = list(range(graph.neuron_count)) if cfg.partitioner == "naive" \
         else hsfc_order(graph)
     part = initial_partition(order, graph, cfg.budget)
@@ -86,10 +96,15 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
 
     ``trace_sink``, if given, is called after each step with that step's
     per-flit link trace rows ``(time_ps, link, pid, kind)``; the list is
-    cleared once the call returns."""
-    if cfg.mode not in (MODE_BASELINE, MODE_UNISPIKE):
-        raise ValueError(f"unknown mode {cfg.mode!r}")
+    cleared once the call returns.  A bundle off ``cfg.mesh`` raises
+    ValueError."""
     graph = bundle.graph
+    problems = validate_placement(
+        graph, [(c.coord, c.neuron_ids) for c in bundle.cores],
+        cfg.mesh.width, cfg.mesh.height)
+    if problems:
+        raise ValueError(f"bundle does not fit the configured mesh: "
+                         f"{problems[0]}")
     check_stimulus(stimulus, graph.neuron_count, cfg.timesteps)
     order = sorted(bundle.cores, key=lambda c: (c.coord[1], c.coord[0]))
     cores = []
@@ -154,10 +169,11 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
         steps.append(tuple(fired))
 
         hops_t = ledger.timestep_total("flit_hops", t)
+        state_bytes = updates * bundle.budget.bytes_per_neuron_state
         dyn = energy.dynamic(flit_hops=hops_t, updates=updates,
                              decoded_body_flits=decoded_body,
-                             sram_read_bytes=accum_events * 4 + updates * 24,
-                             sram_write_bytes=updates * 24)
+                             sram_read_bytes=accum_events * 4 + state_bytes,
+                             sram_write_bytes=state_bytes)
         stat = energy.static(n_cores, n_cores, t_end - t_start)
         dynamic_total += dyn
         static_total += stat
@@ -194,7 +210,7 @@ class ComparisonResult:
 
 
 def run_comparison(graph: SnnGraph, cfg: SystemConfig,
-                   modes=(MODE_BASELINE, MODE_UNISPIKE),
+                   modes=MODES,
                    partitioners=PARTITIONERS,
                    workload: str = "", config_digest: str = ""
                    ) -> ComparisonResult:

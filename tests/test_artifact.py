@@ -11,6 +11,7 @@ from spikenoc.artifact import (ArtifactError, build_bundle, load_bundle,
 from spikenoc.graph import SnnGraph, quantize_weight
 from spikenoc.neurons import LifParams
 from spikenoc.partition import MemoryBudget
+from test_graph import reverse_adjacency
 
 A, B = (0, 0), (1, 0)
 W = quantize_weight(1.0, 8)
@@ -313,6 +314,14 @@ class TestManifestFuzz:
             coord=coord))
         assert f"core {tuple(coord)}: outside the 2x1 mesh" in message
 
+    @pytest.mark.parametrize("field,value", [
+        ("neuron_bytes", 384.5), ("post_conn_bytes", 1e300),
+        ("synapse_bytes", 103168.0), ("bytes_per_neuron_state", True)])
+    def test_non_integer_budget_field_rejected(self, tmp_path, field, value):
+        message = self.load_edited(tmp_path, lambda m: m["budget"].update(
+            {field: value}))
+        assert f"{field} must be an integer" in message
+
     @pytest.mark.parametrize("key", ["coord", "neurons", "size_report"])
     def test_every_bad_entry_field_rejected(self, tmp_path, key):
         for value in (None, "x", 1.5, True, [], [0], [5, 5], ["0", 0],
@@ -399,10 +408,11 @@ def names(core, problems) -> bool:
 def two_pass_tables(graph, clusters, coords):
     """Each core's synapse table and bitmaps as the deployment code built
     them before ``derive_tables``: outgoing edges give the intra-core keys
-    and the bitmaps, incoming edges (in the graph's reverse adjacency
-    order) give the remote keys."""
+    and the bitmaps, incoming edges (in the reverse adjacency's order)
+    give the remote keys."""
     cluster_of = {n: ci for ci, c in enumerate(clusters) for n in c}
     local_index = {n: i for c in clusters for i, n in enumerate(c)}
+    reverse = reverse_adjacency(graph)
     out = []
     for ci, cluster in enumerate(clusters):
         coord = coords[ci]
@@ -416,7 +426,7 @@ def two_pass_tables(graph, clusters, coords):
                     dest_sets.setdefault(coords[cluster_of[post]],
                                          set()).add(i)
         for i, n in enumerate(cluster):
-            for pre, raw in graph.reverse_adjacency[n]:
+            for pre, raw in reverse[n]:
                 if cluster_of[pre] != ci:
                     key = (coords[cluster_of[pre]], local_index[pre])
                     table.setdefault(key, []).append((i, raw))

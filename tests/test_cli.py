@@ -269,8 +269,13 @@ class TestExitCodes:
         (lambda m: entry_at(m, (0, 0)).update(neurons="all"),
          "coordinates and neuron ids must be integers"),
         (lambda m: m.update(version=1), "unsupported bundle version 1"),
+        (lambda m: m["budget"].update(neuron_bytes=384.5,
+                                      post_conn_bytes=1e300),
+         "neuron_bytes must be an integer"),
+        (lambda m: m["budget"].update(bytes_per_synapse=True),
+         "bytes_per_synapse must be an integer"),
     ], ids=["duplicated", "missing", "size-report", "non-integer",
-            "version-1"])
+            "version-1", "float-budget", "bool-budget"])
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_manifest_edit_exits_2(self, tmp_path, config_path, capsys,
                                    command, edit, needle):

@@ -67,13 +67,13 @@ width = 6
 class TestValidation:
     @pytest.mark.parametrize("text,needle", [
         ("[workload]\nkind = ring\n", "workload.kind"),
-        ("[workload]\nmodel = hh\n", "workload.model"),
+        ("[workload]\nmodel = hh\n", "unknown neuron model kind 'hh'"),
         ("[workload]\nkind = file\n", "requires workload.path"),
-        ("[run]\nmode = turbo\n", "run.mode"),
+        ("[run]\nmode = turbo\n", "unknown mode 'turbo'"),
         ("[run]\ntimesteps = 0\n", "timesteps must be positive"),
-        ("[run]\nstimulus = thermal\n", "run.stimulus"),
-        ("[partition]\npartitioner = magic\n", "partition.partitioner"),
-        ("[partition]\nplacement = spiral\n", "partition.placement"),
+        ("[run]\nstimulus = thermal\n", "unknown stimulus kind 'thermal'"),
+        ("[partition]\npartitioner = magic\n", "unknown partitioner 'magic'"),
+        ("[partition]\nplacement = spiral\n", "unknown placement 'spiral'"),
         ("[mesh]\nwidth = -2\n", "mesh dimensions"),
         ("[workload]\nlayers = 3x3\n", "expected CxWxH"),
         ("[run]\nstim_neurons = 9-2\n", "reversed"),

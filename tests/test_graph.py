@@ -176,20 +176,31 @@ class TestConvTopology:
         assert {raw for edges in g.adjacency for _, raw in edges} == {128}
 
 
+def reverse_adjacency(g: SnnGraph) -> list[list[tuple[int, int]]]:
+    """``[post] -> sorted (pre, raw)``, built from the forward adjacency."""
+    rev: list[list[tuple[int, int]]] = [[] for _ in range(g.neuron_count)]
+    for pre, edges in enumerate(g.adjacency):
+        for post, raw in edges:
+            rev[post].append((pre, raw))
+    return [sorted(r) for r in rev]
+
+
 class TestGraphStructure:
     def test_reverse_adjacency_consistent(self):
         g = build_brunel(30, 10, seed=9)
+        rev = reverse_adjacency(g)
         forward = {(pre, post, raw)
                    for pre in range(g.neuron_count)
                    for post, raw in g.posts(pre)}
         backward = {(pre, post, raw)
                     for post in range(g.neuron_count)
-                    for pre, raw in g.reverse_adjacency[post]}
+                    for pre, raw in rev[post]}
         assert forward == backward
+        assert list(g.in_degrees) == [len(r) for r in rev]
 
     def test_in_degree(self):
         g = chain_graph(3)
-        assert [g.in_degree(i) for i in range(3)] == [0, 1, 1]
+        assert g.in_degrees == (0, 1, 1)
 
     def test_weight_scale(self):
         assert chain_graph().weight_scale() == 1.0 / 256

@@ -10,6 +10,7 @@ from spikenoc.partition import (MemoryBudget, Partition, _SwapState,
                                 destination_objective, hsfc_order,
                                 initial_partition, map_clusters, memory_cost,
                                 sss_refine)
+from test_graph import reverse_adjacency
 
 
 def graph_from_edges(n, edges, w=10):
@@ -348,6 +349,27 @@ class TestSssRefine:
 
 
 class TestSwapState:
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1),
+                                       st.integers(-5, 5)), max_size=60))))
+    @settings(max_examples=150, deadline=None)
+    def test_in_degrees_and_pres_match_a_reverse_adjacency(self, case):
+        # self-loops and repeated synapses included
+        n, edges = case
+        adjacency = [[] for _ in range(n)]
+        for pre, post, raw in edges:
+            adjacency[pre].append((post, raw))
+        g = SnnGraph(n, adjacency)
+        assert list(g.in_degrees) == [sum(1 for _, post, _ in edges
+                                          if post == nid) for nid in range(n)]
+        # the predecessor lists as they were built from the reverse adjacency
+        want = [[pre for pre, _ in r if pre != post]
+                for post, r in enumerate(reverse_adjacency(g))]
+        state = _SwapState(Partition.from_clusters([list(range(n))], n), g,
+                           MemoryBudget())
+        assert state.pres == want
+
     @given(st.integers(2, 16), st.floats(0.0, 0.4), st.integers(0, 10_000),
            st.integers(1, 5), st.data())
     @settings(max_examples=150, deadline=None)

@@ -10,6 +10,7 @@ from spikenoc.config import (build_graph, parse_config_text, parse_layers,
                              to_system_config)
 from spikenoc.neurons import (AdexParams, IzhikevichParams, LifParams,
                               NumericError)
+from spikenoc.metrics import EnergyCostTable
 from spikenoc.noc import MeshConfig
 from spikenoc.partition import MemoryBudget
 from spikenoc.stimulus import StimulusSpec, build_stimulus
@@ -212,6 +213,24 @@ class TestRunReportContents:
         assert rep.redundancy["total_packets"] == len(result.packet_records)
         assert all(r.eject_ps != -1 for r in result.packet_records)
 
+    def test_sram_energy_reads_the_neuron_state_size(self):
+        # same 16-neuron capacity, so the same cores and traffic; every cost
+        # a power of two, so the totals are exact
+        g = build_brunel(40, 10, conn_prob=0.1, w_exc=0.4, w_inh=-0.3, seed=6)
+        energy = EnergyCostTable(sram_read_per_byte=0.5,
+                                 sram_write_per_byte=0.25)
+        cfg = brunel_cfg(energy=energy, budget=MemoryBudget(neuron_bytes=384))
+        wide = replace(cfg, budget=MemoryBudget(neuron_bytes=768,
+                                                bytes_per_neuron_state=48))
+        stimulus = build_stimulus(cfg.stimulus, g.neuron_count, cfg.timesteps,
+                                  g.frac_bits)
+        narrow_rep = run_experiment(deploy(g, cfg), cfg, stimulus).report
+        wide_rep = run_experiment(deploy(g, wide), wide, stimulus).report
+        assert wide_rep.traffic == narrow_rep.traffic
+        updates = g.neuron_count * cfg.timesteps
+        assert wide_rep.energy["dynamic"] - narrow_rep.energy["dynamic"] == \
+            updates * 24 * (0.5 + 0.25)
+
     def test_merged_mode_never_injects_more_flits(self):
         g = build_conv_topology(parse_layers("1x8x8, 4x8x8 k3 p1"), seed=1,
                                 model=FAST)
@@ -252,6 +271,27 @@ class TestRunReportContents:
         assert untraced.report.to_json() == traced.report.to_json()
 
 
+# one out-of-range value per SystemConfig setting, with its message
+SETTING_CASES = [
+    (dict(mode="turbo"), "unknown mode 'turbo'; expected one of "
+                         "baseline, unispike"),
+    (dict(partitioner="magic"), "unknown partitioner 'magic'"),
+    (dict(placement="spiral"), "unknown placement 'spiral'; expected one "
+                               "of hilbert, row-major"),
+    (dict(timesteps=0), "timesteps must be positive; got 0"),
+    (dict(timesteps=-3), "timesteps must be positive; got -3"),
+    (dict(sss_iters=-1), "sss_iters must be non-negative"),
+    (dict(sss_t0=-1.0), "sss_t0 must be finite and non-negative"),
+    (dict(sss_t0=float("nan")), "sss_t0 must be finite and non-negative"),
+    (dict(sss_t0=float("inf")), "sss_t0 must be finite and non-negative"),
+    (dict(sss_cooling=1.5), "sss_cooling must be in [0, 1]"),
+    (dict(sss_cooling=-0.1), "sss_cooling must be in [0, 1]"),
+    (dict(sss_cooling=float("nan")), "sss_cooling must be in [0, 1]"),
+    (dict(seg_ratio=0.0), "seg_ratio must be in (0, 1]"),
+    (dict(seg_ratio=1.5), "seg_ratio must be in (0, 1]"),
+]
+
+
 class TestGuards:
     def test_stimulus_shorter_than_run_rejected(self):
         g = chain_graph(3)
@@ -273,11 +313,35 @@ class TestGuards:
             run_experiment(deploy(g, cfg), cfg, stimulus)
 
     def test_unknown_mode_rejected(self):
-        g = chain_graph(3)
-        cfg = SystemConfig(mesh=MeshConfig(1, 1), partitioner="naive",
-                           mode="turbo")
         with pytest.raises(ValueError, match="mode"):
-            run_experiment(deploy(g, cfg), cfg, None)
+            SystemConfig(mesh=MeshConfig(1, 1), partitioner="naive",
+                         mode="turbo")
+
+    @pytest.mark.parametrize("setting,needle", SETTING_CASES,
+                             ids=[f"{k}={v}" for setting, _ in SETTING_CASES
+                                  for k, v in setting.items()])
+    def test_out_of_range_setting_rejected(self, setting, needle):
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            SystemConfig(**setting)
+        # replace re-runs the checks
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            replace(SystemConfig(), **setting)
+
+    @pytest.mark.parametrize("mesh", [MeshConfig(2, 5), MeshConfig(5, 2)])
+    def test_mesh_smaller_than_the_bundle_rejected(self, mesh):
+        g = build_brunel(80, 20, conn_prob=0.1, w_exc=0.4, w_inh=-0.3, seed=6)
+        cfg = brunel_cfg(timesteps=3)
+        bundle = deploy(g, cfg)
+        off = [c.coord for c in bundle.cores
+               if not (c.coord[0] < mesh.width and c.coord[1] < mesh.height)]
+        assert off     # the 3x3 deployment uses the third column and row
+        stimulus = build_stimulus(cfg.stimulus, g.neuron_count, 3, g.frac_bits)
+        with pytest.raises(ValueError, match=re.escape(
+                f"bundle does not fit the configured mesh: core {off[0]}: "
+                f"outside the {mesh.width}x{mesh.height} mesh")):
+            run_experiment(bundle, replace(cfg, mesh=mesh), stimulus)
+        # a larger mesh holds it
+        run_experiment(bundle, replace(cfg, mesh=MeshConfig(4, 4)), stimulus)
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
     def test_non_positive_or_non_finite_dt_rejected(self, dt):
