@@ -295,8 +295,8 @@ def to_system_config(cfg: ExperimentConfig) -> SystemConfig:
         dt=cfg.run.dt,
         partition_seed=p.seed,
         seg_ratio=p.seg_ratio,
-        sss_iters=p.sss_iters or None,
-        sss_t0=p.sss_t0 or None,
+        sss_iters=p.sss_iters,
+        sss_t0=p.sss_t0,
         sss_cooling=p.sss_cooling,
     )
 

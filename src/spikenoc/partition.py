@@ -239,8 +239,16 @@ class _SwapState:
     ``rows[c][k]`` counts the clusters ``d != c`` that ``c`` reaches, so the
     objective is the sum of those slots.  ``row_of[n]`` is the row of ``n``'s
     cluster, and ``in_syn[c]`` the incoming-synapse count of ``c``'s members.
-    A move costs O(degree of the neuron), and a cluster's budget check is
-    three integer comparisons against limits computed once.
+    ``others[n]`` lists ``n``'s posts other than ``n`` itself and ``loops[n]``
+    counts its self-loop synapses; ``pres[n]`` lists its pres other than
+    itself.  A move costs one pass over each of those lists, and a cluster's
+    budget check is three integer comparisons against limits computed once.
+
+    ``risen`` records each row whose destination slot rose from 0 because a
+    moved neuron's pre now reaches a new cluster.  Sizes never change and
+    synapse counts change only in the two clusters that swap, so in a state
+    that fitted before a swap, a cluster outside that pair can be over budget
+    afterwards only if its row is in ``risen``.  The caller clears it.
     """
 
     def __init__(self, partition: Partition, graph: SnnGraph, budget: MemoryBudget):
@@ -248,13 +256,15 @@ class _SwapState:
         self.k = k
         self.clusters = [list(c) for c in partition.clusters]
         self.cluster_of = list(partition.cluster_of)
-        self.posts = [[post for post, _ in edges] for edges in graph.adjacency]
-        # in ascending pre order; a self-loop counts once, as a post
-        self.pres: list[list[int]] = [[] for _ in self.posts]
-        for pre, posts in enumerate(self.posts):
-            for post in posts:
-                if post != pre:
-                    self.pres[post].append(pre)
+        posts = [[post for post, _ in edges] for edges in graph.adjacency]
+        self.others = [[post for post in p if post != n]
+                       for n, p in enumerate(posts)]
+        self.loops = [len(p) - len(o) for p, o in zip(posts, self.others)]
+        # in ascending pre order; self-loops are counted in loops only
+        self.pres: list[list[int]] = [[] for _ in posts]
+        for pre, others in enumerate(self.others):
+            for post in others:
+                self.pres[post].append(pre)
         self.in_degrees = graph.in_degrees
         self.syn_limit = budget.max_synapses
         self.size_limit = budget.neuron_capacity
@@ -264,61 +274,71 @@ class _SwapState:
         self.in_syn = [0] * k
         for n, row in enumerate(self.row_of):
             self.in_syn[self.cluster_of[n]] += self.in_degrees[n]
-            for d in map(self.cluster_of.__getitem__, self.posts[n]):
+            for d in map(self.cluster_of.__getitem__, posts[n]):
                 row[d] += 1
         for c, row in enumerate(self.rows):
             row[k] = sum(1 for d in range(k) if d != c and row[d])
         self.j_total = sum(row[k] for row in self.rows)
+        self.risen: list[list[int]] = []
 
     def move(self, n: int, to: int) -> None:
+        """Reassign ``n`` to cluster ``to`` and update every count.
+
+        Each pass walks its list once and moves two counts per synapse.  When
+        ``to`` differs from ``n``'s cluster, the posts pass lowers row ``src``
+        and raises row ``dst``, two different rows, and the pres pass lowers
+        column ``frm`` and raises column ``to``, two different columns; so in
+        a pass each count only falls or only rises, a decrement can only
+        reach 0 and an increment only leave it.  A count that one pass lowers
+        and the other raises ends where the same steps in any order leave it,
+        with its destination slot set by whether it ends nonzero.  When ``to``
+        is ``n``'s own cluster, every decrement is undone by the increment
+        that follows it.
+        """
         cluster_of, row_of, k = self.cluster_of, self.row_of, self.k
         frm = cluster_of[n]
-        posts, pres = self.posts[n], self.pres[n]
         src, dst = self.rows[frm], self.rows[to]
         j = self.j_total
-        # Every decrement happens before the reassignment and every increment
-        # after it, so a self-loop synapse leaves src and enters dst.
-        for d in map(cluster_of.__getitem__, posts):
+        for d in map(cluster_of.__getitem__, self.others[n]):
             v = src[d] - 1
             src[d] = v
             if not v and d != frm:
                 src[k] -= 1
                 j -= 1
-        for row in map(row_of.__getitem__, pres):
-            v = row[frm] - 1
-            row[frm] = v
-            if not v and row is not src:
-                row[k] -= 1
-                j -= 1
-        cluster_of[n] = to
-        row_of[n] = dst
-        for d in map(cluster_of.__getitem__, posts):
             v = dst[d]
             dst[d] = v + 1
             if not v and d != to:
                 dst[k] += 1
                 j += 1
-        for row in map(row_of.__getitem__, pres):
+        # a self-loop synapse leaves src's diagonal and enters dst's
+        loops = self.loops[n]
+        src[frm] -= loops
+        dst[to] += loops
+        risen = self.risen
+        for row in map(row_of.__getitem__, self.pres[n]):
+            v = row[frm] - 1
+            row[frm] = v
+            if not v and row is not src:
+                row[k] -= 1
+                j -= 1
             v = row[to]
             row[to] = v + 1
             if not v and row is not dst:
                 row[k] += 1
                 j += 1
+                risen.append(row)
+        cluster_of[n] = to
+        row_of[n] = dst
         self.j_total = j
         deg = self.in_degrees[n]
         self.in_syn[frm] -= deg
         self.in_syn[to] += deg
 
-    def fits(self, affected) -> bool:
-        """Whether every cluster in ``affected`` is within the budget."""
-        rows, in_syn, clusters, k = self.rows, self.in_syn, self.clusters, self.k
-        syn_limit, size_limit, dest_limit = \
-            self.syn_limit, self.size_limit, self.dest_limit
-        for c in affected:
-            if (in_syn[c] > syn_limit or rows[c][k] > dest_limit
-                    or len(clusters[c]) > size_limit):
-                return False
-        return True
+    def fits(self, c: int) -> bool:
+        """Whether cluster ``c`` is within the budget."""
+        return (self.in_syn[c] <= self.syn_limit
+                and self.rows[c][self.k] <= self.dest_limit
+                and len(self.clusters[c]) <= self.size_limit)
 
 
 def check_sss_settings(iters: int | None, t0: float | None, cooling: float,
@@ -345,19 +365,28 @@ def sss_refine(partition: Partition, graph: SnnGraph, budget: MemoryBudget,
     objective.
 
     Each proposal exchanges equal-length contiguous segments between two
-    uniformly chosen clusters; it is accepted only if every cluster whose
-    memory cost changed still fits the budget, and the objective change
-    passes the usual Metropolis rule.  Returns the best partition observed.
-    Settings outside their ranges raise ``ValueError`` (see
-    ``check_sss_settings``).
+    uniformly chosen clusters; it is accepted only if every cluster still
+    fits the budget, and the objective change passes the usual Metropolis
+    rule.  Returns the best partition observed.
+
+    The starting partition must fit the budget, as ``initial_partition``'s
+    always does; otherwise ``ValueError`` names the first cluster that does
+    not.  Accepted swaps fit and rejected ones are undone, so every proposal
+    starts from a state that fits, and only the two swapping clusters and the
+    rows in ``_SwapState.risen`` need checking after a swap.  Settings
+    outside their ranges raise ``ValueError`` (see ``check_sss_settings``).
     """
     check_sss_settings(iters, t0, cooling, seg_ratio)
     k = len(partition.clusters)
+    state = _SwapState(partition, graph, budget)
+    for c in range(k):
+        if not state.fits(c):
+            raise ValueError(f"cluster {c} does not fit the memory budget; "
+                             "refinement starts from a partition that fits")
     if k < 2:
         return partition
     rng = random.Random(seed)
-    state = _SwapState(partition, graph, budget)
-    cluster_of, pres = state.cluster_of, state.pres
+    risen, dest_limit = state.risen, state.dest_limit
     min_size = min(len(c) for c in state.clusters)
     seg_len = max(1, min(min_size, math.floor(seg_ratio * min_size)))
     if iters is None:
@@ -388,12 +417,10 @@ def sss_refine(partition: Partition, graph: SnnGraph, budget: MemoryBudget,
         cb[sb:sb + seg_len] = seg_a
         dj = state.j_total - j_before
 
-        # a, b and the clusters feeding a moved neuron: the only ones whose
-        # memory cost can have changed
-        affected = {a, b}
-        for n in seg_a + seg_b:
-            affected.update(map(cluster_of.__getitem__, pres[n]))
-        accept = state.fits(affected)
+        # a and b may have changed in every count, any other cluster only in
+        # its destination count, and that rose only if its row is in risen
+        accept = (state.fits(a) and state.fits(b)
+                  and not any(row[k] > dest_limit for row in risen))
         if accept and dj >= 0:
             if temp > 0.0:
                 prob = math.exp(-dj / temp)
@@ -411,6 +438,7 @@ def sss_refine(partition: Partition, graph: SnnGraph, budget: MemoryBudget,
                 state.move(n, b)
             for n in seg_a:
                 state.move(n, a)
+        risen.clear()
         temp *= cooling
 
     return Partition.from_clusters(best, graph.neuron_count)

@@ -44,8 +44,8 @@ class SystemConfig:
     dt: float = 1.0
     partition_seed: int = 0
     seg_ratio: float = 0.1
-    sss_iters: int | None = None
-    sss_t0: float | None = None
+    sss_iters: int = 0          # 0 selects the size-scaled default
+    sss_t0: float = 0.0         # 0 selects a tenth of the starting objective
     sss_cooling: float = 0.995
 
     def __post_init__(self):
@@ -68,8 +68,9 @@ def make_partition(graph: SnnGraph, cfg: SystemConfig) -> Partition:
         else hsfc_order(graph)
     part = initial_partition(order, graph, cfg.budget)
     if cfg.partitioner == "hsfc-sss":
+        # 0 selects sss_refine's default; a run without refinement is hsfc
         part = sss_refine(part, graph, cfg.budget, seed=cfg.partition_seed,
-                          iters=cfg.sss_iters, t0=cfg.sss_t0,
+                          iters=cfg.sss_iters or None, t0=cfg.sss_t0 or None,
                           cooling=cfg.sss_cooling, seg_ratio=cfg.seg_ratio)
     return part
 

@@ -119,7 +119,8 @@ def test_full_pipeline(tmp_path, config_path, capsys):
     prof_path = str(tmp_path / "profile.json")
     assert main(["profile", "--packets", f"{out_dir}/packets.csv",
                  "--out", prof_path]) == 0
-    prof = json.loads(open(prof_path).read())
+    with open(prof_path) as f:
+        prof = json.load(f)
     assert prof["total_packets"] == report.redundancy["total_packets"]
 
     assert main(["validate", "--config", config_path,

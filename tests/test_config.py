@@ -11,6 +11,7 @@ from spikenoc.graph import ConvLayerSpec, build_brunel, save_text
 from spikenoc.metrics import EnergyCostTable
 from spikenoc.noc import MeshConfig
 from spikenoc.partition import MemoryBudget
+from spikenoc.system import SystemConfig
 
 
 class TestParsing:
@@ -147,7 +148,7 @@ class TestValidation:
         cfg = parse_config_text("[partition]\nsss_iters = 0\nsss_t0 = 0\n"
                                 "sss_cooling = 0\nseg_ratio = 1\n")
         sys_cfg = to_system_config(cfg)
-        assert (sys_cfg.sss_iters, sys_cfg.sss_t0) == (None, None)
+        assert (sys_cfg.sss_iters, sys_cfg.sss_t0) == (0, 0.0)
         assert (sys_cfg.sss_cooling, sys_cfg.seg_ratio) == (0.0, 1.0)
         assert parse_config_text("[partition]\nsss_cooling = 1\n"
                                  ).partition.sss_cooling == 1.0
@@ -305,6 +306,7 @@ class TestBuilders:
         assert (sc.mesh, sc.timing, sc.energy) == (cfg.mesh, cfg.core,
                                                    cfg.energy)
         assert sc.sss_iters == 500
-        # zero means pick the automatic schedule
-        assert to_system_config(ExperimentConfig()).sss_iters is None
-        assert to_system_config(ExperimentConfig()).sss_t0 is None
+        # zero means pick the automatic schedule, in both configs
+        sc = to_system_config(ExperimentConfig())
+        assert (sc.sss_iters, sc.sss_t0) == (SystemConfig().sss_iters,
+                                             SystemConfig().sss_t0) == (0, 0.0)

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spikenoc import partition
 from spikenoc.graph import ConvLayerSpec, SnnGraph, build_brunel, build_conv_topology
 from spikenoc.partition import (MemoryBudget, Partition, _SwapState,
                                 destination_objective, hsfc_order,
@@ -347,6 +348,59 @@ class TestSssRefine:
             p1 = sss_refine(p0, g, b, iters=50, **kwargs)
             assert destination_objective(p1, g) <= destination_objective(p0, g)
 
+    def test_start_over_budget_rejected(self):
+        # cluster 1 reaches clusters 0 and 2 with room for one destination
+        g = graph_from_edges(6, [(0, 2), (0, 4), (2, 3)])
+        bad = Partition.from_clusters([(4, 5), (0, 1), (2, 3)], 6)
+        b = MemoryBudget(neuron_bytes=24 * 2, post_conn_bytes=3)
+        assert [memory_cost(c, g, b, bad.cluster_of).fits
+                for c in bad.clusters] == [True, False, True]
+        with pytest.raises(ValueError, match="cluster 1 does not fit"):
+            sss_refine(bad, g, b, seed=0, iters=10)
+
+    def test_risen_record_is_empty_after_every_proposal(self, monkeypatch):
+        # every proposal makes exactly four randrange draws, the first of
+        # which starts it; the record is read there and after the last one
+        states, at_start, at_check, moves = [], [], [], []
+
+        class Recording(_SwapState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                states.append(self)
+
+            def move(self, n, to):
+                moves.append((n, to))
+                super().move(n, to)
+
+            def fits(self, c):
+                at_check.append(len(self.risen))
+                return super().fits(c)
+
+        class Draws(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.draws = 0
+
+            def randrange(self, *args):
+                if self.draws % 4 == 0:
+                    at_start.append(list(states[-1].risen))
+                self.draws += 1
+                return super().randrange(*args)
+
+        n, p, seed = self.PINNED[0][0]
+        g = loopy_graph(n, p, seed)
+        b = MemoryBudget(neuron_bytes=24 * 6, post_conn_bytes=3 * 3)
+        p0 = initial_partition(range(n), g, b)
+        expected = sss_refine(p0, g, b, seed=seed, iters=200)
+        monkeypatch.setattr(partition, "_SwapState", Recording)
+        monkeypatch.setattr(partition.random, "Random", Draws)
+        assert sss_refine(p0, g, b, seed=seed, iters=200) == expected
+        assert at_start == [[]] * 200 and states[-1].risen == []
+        # rows rose, and some proposals were undone, others kept: segments
+        # are one neuron long, so a proposal is two moves and an undo two more
+        assert max(at_check) > 0
+        assert 200 < len(moves) // 2 < 400
+
 
 class TestSwapState:
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
@@ -394,6 +448,28 @@ class TestSwapState:
                 cost = memory_cost(members, g, b, now.cluster_of)
                 assert state.rows[c][k] == cost.post_conn_bytes // b.dest_entry_bytes
                 assert state.in_syn[c] * b.bytes_per_synapse == cost.synapse_bytes
+
+    @given(st.integers(2, 16), st.floats(0.0, 0.4), st.integers(0, 10_000),
+           st.integers(1, 5), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_count_matches_recount(self, n, p, seed, k, data):
+        # the diagonal and self-loops too, which the objective never reads
+        g = loopy_graph(n, p, seed)
+        of = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        state = _SwapState(Partition.from_clusters(
+            [[x for x in range(n) if of[x] == c] for c in range(k)], n), g,
+            MemoryBudget())
+        for n_moved, to in data.draw(st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, k - 1)),
+                max_size=20)):
+            state.move(n_moved, to)
+        want = [[0] * k for _ in range(k)]
+        for pre, edges in enumerate(g.adjacency):
+            for post, _ in edges:
+                want[state.cluster_of[pre]][state.cluster_of[post]] += 1
+        assert [row[:k] for row in state.rows] == want
+        assert all(state.row_of[x] is state.rows[state.cluster_of[x]]
+                   for x in range(n))
 
 
 class TestMapClusters:

@@ -12,7 +12,7 @@ from spikenoc.neurons import (AdexParams, IzhikevichParams, LifParams,
                               NumericError)
 from spikenoc.metrics import EnergyCostTable
 from spikenoc.noc import MeshConfig
-from spikenoc.partition import MemoryBudget
+from spikenoc.partition import MemoryBudget, destination_objective
 from spikenoc.stimulus import StimulusSpec, build_stimulus
 from spikenoc.system import (PARTITIONERS, SystemConfig, deploy,
                              make_partition, run_comparison, run_experiment)
@@ -75,6 +75,25 @@ class TestPartitionerSelection:
     def test_unknown_partitioner_rejected(self):
         with pytest.raises(ValueError, match="partitioner"):
             make_partition(chain_graph(), brunel_cfg(partitioner="magic"))
+
+    def test_zero_sss_settings_select_the_defaults(self):
+        # SystemConfig's 0 means what an INI file's 0 means; no refinement is
+        # partitioner hsfc
+        text = ("[workload]\nkind = brunel\nn_exc = 80\nn_inh = 20\n"
+                "[mesh]\nwidth = 4\nheight = 4\n"
+                "[partition]\nneuron_bytes = 384\n")
+        cfg = parse_config_text(text)
+        graph = build_graph(cfg)
+
+        def j(sys_cfg):
+            return destination_objective(make_partition(graph, sys_cfg), graph)
+
+        tuned = to_system_config(parse_config_text(
+            text + "sss_iters = 300\nsss_t0 = 5\n"))
+        assert (tuned.sss_iters, tuned.sss_t0) == (300, 5.0)
+        assert j(to_system_config(cfg)) == 40
+        assert j(replace(tuned, sss_iters=0, sss_t0=0.0)) == 40
+        assert j(replace(tuned, partitioner="hsfc")) == 42
 
 
 # kind -> (params, frac_bits, w_exc, w_inh, drive amplitude, drive rate):
