@@ -218,6 +218,7 @@ def cmd_compare(args) -> int:
         emit_report(report, os.path.join(args.out, f"{mode}_{part}.json"))
     summary = {
         "spike_digests_equal": result.spike_digests_equal,
+        "matches_reference": result.matches_reference,
         "ratios": result.ratios,
     }
     with open(os.path.join(args.out, "comparison.json"), "w") as f:
@@ -233,6 +234,10 @@ def cmd_compare(args) -> int:
         print("  ".join([f"{part:>18}"] + [f"{r[c]:>18.4f}" for c in cols[1:]]))
     if not result.spike_digests_equal:
         print("error: spike trains diverged between runs", file=sys.stderr)
+        return EXIT_RUNTIME
+    if not result.matches_reference:
+        print("error: spike trains differ from the reference simulation",
+              file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import hashlib
 import io
 from dataclasses import dataclass
 
 from .core import CoreTiming, MODE_UNISPIKE
 from .graph import (ConvLayerSpec, SnnGraph, build_brunel, build_conv_topology,
-                    check_conv_params, check_random_params, load_graph)
+                    check_conv_params, check_random_params, load_graph,
+                    sha256)
 from .metrics import EnergyCostTable
 from .neurons import params_from_fields
 from .noc import MeshConfig
@@ -89,7 +89,7 @@ class ExperimentConfig:
     energy: EnergyCostTable = EnergyCostTable()
 
     def digest(self) -> str:
-        return hashlib.sha256(render_config(self).encode()).hexdigest()[:16]
+        return sha256(render_config(self).encode()).hexdigest()[:16]
 
 
 # section -> the ExperimentConfig fields its keys fill, in rendering order

@@ -8,10 +8,19 @@ bit-identical regardless of packet arrival order.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass
+
+# CPython's built-in SHA-256, as random.py takes its _sha512: importing
+# hashlib loads OpenSSL, which costs several MiB of resident memory
+try:
+    from _sha256 import sha256          # CPython <= 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256        # CPython >= 3.12
+    except ImportError:
+        from hashlib import sha256
 
 from .neurons import (ModelParams, LifParams, model_kind, params_from_fields,
                       params_to_fields)
@@ -42,7 +51,10 @@ class SnnGraph:
 
     ``adjacency[pre]`` is a tuple of ``(post, raw_weight)`` sorted by post id,
     the one copy of the synapses; ``in_degrees[post]`` counts those into post.
-    Treated as immutable after construction.
+    A pair equal to the last one seen for its post (in ascending pre order)
+    is that same tuple, so a post whose weight depends only on the pre's
+    population holds one tuple per population.  Treated as immutable after
+    construction.
     """
 
     def __init__(self, neuron_count: int, adjacency: list[list[tuple[int, int]]],
@@ -66,16 +78,25 @@ class SnnGraph:
         self.model = model if model is not None else LifParams()
         self.model_overrides = dict(model_overrides or {})
         self.layer_tags = layer_tags
-        self.adjacency: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(sorted(edges)) for edges in adjacency)
         in_degrees = [0] * neuron_count
-        for pre, edges in enumerate(self.adjacency):
-            for post, raw in edges:
+        last: list[tuple[int, int] | None] = [None] * neuron_count
+        rows = []
+        for pre, edges in enumerate(adjacency):
+            row = sorted(edges)
+            for i, pair in enumerate(row):
+                post, raw = pair
                 if not (0 <= post < neuron_count):
                     raise ValueError(f"synapse {pre}->{post} out of range")
                 if not (RAW_MIN <= raw <= RAW_MAX):
                     raise ValueError(f"raw weight {raw} outside i16")
                 in_degrees[post] += 1
+                seen = last[post]
+                if seen is not None and seen[1] == raw:
+                    row[i] = seen
+                else:
+                    last[post] = pair
+            rows.append(tuple(row))
+        self.adjacency: tuple[tuple[tuple[int, int], ...], ...] = tuple(rows)
         self.in_degrees: tuple[int, ...] = tuple(in_degrees)
 
     def posts(self, pre: int) -> tuple[tuple[int, int], ...]:
@@ -92,7 +113,7 @@ class SnnGraph:
         return 1.0 / (1 << self.frac_bits)
 
     def digest(self) -> str:
-        h = hashlib.sha256()
+        h = sha256()
         h.update(f"n={self.neuron_count};fb={self.frac_bits};"
                  f"model={model_kind(self.model)}{sorted(params_to_fields(self.model).items())}".encode())
         for nid in sorted(self.model_overrides):
@@ -268,7 +289,7 @@ class SpikeTrain:
     steps: tuple[tuple[int, ...], ...]
 
     def digest(self) -> str:
-        h = hashlib.sha256()
+        h = sha256()
         h.update(f"n={self.neuron_count}".encode())
         for t, fired in enumerate(self.steps):
             h.update(f";{t}:{','.join(map(str, fired))}".encode())

@@ -116,7 +116,9 @@ class _Router:
         self.rid = coord[1] * cfg.width + coord[0]
         self.vcs = vcs
         self.nslots = len(PORTS) * vcs
-        self.in_q = [deque() for _ in range(self.nslots)]
+        # a buffer holds at most vc_buffer_depth flits, so a list beats a
+        # deque in memory and in time
+        self.in_q: list[list[int]] = [[] for _ in range(self.nslots)]
         self.pkt: list[Packet | None] = [None] * self.nslots
         self.seq = [0] * self.nslots
         self.occupied: set[int] = set()     # slots with a non-empty buffer
@@ -186,7 +188,7 @@ class _Router:
                 if credit[base + dvc] <= 0:
                     continue
             q = in_q[s]
-            q.popleft()
+            del q[0]
             if not q:
                 self.occupied.discard(s)
             self.seq[s] = seq + 1

@@ -71,14 +71,16 @@ def build_stimulus(spec: StimulusSpec, neuron_count: int, timesteps: int,
     amp = round(spec.amplitude * (1 << frac_bits))
     if amp == 0:
         return [()] * timesteps
+    # one (n, amp) tuple per target, shared by every step that drives it
+    pair = {n: (n, amp) for n in targets}
     if spec.kind == "poisson":
         # one draw per (step, listed target), in list order
         draw = random.Random(spec.seed).random
         rate = spec.rate
-        return [tuple([(n, amp) for n in
+        return [tuple([pair[n] for n in
                        sorted({n for n in targets if draw() < rate})])
                 for _ in range(timesteps)]
-    drive = tuple((n, amp) for n in sorted(set(targets)))
+    drive = tuple(pair[n] for n in sorted(pair))
     if spec.kind == "constant":
         return [drive] * timesteps
     at = set(spec.at)       # pulse

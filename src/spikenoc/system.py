@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .artifact import DeploymentBundle, build_bundle, validate_placement
 from .core import CoreState, CoreTiming, MODE_BASELINE, MODE_UNISPIKE, MODES
-from .graph import SnnGraph, SpikeTrain
+from .graph import SnnGraph, SpikeTrain, reference_simulate
 from .metrics import (EnergyCostTable, RunReport, TimestepRow, TrafficLedger,
                       compare_reports, redundancy_profile)
 from .noc import MeshConfig, NocSim, PacketRecord
@@ -208,6 +208,7 @@ class ComparisonResult:
     trains: dict[tuple[str, str], SpikeTrain]
     ratios: dict[str, dict[str, float]]     # per partitioner, baseline/unispike
     spike_digests_equal: bool
+    matches_reference: bool     # every cell's train is reference_simulate's
 
 
 def run_comparison(graph: SnnGraph, cfg: SystemConfig,
@@ -215,7 +216,8 @@ def run_comparison(graph: SnnGraph, cfg: SystemConfig,
                    partitioners=PARTITIONERS,
                    workload: str = "", config_digest: str = ""
                    ) -> ComparisonResult:
-    """Run every (mode, partitioner) cell on identical stimulus."""
+    """Run every (mode, partitioner) cell on identical stimulus and check
+    each cell's spike train against one ``reference_simulate`` run."""
     stimulus = build_stimulus(cfg.stimulus, graph.neuron_count, cfg.timesteps,
                               graph.frac_bits)
     reports = {}
@@ -229,10 +231,12 @@ def run_comparison(graph: SnnGraph, cfg: SystemConfig,
             reports[(mode, part_name)] = result.report
             trains[(mode, part_name)] = result.train
     digests = {t.digest() for t in trains.values()}
+    reference = reference_simulate(graph, stimulus, cfg.timesteps, cfg.dt)
     ratios = {}
     if MODE_BASELINE in modes and MODE_UNISPIKE in modes:
         for part_name in partitioners:
             ratios[part_name] = compare_reports(
                 reports[(MODE_BASELINE, part_name)],
                 reports[(MODE_UNISPIKE, part_name)])
-    return ComparisonResult(reports, trains, ratios, len(digests) == 1)
+    return ComparisonResult(reports, trains, ratios, len(digests) == 1,
+                            digests == {reference.digest()})

@@ -1,3 +1,5 @@
+import ast
+import importlib.util
 import json
 import os
 import struct
@@ -8,6 +10,7 @@ import pytest
 
 import spikenoc
 
+from spikenoc import system
 from spikenoc.cli import main
 from spikenoc.config import parse_config_text
 from spikenoc.graph import (SnnGraph, SpikeTrain, build_brunel, load_graph,
@@ -161,9 +164,33 @@ def test_compare_matrix(tmp_path, config_path, capsys):
     assert "traffic_saving" in out and "hsfc-sss" in out
     summary = json.loads((out_dir / "comparison.json").read_text())
     assert summary["spike_digests_equal"] is True
+    assert summary["matches_reference"] is True
     assert set(summary["ratios"]) == {"naive", "hsfc", "hsfc-sss"}
     for name in ("baseline_naive", "unispike_hsfc", "baseline_hsfc-sss"):
         assert (out_dir / f"{name}.json").exists()
+
+
+def test_compare_fails_when_every_run_differs_from_the_reference(
+        tmp_path, config_path, monkeypatch, capsys):
+    # the runs still agree with each other; only the reference moved
+    true_reference = system.reference_simulate
+
+    def moved_spike(graph, stimulus, timesteps, dt=1.0):
+        train = true_reference(graph, stimulus, timesteps, dt)
+        steps = list(train.steps)
+        t = next(t for t, fired in enumerate(steps) if fired)
+        steps[t], steps[t + 1] = (steps[t][1:],
+                                  tuple(sorted(steps[t + 1] + steps[t][:1])))
+        return SpikeTrain(train.neuron_count, tuple(steps))
+
+    monkeypatch.setattr(system, "reference_simulate", moved_spike)
+    out_dir = tmp_path / "cmp"
+    assert main(["compare", "--config", config_path,
+                 "--out", str(out_dir)]) == 1
+    assert "differ from the reference" in capsys.readouterr().err
+    summary = json.loads((out_dir / "comparison.json").read_text())
+    assert summary["spike_digests_equal"] is True
+    assert summary["matches_reference"] is False
 
 
 def test_generate_binary_format(tmp_path, config_path):
@@ -550,3 +577,44 @@ def test_cli_imports_only_the_standard_library():
     loaded = set(proc.stdout.split())
     assert "spikenoc" in loaded
     assert loaded - set(sys.stdlib_module_names) - {"spikenoc"} == set()
+
+
+def test_cli_import_does_not_load_openssl():
+    # hashlib loads OpenSSL (_hashlib), several MiB of resident memory that
+    # a run never needs; spikenoc hashes with the built-in SHA-256 module
+    if not any(importlib.util.find_spec(m) for m in ("_sha256", "_sha2")):
+        pytest.skip("this interpreter has no built-in SHA-256 module")
+    code = ("import sys\n"
+            "import spikenoc.cli\n"
+            "print('_hashlib' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spikenoc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.split() == ["False"]
+
+
+def test_hashlib_is_imported_only_as_the_sha256_fallback():
+    package = os.path.dirname(os.path.abspath(spikenoc.__file__))
+    sites = []      # (file, whether the import sits in an except branch)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as f:
+            tree = ast.parse(f.read(), name)
+        in_handler = {id(sub) for node in ast.walk(tree)
+                      if isinstance(node, ast.Try)
+                      for handler in node.handlers
+                      for sub in ast.walk(handler)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.partition(".")[0] in ("hashlib", "_hashlib")
+                   for m in modules):
+                sites.append((name, id(node) in in_handler))
+    assert sites == [("graph.py", True)]

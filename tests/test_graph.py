@@ -1,14 +1,16 @@
+import hashlib
 import math
 import re
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spikenoc.graph import (ConvLayerSpec, LayerTag, SnnGraph, SpikeTrain,
                             _pack_model, build_brunel, build_conv_topology,
                             load_binary, load_graph, load_text,
                             quantize_weight, reference_simulate, save_binary,
-                            save_text)
+                            save_text, sha256)
 from spikenoc.neurons import IzhikevichParams, LifParams
 
 
@@ -433,3 +435,76 @@ class TestSerialization:
         a = build_brunel(20, 5, w_exc=0.1, seed=1)
         b = build_brunel(20, 5, w_exc=0.2, seed=1)
         assert a.digest() != b.digest()
+
+
+@given(st.lists(st.binary(max_size=300), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_sha256_equals_hashlib(chunks):
+    ours, theirs = sha256(), hashlib.sha256()
+    for chunk in chunks:
+        ours.update(chunk)
+        theirs.update(chunk)
+    assert ours.hexdigest() == theirs.hexdigest()
+    assert sha256(b"".join(chunks)).hexdigest() == theirs.hexdigest()
+
+
+@pytest.fixture
+def built_from(monkeypatch):
+    """Every adjacency handed to ``SnnGraph``, copied as it arrived."""
+    seen = []
+    init = SnnGraph.__init__
+
+    def recording(self, neuron_count, adjacency, *args, **kwargs):
+        seen.append([list(edges) for edges in adjacency])
+        init(self, neuron_count, adjacency, *args, **kwargs)
+
+    monkeypatch.setattr(SnnGraph, "__init__", recording)
+    return seen
+
+
+def plain_adjacency(adjacency):
+    """The constructor's adjacency without any sharing of equal pairs."""
+    return tuple(tuple(sorted(edges)) for edges in adjacency)
+
+
+def tuples_per_post(g: SnnGraph) -> list[int]:
+    """How many distinct pair objects, by identity, each post is named by."""
+    ids: list[set[int]] = [set() for _ in range(g.neuron_count)]
+    for edges in g.adjacency:
+        for pair in edges:
+            ids[pair[0]].add(id(pair))
+    return [len(s) for s in ids]
+
+
+class TestPairSharing:
+    def test_brunel_post_holds_one_tuple_per_population(self, tmp_path,
+                                                        built_from):
+        g = build_brunel(480, 120, 0.1, seed=3)
+        path = str(tmp_path / "g.snnb")
+        save_binary(g, path)
+        loaded = load_binary(path)
+        for graph, adjacency in zip((g, loaded), built_from):
+            assert max(tuples_per_post(graph)) <= 2
+            assert graph.adjacency == plain_adjacency(adjacency)
+            assert graph.digest() == g.digest()
+
+    def test_conv_adjacency_is_unchanged(self, built_from):
+        layers = [ConvLayerSpec(2, 8, 8), ConvLayerSpec(3, 6, 6, kernel=3),
+                  ConvLayerSpec(2, 3, 3, kernel=2, stride=2)]
+        g = build_conv_topology(layers, seed=5)
+        assert g.adjacency == plain_adjacency(built_from[0])
+        assert g.synapse_count == sum(map(len, built_from[0]))
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.lists(st.tuples(st.integers(0, n - 1),
+                                                st.integers(-3, 3)),
+                                      max_size=6),
+                             min_size=n, max_size=n))))
+    @settings(max_examples=150, deadline=None)
+    def test_sharing_keeps_every_synapse(self, case):
+        n, adjacency = case
+        g = SnnGraph(n, adjacency)
+        assert g.adjacency == plain_adjacency(adjacency)
+        assert g.in_degrees == tuple(
+            sum(post == i for edges in adjacency for post, _ in edges)
+            for i in range(n))

@@ -11,7 +11,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracle.seed_noc import NocSim as SeedNocSim
 from spikenoc import system
@@ -60,6 +60,9 @@ class TestSeedOracle:
            pipeline=st.integers(1, 3), link=st.integers(1, 3),
            gen_cycles=st.integers(0, 3), queue=st.integers(1, 6),
            max_body=st.integers(1, 16), nsteps=st.integers(1, 4))
+    # the tightest buffers: one VC, one flit deep, one queued packet
+    @example(seed=7, width=3, height=3, vcs=1, depth=1, pipeline=1, link=1,
+             gen_cycles=0, queue=1, max_body=16, nsteps=3)
     def test_matches_seed_simulator(self, seed, width, height, vcs, depth,
                                     pipeline, link, gen_cycles, queue,
                                     max_body, nsteps):

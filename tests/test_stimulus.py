@@ -139,3 +139,19 @@ def test_largest_fixed_point_amplitude_accepted():
     steps = build_stimulus(StimulusSpec(kind="constant", amplitude=amplitude),
                            1, 1, 15)
     assert steps[0] == ((0, round(amplitude * (1 << 15))),)
+
+
+@pytest.mark.parametrize("spec", [
+    StimulusSpec(kind="poisson", amplitude=1.0, rate=0.5, seed=4,
+                 neurons=(7, 2, 9, 2, 30)),
+    StimulusSpec(kind="poisson", amplitude=1.0, rate=0.3, seed=5),
+    StimulusSpec(kind="constant", amplitude=0.5, neurons=(3, 1, 4)),
+    StimulusSpec(kind="pulse", amplitude=2.0, at=(1, 4, 6)),
+])
+def test_equal_events_share_one_tuple(spec):
+    steps = build_stimulus(spec, 40, 12, 8)
+    first: dict[tuple[int, int], tuple[int, int]] = {}
+    for events in steps:
+        for event in events:
+            assert first.setdefault(event, event) is event
+    assert sum(map(len, steps)) > len(first)    # some event did repeat

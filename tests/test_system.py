@@ -161,6 +161,7 @@ class TestLosslessness:
         assert want.total_spikes() > 0
         result = run_comparison(g, cfg)
         assert result.spike_digests_equal
+        assert result.matches_reference
         for (mode, part), train in result.trains.items():
             assert train.digest() == want.digest(), (mode, part)
 
