@@ -15,9 +15,9 @@ from .graph import (ConvLayerSpec, SnnGraph, SpikeTrain, build_brunel,
                     save_text)
 from .stimulus import StimulusSpec, build_stimulus
 from .hilbert import hilbert_cells, hilbert_index
-from .partition import (MemoryBudget, MemoryCost, Partition, Placement,
+from .partition import (MemoryBudget, Partition, Placement, cluster_loads,
                         destination_objective, hsfc_order, initial_partition,
-                        map_clusters, memory_cost, sss_refine)
+                        map_clusters, sss_refine)
 from .schedule import build_checking_table, validate_schedule
 from .artifact import (ArtifactError, CoreArtifact, DeploymentBundle,
                        build_bundle, load_bundle, save_bundle,

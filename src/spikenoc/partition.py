@@ -97,38 +97,23 @@ class Partition:
         return Partition(tuple(tuple(c) for c in clusters), neuron_count, tuple(of))
 
 
-@dataclass(frozen=True)
-class MemoryCost:
-    synapse_bytes: int
-    neuron_bytes: int
-    post_conn_bytes: int
-    fits: bool
+def cluster_loads(partition: Partition,
+                  graph: SnnGraph) -> list[tuple[int, int, int]]:
+    """Per cluster: (incoming synapses, neurons, distinct remote destination
+    clusters), the counts ``MemoryBudget.fits`` takes.
 
-
-def memory_cost(cluster, graph: SnnGraph, budget: MemoryBudget,
-                cluster_of) -> MemoryCost:
-    """Cost of one cluster under a complete assignment.
-
-    ``cluster_of`` maps every neuron to its cluster index; the cluster's own
-    index is taken from its first member.  Destination entries count distinct
-    remote clusters only, since local fan-out lives in the core's own synapse
-    table.
+    Destinations count remote clusters only, since local fan-out lives in the
+    core's own synapse table.  This is the one full count of what a cluster
+    reaches; ``_SwapState`` keeps the same counts incrementally.
     """
-    members = list(cluster)
-    if not members:
-        return MemoryCost(0, 0, 0, True)
-    self_idx = cluster_of[members[0]]
-    syn = sum(graph.in_degrees[n] for n in members)
-    dests = set()
-    for n in members:
-        for post, _ in graph.posts(n):
-            pc = cluster_of[post]
-            if pc != self_idx:
-                dests.add(pc)
-    return MemoryCost(syn * budget.bytes_per_synapse,
-                      len(members) * budget.bytes_per_neuron_state,
-                      len(dests) * budget.dest_entry_bytes,
-                      budget.fits(syn, len(members), len(dests)))
+    of, in_degrees = partition.cluster_of, graph.in_degrees
+    loads = []
+    for ci, cluster in enumerate(partition.clusters):
+        dests = {of[post] for n in cluster for post, _ in graph.adjacency[n]}
+        dests.discard(ci)
+        loads.append((sum(in_degrees[n] for n in cluster), len(cluster),
+                      len(dests)))
+    return loads
 
 
 def hsfc_order(graph: SnnGraph) -> list[int]:
@@ -206,8 +191,8 @@ def initial_partition(order, graph: SnnGraph, budget: MemoryBudget) -> Partition
     while True:
         clusters = _greedy_cut(order, graph, budget, cap)
         part = Partition.from_clusters(clusters, graph.neuron_count)
-        bad = [ci for ci, c in enumerate(part.clusters)
-               if not memory_cost(c, graph, budget, part.cluster_of).fits]
+        bad = [ci for ci, load in enumerate(cluster_loads(part, graph))
+               if not budget.fits(*load)]
         if not bad:
             return part
         if cap == 1:
@@ -219,16 +204,7 @@ def initial_partition(order, graph: SnnGraph, budget: MemoryBudget) -> Partition
 def destination_objective(partition: Partition, graph: SnnGraph) -> int:
     """Total over clusters of the number of distinct remote destination
     clusters; the quantity minimised by segment-swap refinement."""
-    j = 0
-    for ci, cluster in enumerate(partition.clusters):
-        dests = set()
-        for n in cluster:
-            for post, _ in graph.posts(n):
-                pc = partition.cluster_of[post]
-                if pc != ci:
-                    dests.add(pc)
-        j += len(dests)
-    return j
+    return sum(dests for _, _, dests in cluster_loads(partition, graph))
 
 
 class _SwapState:

@@ -206,6 +206,7 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
 class ComparisonResult:
     reports: dict[tuple[str, str], RunReport]
     trains: dict[tuple[str, str], SpikeTrain]
+    cores: dict[str, int]                   # per partitioner, cores deployed
     ratios: dict[str, dict[str, float]]     # per partitioner, baseline/unispike
     spike_digests_equal: bool
     matches_reference: bool     # every cell's train is reference_simulate's
@@ -222,8 +223,10 @@ def run_comparison(graph: SnnGraph, cfg: SystemConfig,
                               graph.frac_bits)
     reports = {}
     trains = {}
+    cores = {}
     for part_name in partitioners:
         bundle = deploy(graph, replace(cfg, partitioner=part_name))
+        cores[part_name] = len(bundle.cores)
         for mode in modes:
             cell_cfg = replace(cfg, partitioner=part_name, mode=mode)
             result = run_experiment(bundle, cell_cfg, stimulus,
@@ -238,5 +241,5 @@ def run_comparison(graph: SnnGraph, cfg: SystemConfig,
             ratios[part_name] = compare_reports(
                 reports[(MODE_BASELINE, part_name)],
                 reports[(MODE_UNISPIKE, part_name)])
-    return ComparisonResult(reports, trains, ratios, len(digests) == 1,
+    return ComparisonResult(reports, trains, cores, ratios, len(digests) == 1,
                             digests == {reference.digest()})

@@ -8,9 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from spikenoc.artifact import (ArtifactError, build_bundle, load_bundle,
                                save_bundle, validate_placement)
-from spikenoc.graph import SnnGraph, quantize_weight
+from spikenoc.graph import SnnGraph, build_brunel, quantize_weight
 from spikenoc.neurons import LifParams
-from spikenoc.partition import MemoryBudget
+from spikenoc.noc import MeshConfig
+from spikenoc.partition import (MemoryBudget, cluster_loads,
+                                destination_objective, map_clusters)
+from spikenoc.system import PARTITIONERS, SystemConfig, make_partition
 from test_graph import reverse_adjacency
 
 A, B = (0, 0), (1, 0)
@@ -105,6 +108,23 @@ class TestBuildBundle:
         with pytest.raises(ArtifactError, match="memory budget"):
             two_core_bundle(budget=MemoryBudget(neuron_bytes=3 * 24,
                                                 synapse_bytes=2))
+
+    @pytest.mark.parametrize("partitioner", PARTITIONERS)
+    def test_each_core_holds_its_cluster_load(self, partitioner):
+        # the bitmaps are the deployed form of the count the partitioner
+        # minimises; a sparse graph keeps J below k(k-1), so SSS moves it
+        g = build_brunel(160, 40, conn_prob=0.05, seed=3)
+        cfg = SystemConfig(mesh=MeshConfig(5, 5), partitioner=partitioner,
+                           budget=MemoryBudget(neuron_bytes=10 * 24))
+        part = make_partition(g, cfg)
+        bundle = build_bundle(g, map_clusters(part, 5, 5), 5, 5, cfg.budget)
+        assert sum(len(core.conn_bitmaps) for core in bundle.cores) == \
+            destination_objective(part, g)
+        loads = cluster_loads(part, g)
+        for core in bundle.cores:
+            synapses = sum(len(v) for v in core.synapse_table.values())
+            assert (synapses, len(core.neuron_ids), len(core.conn_bitmaps)) \
+                == loads[part.cluster_of[core.neuron_ids[0]]]
 
 
 class TestBundleIo:

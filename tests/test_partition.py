@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from spikenoc import partition
 from spikenoc.graph import ConvLayerSpec, SnnGraph, build_brunel, build_conv_topology
 from spikenoc.partition import (MemoryBudget, Partition, _SwapState,
-                                destination_objective, hsfc_order,
-                                initial_partition, map_clusters, memory_cost,
+                                cluster_loads, destination_objective,
+                                hsfc_order, initial_partition, map_clusters,
                                 sss_refine)
 from test_graph import reverse_adjacency
 
@@ -103,41 +103,43 @@ class TestMemoryBudget:
 
 
 class TestMemoryCost:
+    """A cluster's memory cost: its ``cluster_loads`` counts, priced and
+    checked by ``MemoryBudget``."""
+
     def test_hand_case(self):
         # cluster {0, 1}: five incoming synapses, two neurons, one remote
-        # destination cluster -> (5, 48, 34) under a capacity-256 budget
+        # destination cluster -> (5, 48, 34) bytes under a capacity-256 budget
         g = graph_from_edges(4, [(0, 2), (1, 0), (2, 0), (2, 1), (3, 0),
                                  (3, 1)])
         part = Partition.from_clusters([(0, 1), (2, 3)], 4)
         b = MemoryBudget(neuron_bytes=256 * 24)
-        cost = memory_cost((0, 1), g, b, part.cluster_of)
-        assert (cost.synapse_bytes, cost.neuron_bytes, cost.post_conn_bytes) \
-            == (5, 48, 34)
-        assert cost.fits
+        load = cluster_loads(part, g)[0]
+        assert load == (5, 2, 1)
+        syn, neurons, dests = load
+        assert (syn * b.bytes_per_synapse, neurons * b.bytes_per_neuron_state,
+                dests * b.dest_entry_bytes) == (5, 48, 34)
+        assert b.fits(*load)
 
     def test_intra_cluster_fanout_is_free(self):
         g = graph_from_edges(4, [(0, 1), (1, 0)])
         part = Partition.from_clusters([(0, 1), (2, 3)], 4)
-        cost = memory_cost((0, 1), g, MemoryBudget(), part.cluster_of)
-        assert cost.post_conn_bytes == 0
+        assert cluster_loads(part, g)[0][2] == 0
 
     def test_multiple_remote_clusters_counted_once_each(self):
         g = graph_from_edges(6, [(0, 2), (0, 3), (1, 4), (0, 4)])
         part = Partition.from_clusters([(0, 1), (2, 3), (4, 5)], 6)
-        cost = memory_cost((0, 1), g, MemoryBudget(), part.cluster_of)
-        assert cost.post_conn_bytes == 2 * MemoryBudget().dest_entry_bytes
+        assert cluster_loads(part, g)[0][2] == 2
 
     def test_overflow_detected(self):
         g = graph_from_edges(2, [(0, 1)] * 1)
         part = Partition.from_clusters([(0,), (1,)], 2)
         tight = MemoryBudget(neuron_bytes=24, post_conn_bytes=1)
-        cost = memory_cost((0,), g, tight, part.cluster_of)
-        assert not cost.fits
+        assert not tight.fits(*cluster_loads(part, g)[0])
 
     def test_empty_cluster(self):
         g = graph_from_edges(1, [])
-        cost = memory_cost((), g, MemoryBudget(), (0,))
-        assert cost == type(cost)(0, 0, 0, True)
+        part = Partition.from_clusters([(0,), ()], 1)
+        assert cluster_loads(part, g)[1] == (0, 0, 0)
 
 
 class TestPartitionType:
@@ -169,9 +171,8 @@ class TestGreedyCut:
                                  if 0 < abs(i - j) <= 1])
         b = MemoryBudget(synapse_bytes=5, neuron_bytes=24 * 100)
         part = initial_partition(range(6), g, b)
-        for c in part.clusters:
-            cost = memory_cost(c, g, b, part.cluster_of)
-            assert cost.synapse_bytes <= 5
+        for syn, _, _ in cluster_loads(part, g):
+            assert syn * b.bytes_per_synapse <= 5
 
     def test_order_must_be_permutation(self):
         g = graph_from_edges(3, [])
@@ -191,8 +192,7 @@ class TestGreedyCut:
         b = MemoryBudget(neuron_bytes=8 * 24, post_conn_bytes=8 * 3)
         part = initial_partition(range(60), g, b)
         assert len(part.clusters) >= 60 // 8
-        for c in part.clusters:
-            assert memory_cost(c, g, b, part.cluster_of).fits
+        assert all(b.fits(*load) for load in cluster_loads(part, g))
 
 
 class TestHsfcOrder:
@@ -248,8 +248,7 @@ class TestSssRefine:
             b = MemoryBudget(neuron_bytes=24 * 6, post_conn_bytes=18 * 4)
             p0 = initial_partition(range(30), g, b)
             p1 = sss_refine(p0, g, b, seed=seed, iters=200)
-            for c in p1.clusters:
-                assert memory_cost(c, g, b, p1.cluster_of).fits
+            assert all(b.fits(*load) for load in cluster_loads(p1, g))
 
     def test_cluster_sizes_preserved(self):
         g = random_graph(20, 0.15, seed=5)
@@ -321,8 +320,7 @@ class TestSssRefine:
         p1 = sss_refine(p0, g, b, seed=seed, iters=200, seg_ratio=1.0)
         assert p1.clusters == expected
         assert destination_objective(p1, g) < destination_objective(p0, g)
-        for c in p1.clusters:
-            assert memory_cost(c, g, b, p1.cluster_of).fits
+        assert all(b.fits(*load) for load in cluster_loads(p1, g))
 
     @pytest.mark.parametrize("kwargs", [
         dict(iters=-1), dict(t0=-0.5), dict(t0=math.nan), dict(t0=math.inf),
@@ -353,8 +351,8 @@ class TestSssRefine:
         g = graph_from_edges(6, [(0, 2), (0, 4), (2, 3)])
         bad = Partition.from_clusters([(4, 5), (0, 1), (2, 3)], 6)
         b = MemoryBudget(neuron_bytes=24 * 2, post_conn_bytes=3)
-        assert [memory_cost(c, g, b, bad.cluster_of).fits
-                for c in bad.clusters] == [True, False, True]
+        assert [b.fits(*load) for load in cluster_loads(bad, g)] == \
+            [True, False, True]
         with pytest.raises(ValueError, match="cluster 1 does not fit"):
             sss_refine(bad, g, b, seed=0, iters=10)
 
@@ -444,10 +442,9 @@ class TestSwapState:
                 [[x for x in range(n) if state.cluster_of[x] == c]
                  for c in range(k)], n)
             assert state.j_total == destination_objective(now, g)
-            for c, members in enumerate(now.clusters):
-                cost = memory_cost(members, g, b, now.cluster_of)
-                assert state.rows[c][k] == cost.post_conn_bytes // b.dest_entry_bytes
-                assert state.in_syn[c] * b.bytes_per_synapse == cost.synapse_bytes
+            for c, (syn, _, dests) in enumerate(cluster_loads(now, g)):
+                assert state.rows[c][k] == dests
+                assert state.in_syn[c] == syn
 
     @given(st.integers(2, 16), st.floats(0.0, 0.4), st.integers(0, 10_000),
            st.integers(1, 5), st.data())
@@ -508,5 +505,4 @@ def test_initial_partition_properties(n, p, seed, cap):
     # exact cover
     assert sorted(x for c in part.clusters for x in c) == list(range(n))
     # every cluster fits
-    for c in part.clusters:
-        assert memory_cost(c, g, b, part.cluster_of).fits
+    assert all(b.fits(*load) for load in cluster_loads(part, g))

@@ -4,6 +4,8 @@ import csv
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 BRUNEL_2X2 = """
@@ -52,3 +54,28 @@ def test_capacity_sweep(tmp_path):
         rows = list(csv.DictReader(f))
     assert [(r["capacity"], r["lossless"]) for r in rows] == [("16", "yes"),
                                                               ("32", "yes")]
+    # a deployment never changes the spike train, so neither does its count
+    assert int(rows[0]["spikes"]) > 0
+    assert rows[1]["spikes"] == rows[0]["spikes"]
+
+
+def test_mode_comparison_rejects_bad_input(tmp_path, capsys):
+    main = load_script("mode_comparison").main
+    with pytest.raises(SystemExit) as exc:
+        main(["--partitioner", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[mesh]\nwidth = zero\n")
+    assert main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_capacity_sweep_rejects_values_below_one(capsys):
+    main = load_script("capacity_sweep").main
+    for args in (["--capacities", "16,0"], ["--timesteps", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert f"argument {args[0]}: must be at least 1" in \
+            capsys.readouterr().err

@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracle.seed_sss import sss_refine as seed_sss_refine
 from spikenoc.graph import build_brunel
-from spikenoc.partition import (MemoryBudget, hsfc_order, initial_partition,
-                                memory_cost, sss_refine)
+from spikenoc.partition import (MemoryBudget, cluster_loads, hsfc_order,
+                                initial_partition, sss_refine)
 from test_partition import loopy_graph
 
 
@@ -43,8 +43,7 @@ def test_refinement_matches_seed_refinement(n, p, graph_seed, capacity, dests,
                   seg_ratio=seg_ratio)
     p1 = sss_refine(p0, g, b, **kwargs)
     assert p1.clusters == seed_sss_refine(p0, g, b, **kwargs).clusters
-    for c in p1.clusters:
-        assert memory_cost(c, g, b, p1.cluster_of).fits
+    assert all(b.fits(*load) for load in cluster_loads(p1, g))
 
 
 def test_default_schedule_matches_on_a_brunel_graph():

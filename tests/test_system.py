@@ -164,6 +164,9 @@ class TestLosslessness:
         assert result.matches_reference
         for (mode, part), train in result.trains.items():
             assert train.digest() == want.digest(), (mode, part)
+        assert result.cores == {
+            p: len(make_partition(g, replace(cfg, partitioner=p)).clusters)
+            for p in PARTITIONERS}
 
     def test_cross_core_chain_keeps_one_step_delay(self):
         g = chain_graph(3)
