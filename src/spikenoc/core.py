@@ -124,13 +124,14 @@ class CoreState:
         """Accumulate one arrived packet; returns synapse accumulation count."""
         events = 0
         table = self.artifact.synapse_table
+        acc = self.acc
         for idx in packet.indices:
             pairs = table.get((packet.src, idx))
             if pairs is None:
                 raise ArtifactError(
                     f"core {self.coord}: no synapses for {packet.src} index {idx}")
             for post, raw in pairs:
-                self.acc[post] += raw
+                acc[post] += raw
             events += len(pairs)
         return events
 

@@ -5,7 +5,9 @@ control; XY dimension-order routing (X fully resolved before Y) keeps the
 channel dependency graph acyclic, so the network cannot deadlock.  A flit
 becomes eligible for switch allocation ``router_pipeline_cycles`` after
 entering an input buffer and crosses a link in ``link_cycles``; flits
-arriving at their destination router are consumed immediately.
+arriving at their destination router are consumed immediately.  A sent flit
+enters the next buffer at once, eligible ``link_cycles +
+router_pipeline_cycles`` later, so the mesh schedules only ejections.
 
 Each core-side interface owns the packet generator pipeline and its bounded
 output queue, so back-pressure from the network stalls packet generation
@@ -14,8 +16,11 @@ the queue only while it has room, no earlier than the moment room last opened.
 
 A flit is no object: it is its packet's ``(packet, record)`` pair plus a
 sequence number, 0 for the head and ``len(indices)`` for the tail.  A freed
-slot's credit is applied at the top of the next processed cycle, because
-whatever could read it sooner makes the very next cycle an event.
+slot's credit is seen by its reader from the next cycle on: it returns at
+once when the reader has already stepped in this cycle (interfaces step
+first, then routers by ascending id), and is otherwise applied at the top
+of the next processed cycle, as every ejection's credit is; whatever could
+read it sooner makes the very next cycle an event.
 """
 
 from __future__ import annotations
@@ -100,13 +105,14 @@ class _Router:
     packet at a time, because the upstream VC feeding it stays allocated to
     that packet until its tail has left the buffer.  So a head entering slot
     ``s`` sets the packet ``pkt[s]`` and output port ``out_of[s]`` for every
-    flit behind it, and ``route[s]`` is the downstream VC it was granted; a
-    buffered flit is its eligible cycle in ``in_q[s]``, and ``seq[s]`` numbers
-    the front one.  A freed slot's credit returns on the next processed cycle.
+    flit behind it, and its grant sets ``hop[s]``: the output slot, the next
+    router, that router's input slot and whether it ejects the packet.  A
+    buffered flit is its eligible cycle in ``in_q[s]`` (a flit still on its
+    link is buffered already), and ``seq[s]`` numbers the front one.
     """
 
     __slots__ = ("coord", "rid", "vcs", "nslots", "in_q", "pkt", "seq",
-                 "occupied", "out_of", "route", "out_credit", "out_alloc",
+                 "occupied", "out_of", "hop", "out_credit", "out_alloc",
                  "rr", "up", "down", "link")
 
     def __init__(self, coord: Coord, cfg: MeshConfig):
@@ -123,14 +129,14 @@ class _Router:
         self.seq = [0] * self.nslots
         self.occupied: set[int] = set()     # slots with a non-empty buffer
         self.out_of = [0] * self.nslots
-        self.route = [0] * self.nslots
+        self.hop: list[tuple[int, _Router, int, bool] | None] = [None] * self.nslots
         self.out_credit = [cfg.vc_buffer_depth] * (len(DIRS) * vcs)
         self.out_alloc = [False] * (len(DIRS) * vcs)
         self.rr = [0] * len(DIRS)
-        # wired by NocSim: per input slot, the (owner, output slot) whose
-        # credit this buffer returns; per output, the neighbour router with
-        # the base of its facing input port, and the trace label of the link
-        self.up: list[tuple[object, int] | None] = [None] * self.nslots
+        # wired by NocSim: per input slot, its feeder's credit and allocation
+        # lists, output slot and whether it steps first; per output, the
+        # neighbour with the base of its facing port, and the link's label
+        self.up: list[tuple | None] = [None] * self.nslots
         self.down: list[tuple[_Router, int] | None] = [None] * len(DIRS)
         self.link: list[str | None] = [None] * len(DIRS)
 
@@ -146,11 +152,11 @@ class _Router:
             self.out_of[s] = _OUT[xy_route(self.coord, pkt[0].dest)]
         q.append(eligible)
 
-    def tick(self, cycle: int, noc: "NocSim") -> None:
+    def tick(self, cycle: int, noc: "NocSim") -> int:
         """Switch allocation: each output grants at most one flit and each
         input port wins at most one grant.  Outputs go in ``DIRS`` order; an
         output's winner is the first ready slot at or after ``rr[o]`` in
-        cyclic slot order whose head can advance."""
+        cyclic slot order whose head can advance.  Returns the flits sent."""
         in_q = self.in_q
         out_of = self.out_of
         rr = self.rr
@@ -161,42 +167,69 @@ class _Router:
                 o = out_of[s]
                 ready.append((o, (s - rr[o]) % nslots, s))
         if not ready:
-            return
+            return 0
         if len(ready) > 1:
             ready.sort()
         vcs = self.vcs
         credit = self.out_credit
         alloc = self.out_alloc
+        eligible = cycle + noc.hop_cycles
+        trace = noc.flit_trace
         granted_ports = 0
         won = -1
+        sent = 0
         for o, _, s in ready:
             port_bit = 1 << (s // vcs)
             if o == won or granted_ports & port_bit:
                 continue
             seq = self.seq[s]
-            base = o * vcs
+            pkt = self.pkt[s]
             if not seq:
-                for dvc in range(vcs):
-                    if not alloc[base + dvc] and credit[base + dvc] > 0:
+                base = o * vcs
+                for out in range(base, base + vcs):
+                    if not alloc[out] and credit[out] > 0:
                         break
                 else:
                     continue
-                alloc[base + dvc] = True
-                self.route[s] = dvc
+                alloc[out] = True
+                nbr, nbase = self.down[o]
+                hop = self.hop[s] = (out, nbr, nbase + out - base,
+                                     nbr.coord == pkt[0].dest)
             else:
-                dvc = self.route[s]
-                if credit[base + dvc] <= 0:
+                hop = self.hop[s]
+                out = hop[0]
+                if credit[out] <= 0:
                     continue
             q = in_q[s]
             del q[0]
             if not q:
                 self.occupied.discard(s)
             self.seq[s] = seq + 1
-            credit[base + dvc] -= 1
+            credit[out] -= 1
             rr[o] = (s + 1) % nslots
             granted_ports |= port_bit
             won = o
-            noc._send(self, s, o, dvc, seq, cycle)
+            sent += 1
+            tail = seq == len(pkt[0].indices)
+            # free the input slot: a feeder that has stepped this cycle
+            # reads the credit next cycle either way, so it returns at once
+            up = self.up[s]
+            if up[3]:
+                up[0][up[2]] += 1
+                if tail:
+                    up[1][up[2]] = False
+            else:
+                noc.credits.append((up, tail))
+            _, nbr, t, ejects = hop
+            if ejects:
+                noc.ejecting.append((nbr.up[t], tail, pkt))
+            else:
+                nbr.accept(t, pkt, seq, eligible)
+                noc.active.add(nbr.rid)
+            if trace is not None:
+                trace.append((cycle * noc.cfg.noc_period_ps, self.link[o],
+                              pkt[1].pid, "H" if seq == 0 else "B"))
+        return sent
 
 
 class _Ni:
@@ -263,7 +296,11 @@ class _Ni:
                         self.room_ps = now_ps
                     _, packet = self.queue.popleft()
                     self.advance_gen(now_ps)
-                    record = noc._on_packet_injection(packet, now_ps)
+                    # records are numbered in injection order
+                    record = PacketRecord(
+                        len(noc.packet_records), packet.src, packet.dest,
+                        packet.timestep, len(packet.indices), now_ps)
+                    noc.packet_records.append(record)
                     self.current = (packet, record)
                     self.cur_seq = 0
                     self.cur_vc = vc
@@ -276,7 +313,10 @@ class _Ni:
             self.cur_seq = seq + 1
             if seq == len(pkt[0].indices):
                 self.current = None
-            noc._on_flit_injection(self, pkt, seq, cycle)
+            self.router.accept(self.cur_vc, pkt, seq,
+                               cycle + self.cfg.router_pipeline_cycles)
+            noc.active.add(self.router.rid)
+            noc._progress += 1
 
 
 class NocSim:
@@ -288,15 +328,19 @@ class NocSim:
         self.cfg = cfg
         self.packet_records = packet_records if packet_records is not None else []
         self.flit_trace = flit_trace
+        self.hop_cycles = cfg.link_cycles + cfg.router_pipeline_cycles
         self.coords = [(x, y) for y in range(cfg.height) for x in range(cfg.width)]
         self.routers = [_Router(c, cfg) for c in self.coords]
         self.nis = [_Ni(c, cfg, timing, r)
                     for c, r in zip(self.coords, self.routers)]
         self._wire()
         self.active: set[int] = set()       # ids of routers holding flits
-        self.arrivals: dict[int, list[tuple[_Router, int, Packet, int]]] = {}
-        # (upstream output, was tail) per slot freed in the last cycle
-        self.credits: list[tuple[tuple[object, int], bool]] = []
+        # per cycle that sent flits, in order: the cycle they land, and the
+        # (credit feeder, was tail, packet) of each that leaves the mesh there
+        self.landings: deque[tuple[int, list]] = deque()
+        self.ejecting: list[tuple[tuple, bool, Packet]] = []
+        # (feeder, was tail) per slot freed for the next processed cycle
+        self.credits: list[tuple[tuple, bool]] = []
         self._delivered: list[tuple[int, int, SpikePacket]] = []
         self._progress = 0
 
@@ -304,7 +348,8 @@ class NocSim:
         vcs = self.cfg.vcs
         for router, ni in zip(self.routers, self.nis):
             for vc in range(vcs):
-                router.up[vc] = (ni, vc)
+                # interfaces step before every router
+                router.up[vc] = (ni.out_credit, ni.out_alloc, vc, True)
             x, y = router.coord
             for o, d in enumerate(DIRS):
                 nx, ny = x + _DELTA[d][0], y + _DELTA[d][1]
@@ -315,60 +360,22 @@ class NocSim:
                 router.down[o] = (nbr, base)
                 router.link[o] = f"{x},{y}>{nx},{ny}"
                 for vc in range(vcs):
-                    nbr.up[base + vc] = (router, o * vcs + vc)
+                    nbr.up[base + vc] = (router.out_credit, router.out_alloc,
+                                         o * vcs + vc, router.rid < nbr.rid)
 
-    # -- bookkeeping hooks ----------------------------------------------------
+    def _landed(self, router: _Router, cycle: int) -> int:
+        """How many of ``router``'s buffered flits are off their link."""
+        horizon = cycle + self.cfg.router_pipeline_cycles
+        return sum(e <= horizon for s in router.occupied
+                   for e in router.in_q[s])
 
-    def _on_packet_injection(self, packet: SpikePacket,
-                             now_ps: int) -> PacketRecord:
-        """Record the packet, numbered in injection order."""
-        rec = PacketRecord(len(self.packet_records), packet.src, packet.dest,
-                           packet.timestep, len(packet.indices), now_ps)
-        self.packet_records.append(rec)
-        return rec
-
-    def _on_flit_injection(self, ni: _Ni, pkt: Packet, seq: int,
-                           cycle: int) -> None:
-        self._progress += 1
-        ni.router.accept(ni.cur_vc, pkt, seq,
-                         cycle + self.cfg.router_pipeline_cycles)
-        self.active.add(ni.router.rid)
-
-    def _send(self, router: _Router, s: int, o: int, dvc: int, seq: int,
-              cycle: int) -> None:
-        self._progress += 1
-        pkt = router.pkt[s]
-        # free the input slot: credit back to whoever fills this buffer
-        self.credits.append((router.up[s], seq == len(pkt[0].indices)))
-        target, base = router.down[o]
-        self.arrivals.setdefault(cycle + self.cfg.link_cycles, []).append(
-            (target, base + dvc, pkt, seq))
-        if self.flit_trace is not None:
-            self.flit_trace.append((cycle * self.cfg.noc_period_ps,
-                                    router.link[o], pkt[1].pid,
-                                    "H" if seq == 0 else "B"))
-
-    def _apply_credit(self, up: tuple[object, int], was_tail: bool) -> None:
-        """Return one buffer slot to the router or interface output ``up``."""
-        owner, idx = up
-        owner.out_credit[idx] += 1
-        if was_tail:
-            owner.out_alloc[idx] = False
-
-    def _arrive(self, router: _Router, s: int, pkt: Packet, seq: int,
-                cycle: int) -> None:
-        self._progress += 1
-        packet, rec = pkt
-        if router.coord != packet.dest:
-            router.accept(s, pkt, seq, cycle + self.cfg.router_pipeline_cycles)
-            self.active.add(router.rid)
-            return
-        is_tail = seq == len(packet.indices)
-        # consumed on arrival: the buffer slot frees right away
-        self.credits.append((router.up[s], is_tail))
-        if is_tail:
-            rec.eject_ps = cycle * self.cfg.noc_period_ps
-            self._delivered.append((rec.eject_ps, rec.pid, packet))
+    def _apply_credits(self) -> None:
+        """Return every queued credit to its feeder."""
+        credits, self.credits = self.credits, []
+        for (credit, alloc, i, _), was_tail in credits:
+            credit[i] += 1
+            if was_tail:
+                alloc[i] = False
 
     # -- main loop --------------------------------------------------------------
 
@@ -377,43 +384,66 @@ class NocSim:
                                              dict[Coord, int]]:
         """Feed per-core generation jobs, advance until every packet has been
         delivered; returns (delivered packets, drain time, generator-done times)."""
-        for jobs in jobs_by_core.values():
+        width, height = self.cfg.width, self.cfg.height
+        on_mesh = set(self.coords)
+        for coord, jobs in jobs_by_core.items():
             for job in jobs:
-                if job.packet.src == job.packet.dest:
-                    raise ValueError("self-addressed packets bypass the mesh")
-                if not job.packet.indices:
-                    raise ValueError("a packet carries at least one address")
+                packet = job.packet
+                if packet.src != coord:
+                    why = f"is filed under core {coord}"
+                elif coord not in on_mesh or packet.dest not in on_mesh:
+                    why = f"leaves the {width}x{height} mesh"
+                elif packet.src == packet.dest:
+                    why = "is self-addressed; self-addressed packets bypass the mesh"
+                elif not packet.indices:
+                    why = "is empty; a packet carries at least one address"
+                else:
+                    continue
+                raise ValueError(f"packet {packet.src}->{packet.dest} at "
+                                 f"t={packet.timestep} {why}")
         self._delivered = []
         period = self.cfg.noc_period_ps
         live = []
         for coord in sorted(jobs_by_core, key=lambda c: (c[1], c[0])):
             jobs = jobs_by_core[coord]
-            ni = self.nis[coord[1] * self.cfg.width + coord[0]]
+            ni = self.nis[coord[1] * width + coord[0]]
             ni.set_jobs(jobs, start_ps)
             if jobs:
                 live.append(ni)
         routers = self.routers
         active = self.active
-        arrivals = self.arrivals
+        landings = self.landings
+        link = self.cfg.link_cycles
         cycle = -(-start_ps // period)
         last_progress_cycle = cycle
         last_progress = self._progress
 
         while True:
-            credits, self.credits = self.credits, []
-            for up, was_tail in credits:
-                self._apply_credit(up, was_tail)
-            for router, s, pkt, seq in arrivals.pop(cycle, ()):
-                self._arrive(router, s, pkt, seq, cycle)
+            self._apply_credits()
+            if landings and landings[0][0] == cycle:
+                # a landing is progress; flits at their destination leave the
+                # mesh, and their slots free for the next processed cycle
+                self._progress += 1
+                now_ps = cycle * period
+                for up, was_tail, (packet, rec) in landings.popleft()[1]:
+                    self.credits.append((up, was_tail))
+                    if was_tail:
+                        rec.eject_ps = now_ps
+                        self._delivered.append((now_ps, rec.pid, packet))
             for ni in live:
                 ni.step(cycle, self)
+            sent = 0
             for rid in sorted(active):
                 router = routers[rid]
-                router.tick(cycle, self)
+                sent += router.tick(cycle, self)
                 if not router.occupied:
                     active.discard(rid)
+            if sent:
+                self._progress += sent
+                landings.append((cycle + link, self.ejecting))
+                self.ejecting = []
 
-            if not active and not arrivals and all(ni.idle for ni in live):
+            if not active and not landings and all(ni.idle for ni in live):
                 drain_ps = cycle * period
                 break
 
@@ -421,19 +451,20 @@ class NocSim:
                 last_progress = self._progress
                 last_progress_cycle = cycle
             elif cycle - last_progress_cycle > self.cfg.watchdog_cycles:
-                stuck = {str(r.coord): sum(len(r.in_q[s]) for s in r.occupied)
-                         for r in routers if r.occupied}
+                stuck = {str(r.coord): n for r in routers
+                         if (n := self._landed(r, cycle))}
                 raise DeadlockError(
                     f"no flit progress for {self.cfg.watchdog_cycles} cycles at "
                     f"t={timestep}; buffered flits per router: {stuck}")
 
-            if active:
-                # a router holding flits ticks next cycle; no event is sooner
+            # a router holding a flit off its link ticks next cycle, and no
+            # event is sooner; with no flit on a link, every flit is off one
+            if (active if not landings else (
+                    landings[0][0] == cycle + 1
+                    or any(self._landed(routers[rid], cycle) for rid in active))):
                 cycle += 1
                 continue
-            cand = []
-            if arrivals:
-                cand.append(min(arrivals))
+            cand = [landings[0][0]] if landings else []
             for ni in live:
                 if ni.current is not None:
                     cand.append(cycle + 1)
@@ -445,9 +476,7 @@ class NocSim:
             cycle = max(cycle + 1, min(cand)) if cand else cycle + 1
 
         # flits are all delivered; apply the credit echoes left in flight
-        for up, was_tail in self.credits:
-            self._apply_credit(up, was_tail)
-        self.credits = []
+        self._apply_credits()
         gen_done = {ni.coord: ni.gen_busy_until for ni in live}
         delivered = [(p, ps) for ps, _, p in sorted(self._delivered)]
         return delivered, drain_ps, gen_done

@@ -17,7 +17,6 @@ from spikenoc.graph import (SnnGraph, SpikeTrain, build_brunel, load_graph,
                             save_binary, save_text)
 from spikenoc.metrics import parse_report
 from spikenoc.neurons import IzhikevichParams
-from spikenoc.noc import NocSim
 
 CONFIG = """
 [workload]
@@ -466,10 +465,8 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not out_dir.exists()
 
-    def test_network_stall_exits_1(self, tmp_path, monkeypatch, capsys):
+    def test_network_stall_exits_1(self, tmp_path, starved_credits, capsys):
         # credits never come back, so the mesh stalls and the watchdog fires
-        monkeypatch.setattr(NocSim, "_apply_credit",
-                            lambda self, up, was_tail: None)
         stall = tmp_path / "stall.ini"
         stall.write_text(CONFIG + "watchdog_cycles = 200\n")   # into [mesh]
         assert main(["simulate", "--config", str(stall),
@@ -477,10 +474,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "runtime error: no flit progress for 200 cycles" in err
 
-    def test_stalled_traced_run_leaves_no_trace(self, tmp_path, monkeypatch,
-                                                capsys):
-        monkeypatch.setattr(NocSim, "_apply_credit",
-                            lambda self, up, was_tail: None)
+    def test_stalled_traced_run_leaves_no_trace(self, tmp_path,
+                                                starved_credits, capsys):
         stall = tmp_path / "stall.ini"
         stall.write_text(CONFIG + "watchdog_cycles = 200\n")   # into [mesh]
         out_dir = tmp_path / "run"

@@ -213,6 +213,25 @@ class TestInjection:
         with pytest.raises(ValueError, match="at least one address"):
             run_one(MeshConfig(2, 2), {(0, 0): [job((0, 0), (1, 0), 0)]})
 
+    def test_job_filed_off_the_mesh_rejected(self):
+        # (5, 0) on a 4x4 mesh must not alias the interface at (1, 1)
+        with pytest.raises(ValueError, match=r"packet \(5, 0\)->\(0, 0\) "
+                                             r"at t=0 leaves the 4x4 mesh"):
+            run_one(MeshConfig(4, 4), {(5, 0): [job((5, 0), (0, 0), 1)]})
+
+    def test_packet_addressed_off_the_mesh_rejected(self):
+        with pytest.raises(ValueError, match=r"packet \(0, 0\)->\(0, 4\) "
+                                             r"at t=0 leaves the 4x4 mesh"):
+            run_one(MeshConfig(4, 4), {(0, 0): [job((0, 0), (0, 4), 1)]})
+
+    def test_job_filed_under_another_core_rejected(self):
+        # injected at (0, 0), the packet would cross links its ledger
+        # entry, counted from its src (1, 0), never charges
+        with pytest.raises(ValueError, match=r"packet \(1, 0\)->\(3, 0\) "
+                                             r"at t=0 is filed under core "
+                                             r"\(0, 0\)"):
+            run_one(MeshConfig(4, 4), {(0, 0): [job((1, 0), (3, 0), 1)]})
+
     def test_bounded_output_queue_serializes(self):
         cfg = MeshConfig(4, 1)
         timing = CoreTiming(output_queue_packets=1)
@@ -239,11 +258,6 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-def starve_credits(monkeypatch):
-    """Drop every credit the mesh returns, so buffers never free up."""
-    monkeypatch.setattr(NocSim, "_apply_credit", lambda self, up, tail: None)
-
-
 class TestWatchdog:
     # one VC of depth 4: (1,0)'s own packet takes the only VC east, and the
     # packet from (0,0) queues behind it in (1,0)'s west buffer; with
@@ -252,16 +266,14 @@ class TestWatchdog:
     JOBS = {(0, 0): [job((0, 0), (2, 0), 6)], (1, 0): [job((1, 0), (2, 0), 6)]}
 
     def test_starved_credits_raise_deadlock_naming_stuck_routers(
-            self, monkeypatch):
-        starve_credits(monkeypatch)
+            self, starved_credits):
         with pytest.raises(DeadlockError) as err:
             run_one(self.CFG, self.JOBS)
         msg = str(err.value)
         assert "no flit progress for 30 cycles at t=0" in msg
         assert msg.endswith("buffered flits per router: {'(1, 0)': 4}")
 
-    def test_interrupted_step_blocks_the_next_one(self, monkeypatch):
-        starve_credits(monkeypatch)
+    def test_interrupted_step_blocks_the_next_one(self, starved_credits):
         sim = NocSim(self.CFG, CoreTiming())
         with pytest.raises(DeadlockError):
             sim.run_timestep(self.JOBS, 0, 0)

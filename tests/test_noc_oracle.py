@@ -13,12 +13,13 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracle.seed_noc import DeadlockError as SeedDeadlockError
 from oracle.seed_noc import NocSim as SeedNocSim
 from spikenoc import system
 from spikenoc.core import (CoreTiming, GenJob, MODE_BASELINE, MODE_UNISPIKE,
                            SpikePacket)
 from spikenoc.graph import ConvLayerSpec, build_brunel, build_conv_topology
-from spikenoc.noc import MeshConfig, NocSim
+from spikenoc.noc import DeadlockError, MeshConfig, NocSim
 from spikenoc.partition import MemoryBudget
 from spikenoc.stimulus import StimulusSpec, build_stimulus
 
@@ -38,6 +39,18 @@ def random_step(rng, cfg, timestep, count, max_body, spread_ps):
     return jobs_by_core
 
 
+def random_steps(rng, cfg, nsteps, max_body):
+    """``nsteps`` steps of random jobs, each starting exactly at the last
+    drain or some cycles later."""
+    steps = []
+    for t in range(nsteps):
+        gap_ps = 0 if rng.random() < 0.5 else rng.randrange(1, 40000)
+        jobs = random_step(rng, cfg, t, rng.randint(1, 30), max_body,
+                           rng.choice([1, 5000, 40000]))
+        steps.append((gap_ps, jobs))
+    return steps
+
+
 def run_steps(sim, steps):
     """Run each ``(gap_ps, jobs)`` step ``gap_ps`` after the previous drain;
     returns per-step (delivered ids and times, drain, generator-done)."""
@@ -53,42 +66,66 @@ def run_steps(sim, steps):
 
 
 class TestSeedOracle:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            width=st.integers(1, 5), height=st.integers(1, 5),
            vcs=st.integers(1, 4), depth=st.integers(1, 4),
            pipeline=st.integers(1, 3), link=st.integers(1, 3),
            gen_cycles=st.integers(0, 3), queue=st.integers(1, 6),
-           max_body=st.integers(1, 16), nsteps=st.integers(1, 4))
-    # the tightest buffers: one VC, one flit deep, one queued packet
+           max_body=st.integers(1, 16), nsteps=st.integers(1, 4),
+           traced=st.booleans())
+    # the tightest buffers: one VC, one flit deep, one queued packet; a
+    # grant traces its flit only on the traced path, so run both
     @example(seed=7, width=3, height=3, vcs=1, depth=1, pipeline=1, link=1,
-             gen_cycles=0, queue=1, max_body=16, nsteps=3)
+             gen_cycles=0, queue=1, max_body=16, nsteps=3, traced=True)
+    @example(seed=7, width=3, height=3, vcs=1, depth=1, pipeline=1, link=1,
+             gen_cycles=0, queue=1, max_body=16, nsteps=3, traced=False)
     def test_matches_seed_simulator(self, seed, width, height, vcs, depth,
                                     pipeline, link, gen_cycles, queue,
-                                    max_body, nsteps):
+                                    max_body, nsteps, traced):
         if width * height < 2:
             width = 2
         cfg = MeshConfig(width, height, vcs=vcs, vc_buffer_depth=depth,
                          router_pipeline_cycles=pipeline, link_cycles=link)
         timing = CoreTiming(gen_cycles_per_flit=gen_cycles,
                             output_queue_packets=queue)
-        rng = random.Random(seed)
-        steps = []
-        for t in range(nsteps):
-            # step starts: exactly at the last drain, or some cycles later
-            gap_ps = 0 if rng.random() < 0.5 else rng.randrange(1, 40000)
-            jobs = random_step(rng, cfg, t, rng.randint(1, 30), max_body,
-                               rng.choice([1, 5000, 40000]))
-            steps.append((gap_ps, jobs))
+        steps = random_steps(random.Random(seed), cfg, nsteps, max_body)
 
-        head_records, head_trace = [], []
+        head_records, head_trace = [], [] if traced else None
         head = run_steps(NocSim(cfg, timing, head_records, head_trace), steps)
-        seed_records, seed_trace = [], []
+        seed_records, seed_trace = [], [] if traced else None
         want = run_steps(SeedNocSim(cfg, timing, seed_records, seed_trace),
                          steps)
         assert head == want
         assert head_records == seed_records
         assert head_trace == seed_trace
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           width=st.integers(2, 4), height=st.integers(1, 4),
+           vcs=st.integers(1, 3), depth=st.integers(1, 3),
+           pipeline=st.integers(1, 3), link=st.integers(1, 4),
+           watchdog=st.integers(1, 3), nsteps=st.integers(1, 3))
+    def test_watchdog_matches_seed_simulator(self, seed, width, height, vcs,
+                                             depth, pipeline, link, watchdog,
+                                             nsteps):
+        # a watchdog shorter than the pipeline or the link fires on many of
+        # these meshes: both models must then stop at the same cycle
+        cfg = MeshConfig(width, height, vcs=vcs, vc_buffer_depth=depth,
+                         router_pipeline_cycles=pipeline, link_cycles=link,
+                         watchdog_cycles=watchdog)
+        steps = random_steps(random.Random(seed), cfg, nsteps, 8)
+        outcomes = []
+        for sim_class in (NocSim, SeedNocSim):
+            records, trace = [], []
+            try:
+                out = run_steps(sim_class(cfg, CoreTiming(), records, trace),
+                                steps)
+            except (DeadlockError, SeedDeadlockError) as err:
+                outcomes.append(str(err))
+            else:
+                outcomes.append((out, records, trace))
+        assert outcomes[0] == outcomes[1]
 
 
 def small_network(kind, seed):
