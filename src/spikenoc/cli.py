@@ -58,13 +58,11 @@ PACKET_LOG_COLUMNS = ("pid", "timestep", "src_x", "src_y", "dest_x",
                       "dest_y", "body_flits", "inject_ps", "eject_ps")
 
 
-def write_packet_log(records, path: str) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(PACKET_LOG_COLUMNS)
-        for r in records:
-            w.writerow([r.pid, r.timestep, r.src[0], r.src[1], r.dest[0],
-                        r.dest[1], r.body_count, r.inject_ps, r.eject_ps])
+def write_packet_log(records, writer) -> None:
+    """Write one step's packet records, one ``PACKET_LOG_COLUMNS`` row each."""
+    writer.writerows([r.pid, r.timestep, r.src[0], r.src[1], r.dest[0],
+                      r.dest[1], r.body_count, r.inject_ps, r.eject_ps]
+                     for r in records)
 
 
 def read_packet_log(path: str) -> list[PacketRecord]:
@@ -92,15 +90,19 @@ def write_flit_trace(rows, writer) -> None:
     writer.writerows(rows)
 
 
+TRACE_COLUMNS = ("time_ps", "link", "pid", "kind")
+
+
 @contextlib.contextmanager
-def flit_trace_sink(path: str):
-    """A ``run_experiment`` trace sink that writes each step's rows to
-    ``path`` as the step ends; the file is removed if the run fails."""
+def csv_sink(path: str, columns, write):
+    """A ``run_experiment`` sink that writes each step's rows to ``path``
+    with ``write(rows, writer)`` as the step ends; the file is removed if
+    the run fails."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["time_ps", "link", "pid", "kind"])
+        writer.writerow(columns)
         try:
-            yield lambda rows: write_flit_trace(rows, writer)
+            yield lambda rows: write(rows, writer)
         except BaseException:
             f.close()
             os.remove(path)
@@ -169,18 +171,22 @@ def cmd_simulate(args) -> int:
                               sys_cfg.timesteps, bundle.graph.frac_bits)
 
     os.makedirs(args.out, exist_ok=True)
-    with (flit_trace_sink(os.path.join(args.out, "trace.csv"))
-          if cfg.run.trace else contextlib.nullcontext()) as trace_sink:
+    with contextlib.ExitStack() as sinks:
+        packet_sink = sinks.enter_context(csv_sink(
+            os.path.join(args.out, "packets.csv"), PACKET_LOG_COLUMNS,
+            write_packet_log))
+        trace_sink = sinks.enter_context(csv_sink(
+            os.path.join(args.out, "trace.csv"), TRACE_COLUMNS,
+            write_flit_trace)) if cfg.run.trace else None
         result = run_experiment(bundle, sys_cfg, stimulus,
                                 workload=workload_name(cfg),
                                 config_digest=cfg.digest(),
-                                trace_sink=trace_sink)
+                                trace_sink=trace_sink,
+                                packet_sink=packet_sink)
     report = result.report
     emit_report(report, os.path.join(args.out, "report.json"),
                 os.path.join(args.out, "timesteps.csv"))
     result.train.save_text(os.path.join(args.out, "spikes.txt"))
-    write_packet_log(result.packet_records,
-                     os.path.join(args.out, "packets.csv"))
     print(f"{report.mode}: {report.total_spikes} spikes over "
           f"{report.timesteps} steps, {report.traffic['injected_flits']} "
           f"flits injected, modeled time {report.modeled_time_ps} ps")

@@ -130,9 +130,21 @@ class RedundancyProfile:
     ratio: float
     empty: bool
 
+    @staticmethod
+    def of_counts(total: int, effective: int, payload: int
+                  ) -> "RedundancyProfile":
+        """The profile of a log with these counts."""
+        if total == 0:
+            return RedundancyProfile(0, 0, 0, 1.0, True)
+        return RedundancyProfile(total, effective, payload, effective / total,
+                                 False)
+
 
 def redundancy_profile(records) -> RedundancyProfile:
-    """``records`` is any iterable with .src/.dest/.timestep/.body_count."""
+    """``records`` is any iterable with .src/.dest/.timestep/.body_count.
+
+    Logs of different timesteps share no triple, so their profiles' counts
+    add up to the profile of their concatenation."""
     total = 0
     payload = 0
     triples = set()
@@ -140,10 +152,7 @@ def redundancy_profile(records) -> RedundancyProfile:
         total += 1
         payload += r.body_count
         triples.add((r.src, r.dest, r.timestep))
-    if total == 0:
-        return RedundancyProfile(0, 0, 0, 1.0, True)
-    return RedundancyProfile(total, len(triples), payload,
-                             len(triples) / total, False)
+    return RedundancyProfile.of_counts(total, len(triples), payload)
 
 
 @dataclass

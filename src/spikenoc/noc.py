@@ -298,8 +298,9 @@ class _Ni:
                     self.advance_gen(now_ps)
                     # records are numbered in injection order
                     record = PacketRecord(
-                        len(noc.packet_records), packet.src, packet.dest,
+                        noc.injected, packet.src, packet.dest,
                         packet.timestep, len(packet.indices), now_ps)
+                    noc.injected += 1
                     noc.packet_records.append(record)
                     self.current = (packet, record)
                     self.cur_seq = 0
@@ -320,13 +321,18 @@ class _Ni:
 
 
 class NocSim:
-    """Whole-mesh state, advanced timestep by timestep until drained."""
+    """Whole-mesh state, advanced timestep by timestep until drained.
+
+    Each injected packet's record is appended to ``packet_records``; pids
+    count from 0 in injection order whether or not the caller clears the
+    list between timesteps."""
 
     def __init__(self, cfg: MeshConfig, timing: CoreTiming,
                  packet_records: list[PacketRecord] | None = None,
                  flit_trace: list | None = None):
         self.cfg = cfg
         self.packet_records = packet_records if packet_records is not None else []
+        self.injected = 0                   # packets injected so far
         self.flit_trace = flit_trace
         self.hop_cycles = cfg.link_cycles + cfg.router_pipeline_cycles
         self.coords = [(x, y) for y in range(cfg.height) for x in range(cfg.width)]
@@ -401,6 +407,10 @@ class NocSim:
                     continue
                 raise ValueError(f"packet {packet.src}->{packet.dest} at "
                                  f"t={packet.timestep} {why}")
+            if coord not in on_mesh:
+                # only a key with no jobs gets here
+                raise ValueError(f"core {coord} is off the {width}x{height} "
+                                 f"mesh")
         self._delivered = []
         period = self.cfg.noc_period_ps
         live = []

@@ -15,8 +15,9 @@ from dataclasses import asdict, dataclass, replace
 from .artifact import DeploymentBundle, build_bundle, validate_placement
 from .core import CoreState, CoreTiming, MODE_BASELINE, MODE_UNISPIKE, MODES
 from .graph import SnnGraph, SpikeTrain, reference_simulate
-from .metrics import (EnergyCostTable, RunReport, TimestepRow, TrafficLedger,
-                      compare_reports, redundancy_profile)
+from .metrics import (EnergyCostTable, RedundancyProfile, RunReport,
+                      TimestepRow, TrafficLedger, compare_reports,
+                      redundancy_profile)
 from .noc import MeshConfig, NocSim, PacketRecord
 from .partition import (PLACEMENTS, MemoryBudget, Partition,
                         check_sss_settings, hsfc_order, initial_partition,
@@ -86,18 +87,19 @@ def deploy(graph: SnnGraph, cfg: SystemConfig) -> DeploymentBundle:
 class RunResult:
     report: RunReport
     train: SpikeTrain
-    packet_records: list[PacketRecord]
 
 
 def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
                    stimulus: list[StepEvents] | None,
                    workload: str = "", config_digest: str = "",
-                   trace_sink=None) -> RunResult:
+                   trace_sink=None, packet_sink=None) -> RunResult:
     """Simulate the deployed system timestep by timestep.
 
     ``trace_sink``, if given, is called after each step with that step's
-    per-flit link trace rows ``(time_ps, link, pid, kind)``; the list is
-    cleared once the call returns.  A bundle off ``cfg.mesh`` raises
+    per-flit link trace rows ``(time_ps, link, pid, kind)``, and
+    ``packet_sink`` with that step's ``PacketRecord`` list in pid order;
+    each list is cleared once the call returns, so the run keeps no
+    per-packet state past its step.  A bundle off ``cfg.mesh`` raises
     ValueError."""
     graph = bundle.graph
     problems = validate_placement(
@@ -120,6 +122,8 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
     packet_records: list[PacketRecord] = []
     flit_trace: list | None = [] if trace_sink is not None else None
     noc = NocSim(cfg.mesh, cfg.timing, packet_records, flit_trace)
+    # summed per step: a triple includes its timestep, so counts add
+    red_total = red_effective = red_payload = 0
     energy = cfg.energy
     n_cores = cfg.mesh.width * cfg.mesh.height
 
@@ -153,9 +157,15 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
             accum_events += res.accum_events
             busy_max = max(busy_max, res.busy_ps)
 
-        n0 = len(packet_records)
         delivered, drain_ps, gen_done = noc.run_timestep(jobs_by_core, t_start, t)
-        ledger.count_packets(packet_records[n0:])
+        ledger.count_packets(packet_records)
+        red = redundancy_profile(packet_records)
+        red_total += red.total_packets
+        red_effective += red.effective_packets
+        red_payload += red.payload_flits
+        if packet_sink is not None:
+            packet_sink(packet_records)
+        packet_records.clear()
         if trace_sink is not None:
             trace_sink(flit_trace)
             flit_trace.clear()
@@ -197,9 +207,10 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
         traffic=dict(ledger.totals),
         energy={"dynamic": dynamic_total, "static": static_total,
                 "total": dynamic_total + static_total},
-        redundancy=asdict(redundancy_profile(packet_records)),
+        redundancy=asdict(RedundancyProfile.of_counts(
+            red_total, red_effective, red_payload)),
         per_timestep=rows)
-    return RunResult(report, train, packet_records)
+    return RunResult(report, train)
 
 
 @dataclass

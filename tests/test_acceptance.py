@@ -100,13 +100,14 @@ def test_02_merged_flits_never_exceed_baseline():
         stim = build_stimulus(cfg.stimulus, g.neuron_count, cfg.timesteps,
                               g.frac_bits)
         bundle = deploy(g, cfg)
-        base = run_experiment(bundle, replace(cfg, mode=MODE_BASELINE), stim)
+        base_records = []
+        base = run_experiment(bundle, replace(cfg, mode=MODE_BASELINE), stim,
+                              packet_sink=base_records.extend)
         uni = run_experiment(bundle, replace(cfg, mode=MODE_UNISPIKE), stim)
         b = base.report.traffic["injected_flits"]
         u = uni.report.traffic["injected_flits"]
         assert u <= b, f"workload {i}: merged {u} > baseline {b}"
-        groups = Counter((r.src, r.dest, r.timestep)
-                         for r in base.packet_records)
+        groups = Counter((r.src, r.dest, r.timestep) for r in base_records)
         mergeable = any(k >= 2 for k in groups.values())
         # equality exactly when no (source, destination, step) repeats
         assert (u == b) == (not mergeable), f"workload {i}"
@@ -296,12 +297,14 @@ def test_09_identical_configs_reproduce_byte_identical_reports(tmp_path):
             timesteps=15, partitioner="hsfc-sss", sss_iters=1200)
         stim = build_stimulus(cfg.stimulus, g.neuron_count, cfg.timesteps,
                               g.frac_bits)
-        result = run_experiment(deploy(g, cfg), cfg, stim, workload="repro")
+        records = []
+        result = run_experiment(deploy(g, cfg), cfg, stim, workload="repro",
+                                packet_sink=records.extend)
         path = tmp_path / f"report{run}.json"
         path.write_text(result.report.to_json())
         outs.append((path.read_bytes(),
                      [(r.pid, r.src, r.dest, r.timestep, r.body_count,
-                       r.inject_ps, r.eject_ps) for r in result.packet_records]))
+                       r.inject_ps, r.eject_ps) for r in records]))
     gate("byte-identical reruns",
          outs[0] == outs[1] and len(outs[0][1]) > 0,
          "two from-scratch runs of one configuration agree byte for byte "

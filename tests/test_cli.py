@@ -10,7 +10,7 @@ import pytest
 
 import spikenoc
 
-from spikenoc import system
+from spikenoc import cli, system
 from spikenoc.cli import main
 from spikenoc.config import parse_config_text
 from spikenoc.graph import (SnnGraph, SpikeTrain, build_brunel, load_graph,
@@ -382,6 +382,7 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(other), "--bundle", bundle_dir,
                      "--out", str(tmp_path / "run")]) == 2
         assert "mesh" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("setting,needle", [
         ("sss_iters = -5", "sss_iters must be non-negative"),
@@ -482,6 +483,31 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(stall), "--trace",
                      "--out", str(out_dir)]) == 1
         assert "no flit progress" in capsys.readouterr().err
+        assert out_dir.is_dir() and list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_stalled_run_removes_the_packet_log_it_wrote(
+            self, tmp_path, monkeypatch, starve, capsys, trace):
+        # steps 0-2 write their rows; then credits stop coming back
+        run_timestep = system.NocSim.run_timestep
+
+        def starve_from_step_3(self, jobs_by_core, start_ps, timestep):
+            if timestep == 3:
+                starve(self)
+            return run_timestep(self, jobs_by_core, start_ps, timestep)
+
+        monkeypatch.setattr(system.NocSim, "run_timestep", starve_from_step_3)
+        written = []
+        write_packet_log = cli.write_packet_log
+        monkeypatch.setattr(cli, "write_packet_log", lambda rows, writer: (
+            written.append(len(rows)), write_packet_log(rows, writer)))
+        stall = tmp_path / "stall.ini"
+        stall.write_text(CONFIG + "watchdog_cycles = 200\n")   # into [mesh]
+        out_dir = tmp_path / "run"
+        assert main(["simulate", "--config", str(stall),
+                     "--out", str(out_dir)] + ["--trace"] * trace) == 1
+        assert "at t=3" in capsys.readouterr().err
+        assert len(written) == 3 and sum(written) > 0
         assert out_dir.is_dir() and list(out_dir.iterdir()) == []
 
     def test_core_input_sum_past_the_float_range_runs(self, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import groupby
 
 import pytest
@@ -218,6 +219,13 @@ class TestInjection:
         with pytest.raises(ValueError, match=r"packet \(5, 0\)->\(0, 0\) "
                                              r"at t=0 leaves the 4x4 mesh"):
             run_one(MeshConfig(4, 4), {(5, 0): [job((5, 0), (0, 0), 1)]})
+
+    # (5, 0) would alias the interface at (1, 1); (9, 9) indexes past the end
+    @pytest.mark.parametrize("coord", [(5, 0), (9, 9)])
+    def test_core_off_the_mesh_rejected_without_jobs(self, coord):
+        with pytest.raises(ValueError, match=re.escape(
+                f"core {coord} is off the 4x4 mesh")):
+            run_one(MeshConfig(4, 4), {coord: []})
 
     def test_packet_addressed_off_the_mesh_rejected(self):
         with pytest.raises(ValueError, match=r"packet \(0, 0\)->\(0, 4\) "

@@ -51,9 +51,10 @@ def random_steps(rng, cfg, nsteps, max_body):
     return steps
 
 
-def run_steps(sim, steps):
-    """Run each ``(gap_ps, jobs)`` step ``gap_ps`` after the previous drain;
-    returns per-step (delivered ids and times, drain, generator-done)."""
+def run_steps(sim, steps, after_step=None):
+    """Run each ``(gap_ps, jobs)`` step ``gap_ps`` after the previous drain,
+    calling ``after_step()`` after each; returns per-step (delivered ids and
+    times, drain, generator-done)."""
     out = []
     start_ps = 0
     for t, (gap_ps, jobs_by_core) in enumerate(steps):
@@ -62,6 +63,8 @@ def run_steps(sim, steps):
                 for c, js in jobs_by_core.items()}
         delivered, start_ps, gen_done = sim.run_timestep(jobs, start_ps, t)
         out.append(([(id(p), ps) for p, ps in delivered], start_ps, gen_done))
+        if after_step is not None:
+            after_step()
     return out
 
 
@@ -99,6 +102,30 @@ class TestSeedOracle:
         assert head == want
         assert head_records == seed_records
         assert head_trace == seed_trace
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           width=st.integers(1, 5), height=st.integers(1, 5),
+           vcs=st.integers(1, 3), depth=st.integers(1, 3),
+           max_body=st.integers(1, 16), nsteps=st.integers(2, 5))
+    def test_record_list_cleared_between_steps(self, seed, width, height,
+                                               vcs, depth, max_body, nsteps):
+        # a caller may keep only the step's records: pids still count on
+        if width * height < 2:
+            width = 2
+        cfg = MeshConfig(width, height, vcs=vcs, vc_buffer_depth=depth)
+        steps = random_steps(random.Random(seed), cfg, nsteps, max_body)
+        records, kept = [], []
+
+        def keep_step():
+            kept.extend(records)
+            records.clear()
+
+        head = run_steps(NocSim(cfg, CoreTiming(), records), steps, keep_step)
+        seed_records = []
+        want = run_steps(SeedNocSim(cfg, CoreTiming(), seed_records), steps)
+        assert head == want
+        assert kept == seed_records
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -159,13 +186,17 @@ class TestSeedOracleOnRealTraffic:
                               graph.frac_bits)
         bundle = system.deploy(graph, cfg)
         head_trace: list = []
+        head_records: list = []
         head = system.run_experiment(bundle, cfg, stim,
-                                     trace_sink=head_trace.extend)
+                                     trace_sink=head_trace.extend,
+                                     packet_sink=head_records.extend)
         want_trace: list = []
+        want_records: list = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(system, "NocSim", SeedNocSim)
             want = system.run_experiment(bundle, cfg, stim,
-                                         trace_sink=want_trace.extend)
-        assert head.packet_records == want.packet_records
+                                         trace_sink=want_trace.extend,
+                                         packet_sink=want_records.extend)
+        assert head_records == want_records
         assert head_trace == want_trace
         assert head.report.to_json() == want.report.to_json()

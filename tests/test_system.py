@@ -1,7 +1,9 @@
+import gc
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spikenoc.core import CoreTiming, MODE_BASELINE, MODE_UNISPIKE
 from spikenoc.graph import (SnnGraph, build_brunel, build_conv_topology,
@@ -10,8 +12,8 @@ from spikenoc.config import (build_graph, parse_config_text, parse_layers,
                              to_system_config)
 from spikenoc.neurons import (AdexParams, IzhikevichParams, LifParams,
                               NumericError)
-from spikenoc.metrics import EnergyCostTable
-from spikenoc.noc import MeshConfig
+from spikenoc.metrics import EnergyCostTable, redundancy_profile
+from spikenoc.noc import MeshConfig, PacketRecord
 from spikenoc.partition import MemoryBudget, destination_objective
 from spikenoc.stimulus import StimulusSpec, build_stimulus
 from spikenoc.system import (PARTITIONERS, SystemConfig, deploy,
@@ -220,8 +222,10 @@ class TestRunReportContents:
         cfg = brunel_cfg(partitioner="hsfc", mode=MODE_UNISPIKE)
         stimulus = build_stimulus(cfg.stimulus, g.neuron_count, cfg.timesteps,
                                   g.frac_bits)
+        records = []
         result = run_experiment(deploy(g, cfg), cfg, stimulus,
-                                workload="brunel-60", config_digest="beef")
+                                workload="brunel-60", config_digest="beef",
+                                packet_sink=records.extend)
         rep = result.report
         assert rep.workload == "brunel-60" and rep.config_digest == "beef"
         assert rep.mode == MODE_UNISPIKE and rep.partitioner == "hsfc"
@@ -233,8 +237,8 @@ class TestRunReportContents:
         assert rep.traffic["injected_flits"] == rep.traffic["ejected_flits"]
         assert rep.traffic["injected_flits"] == sum(
             r.injected_flits for r in rep.per_timestep)
-        assert rep.redundancy["total_packets"] == len(result.packet_records)
-        assert all(r.eject_ps != -1 for r in result.packet_records)
+        assert rep.redundancy["total_packets"] == len(records)
+        assert all(r.eject_ps != -1 for r in records)
 
     def test_sram_energy_reads_the_neuron_state_size(self):
         # same 16-neuron capacity, so the same cores and traffic; every cost
@@ -292,6 +296,71 @@ class TestRunReportContents:
         assert len(trace) == traced.report.traffic["flit_hops"]
         untraced = run_experiment(deploy(g, cfg), cfg, stimulus)
         assert untraced.report.to_json() == traced.report.to_json()
+
+
+class TestPacketRecords:
+    """A run hands each step's records to its sink and keeps none."""
+
+    def test_no_record_outlives_the_run(self):
+        assert gc.is_tracked(PacketRecord(0, (0, 0), (1, 0), 0, 1, 0))
+        g = build_brunel(48, 12, conn_prob=0.1, w_exc=0.4, w_inh=-0.3, seed=6)
+        cfg = brunel_cfg(partitioner="hsfc", timesteps=10)
+        stimulus = build_stimulus(cfg.stimulus, g.neuron_count, cfg.timesteps,
+                                  g.frac_bits)
+        bundle = deploy(g, cfg)
+        gc.collect()
+        # records other tests left alive stay alive, under their own ids
+        before = [o for o in gc.get_objects() if isinstance(o, PacketRecord)]
+        old = {id(o) for o in before}
+        result = run_experiment(bundle, cfg, stimulus)
+        # the mesh's routers point at each other, so only the collector
+        # frees the run's last buffered packets
+        gc.collect()
+        assert result.report.traffic["packets"] > 0
+        assert [o for o in gc.get_objects()
+                if isinstance(o, PacketRecord) and id(o) not in old] == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), mode=st.sampled_from(
+               [MODE_BASELINE, MODE_UNISPIKE]),
+           width=st.integers(2, 3), height=st.integers(1, 3),
+           timesteps=st.integers(1, 6),
+           rate=st.sampled_from([0.0, 0.05, 0.2, 0.5]))
+    # no drive, no spikes: an empty log
+    @example(seed=0, mode=MODE_UNISPIKE, width=2, height=1, timesteps=3,
+             rate=0.0)
+    def test_summed_step_redundancy_is_the_whole_runs(self, seed, mode,
+                                                      width, height,
+                                                      timesteps, rate):
+        g = build_brunel(24, 6, conn_prob=0.2, w_exc=0.4, w_inh=-0.3,
+                         seed=seed)
+        cfg = brunel_cfg(
+            mesh=MeshConfig(width, height),
+            budget=MemoryBudget(neuron_bytes=24 * -(-30 // (width * height))),
+            stimulus=StimulusSpec(kind="poisson", amplitude=20.0, rate=rate,
+                                  seed=seed),
+            timesteps=timesteps, partitioner="hsfc", mode=mode)
+        stimulus = build_stimulus(cfg.stimulus, g.neuron_count, cfg.timesteps,
+                                  g.frac_bits)
+        steps = []
+        records = []
+
+        def sink(step_records):
+            steps.append({r.timestep for r in step_records})
+            records.extend(step_records)
+
+        report = run_experiment(deploy(g, cfg), cfg, stimulus,
+                                packet_sink=sink).report
+        assert report.redundancy == asdict(redundancy_profile(records))
+        # one call per step, with that step's records, numbered in order
+        assert all(s <= {t} for t, s in enumerate(steps))
+        assert len(steps) == timesteps
+        assert [r.pid for r in records] == list(range(len(records)))
+        assert len(records) == report.traffic["packets"]
+        if rate == 0.0:
+            assert report.redundancy == {
+                "total_packets": 0, "effective_packets": 0,
+                "payload_flits": 0, "ratio": 1.0, "empty": True}
 
 
 # one out-of-range value per SystemConfig setting, with its message
@@ -381,10 +450,12 @@ class TestDeterminism:
             cfg = brunel_cfg(partitioner="hsfc-sss", timesteps=10)
             stimulus = build_stimulus(cfg.stimulus, g.neuron_count,
                                       cfg.timesteps, g.frac_bits)
-            result = run_experiment(deploy(g, cfg), cfg, stimulus)
+            records = []
+            result = run_experiment(deploy(g, cfg), cfg, stimulus,
+                                    packet_sink=records.extend)
             outs.append((result.report.to_json(),
                          [(r.pid, r.src, r.dest, r.inject_ps, r.eject_ps)
-                          for r in result.packet_records]))
+                          for r in records]))
         assert outs[0] == outs[1]
 
 
