@@ -58,7 +58,8 @@ class CoreArtifact:
     neuron_ids: tuple[int, ...]
     # the core's own coord keys its intra-core fan-out
     synapse_table: SynapseTable
-    # remote destination -> bitmap of the local neurons connected to it
+    # remote destination -> bitmap of the local neurons connected to it, in
+    # row-major destination order
     conn_bitmaps: dict[Coord, int]
     exec_queue: tuple[int, ...]
     checking_table: dict[int, tuple[Coord, ...]]

@@ -19,6 +19,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections.abc import Iterator
 
 from .artifact import ArtifactError, build_bundle, load_bundle, save_bundle
 from .config import (ConfigError, ExperimentConfig, build_graph, load_config,
@@ -65,10 +66,9 @@ def write_packet_log(records, writer) -> None:
                      for r in records)
 
 
-def read_packet_log(path: str) -> list[PacketRecord]:
-    """Parse a packet log; a missing column or a non-integer field raises
-    ValueError naming the file (and the line)."""
-    out = []
+def read_packet_log(path: str) -> Iterator[PacketRecord]:
+    """Yield a packet log's records in file order; a missing column or a
+    non-integer field raises ValueError naming the file (and the line)."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         for col in PACKET_LOG_COLUMNS:
@@ -80,9 +80,8 @@ def read_packet_log(path: str) -> list[PacketRecord]:
                  eject) = (int(row[col]) for col in PACKET_LOG_COLUMNS)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            out.append(PacketRecord(pid, (sx, sy), (dx, dy), step, body,
-                                    inject, eject))
-    return out
+            yield PacketRecord(pid, (sx, sy), (dx, dy), step, body, inject,
+                               eject)
 
 
 def write_flit_trace(rows, writer) -> None:
@@ -165,6 +164,9 @@ def cmd_simulate(args) -> int:
                 f"bundle was deployed on a {bundle.mesh_width}x"
                 f"{bundle.mesh_height} mesh but the config says "
                 f"{sys_cfg.mesh.width}x{sys_cfg.mesh.height}")
+        if bundle.budget != sys_cfg.budget:
+            raise ConfigError(f"bundle was deployed under {bundle.budget} "
+                              f"but the config says {sys_cfg.budget}")
     else:
         bundle = deploy(build_graph(cfg), sys_cfg)
     stimulus = build_stimulus(sys_cfg.stimulus, bundle.graph.neuron_count,
@@ -194,11 +196,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    records = read_packet_log(args.packets)
-    prof = redundancy_profile(records)
     by_step: dict[int, int] = {}
-    for r in records:
-        by_step[r.timestep] = by_step.get(r.timestep, 0) + 1
+
+    def counted(records):
+        for r in records:
+            by_step[r.timestep] = by_step.get(r.timestep, 0) + 1
+            yield r
+
+    prof = redundancy_profile(counted(read_packet_log(args.packets)))
     doc = dataclasses.asdict(prof)
     doc["packets_by_timestep"] = {str(t): n for t, n in sorted(by_step.items())}
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -1,15 +1,20 @@
 """Cycle-level core model: decode, neuron update pass, packet generation.
 
-Two transmission modes share the same decode and update machinery and differ
-only in when packets are produced: per firing neuron and destination
-(baseline), or once per destination at its barrier neuron with all pending
-spike addresses merged into one packet (unispike).
+Both transmission modes share the decode and update machinery and one
+assembly rule: a destination's payload is its connection bitmap ANDed with
+the step's fired mask.  They differ only in when and how that payload
+leaves: baseline sends each address alone as its neuron's update ends;
+unispike merges it into packets as the destination's barrier neuron (from
+the checking table) ends its update.  A step's jobs are in creation order,
+and jobs created together keep their row-major destination (baseline) or
+checking-table (unispike) order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .artifact import ArtifactError, CoreArtifact
 from .neurons import ModelParams, NumericError, rest_state, step_population
@@ -103,20 +108,12 @@ class CoreState:
         self._pos = [0] * n                 # local index -> queue position
         for pos, idx in enumerate(artifact.exec_queue):
             self._pos[idx] = pos
-        # barrier neurons in queue order, with the destinations they release
-        self._barriers = sorted((self._pos[idx], dests) for idx, dests
-                                in artifact.checking_table.items())
         self.scale = 1.0 / (1 << frac_bits)
         self.timing = timing
         self.mode = mode
         self.dt = dt
         self.acc = [0] * n
         self.self_pending: list[SpikePacket] = []   # own fires, next step
-        # per-local-neuron remote destinations, row-major, for baseline emission
-        self._dests: list[list[Coord]] = [[] for _ in range(n)]
-        for dest in sorted(artifact.conn_bitmaps, key=lambda c: (c[1], c[0])):
-            for idx in iter_bits(artifact.conn_bitmaps[dest]):
-                self._dests[idx].append(dest)
 
     # -- decode -------------------------------------------------------------
 
@@ -149,19 +146,11 @@ class CoreState:
         """AND the destination's connection bitmap with the fired neurons'
         and pack the surviving addresses, at most max_body per packet."""
         payload = self.artifact.conn_bitmaps[dest] & fired_mask
-        if payload == 0:
-            return []
         indices = list(iter_bits(payload))
-        out = []
-        for i in range(0, len(indices), self.timing.max_body):
-            out.append(SpikePacket(self.coord, dest, timestep,
-                                   tuple(indices[i:i + self.timing.max_body])))
-        return out
-
-    def generate_baseline_packets(self, idx: int, timestep: int) -> list[SpikePacket]:
-        """One single-address packet per remote destination of the neuron."""
-        return [SpikePacket(self.coord, dest, timestep, (idx,))
-                for dest in self._dests[idx]]
+        size = self.timing.max_body
+        return [SpikePacket(self.coord, dest, timestep,
+                            tuple(indices[i:i + size]))
+                for i in range(0, len(indices), size)]
 
     # -- one timestep -----------------------------------------------------------
 
@@ -169,14 +158,20 @@ class CoreState:
                           stimulus: list[tuple[int, int]] | None,
                           timestep: int, t_start_ps: int) -> CoreStepResult:
         """Decode arrivals from the previous step, add this core's
-        ``(local index, raw)`` stimulus events, update every neuron in queue
-        order, and emit generation jobs; state is cleared at the end.
+        ``(local index, raw)`` stimulus events, update every neuron, and
+        emit generation jobs; state is cleared at the end.
 
         The neurons of each parameter set are stepped together; the queue
         order only times the jobs.  The neuron at queue position ``pos``
         finishes its update ``events * decode_cycles_per_accum +
-        (pos + 1) * update_cycles`` core cycles after ``t_start_ps``, so only
-        fired and barrier neurons are walked to emit jobs."""
+        (pos + 1) * update_cycles`` core cycles after ``t_start_ps``.  Each
+        destination's payload is ``conn_bitmaps[dest] & fired_mask``:
+        baseline walks the bitmaps in row-major destination order and sends
+        each address alone at its neuron's update end; unispike walks the
+        checking table and packs the payload at its barrier's update end.
+        One stable sort by creation time puts the jobs in time order; jobs
+        tie only within one neuron or one barrier, so they keep their walk
+        order."""
         events = 0
         for packet in arrived + self.self_pending:
             events += self.decode_packet(packet)
@@ -188,39 +183,39 @@ class CoreState:
             fired += step_population(params, members, self.v, self.w,
                                      self.refrac, self.acc, self.scale, self.dt)
         self._check_finite()
-        pos = self._pos
-        fired.sort(key=pos.__getitem__)
 
         timing = self.timing
         period = timing.core_period_ps
-        update = timing.update_cycles
+        update_ps = timing.update_cycles * period
         t0 = t_start_ps + events * timing.decode_cycles_per_accum * period
+        pos = self._pos
+        art = self.artifact
         jobs: list[GenJob] = []
-        if self.mode == MODE_BASELINE:
-            for idx in fired:
-                t_ps = t0 + (pos[idx] + 1) * update * period
-                for packet in self.generate_baseline_packets(idx, timestep):
-                    jobs.append(GenJob(t_ps, packet))
-        elif fired:
-            # a destination's feeders all update by its barrier, so the
-            # step's fired set gives each barrier its payload
+        if fired:
             fired_mask = sum(1 << idx for idx in fired)     # distinct
-            for bpos, dests in self._barriers:
-                t_ps = t0 + (bpos + 1) * update * period
-                for dest in dests:
-                    for packet in self.generate_merged_packets(
-                            dest, fired_mask, timestep):
-                        jobs.append(GenJob(t_ps, packet))
+            if self.mode == MODE_BASELINE:
+                for dest, bitmap in art.conn_bitmaps.items():
+                    for idx in iter_bits(bitmap & fired_mask):
+                        jobs.append(GenJob(
+                            t0 + (pos[idx] + 1) * update_ps,
+                            SpikePacket(self.coord, dest, timestep, (idx,))))
+            else:
+                # a destination's feeders all update by its barrier
+                for barrier, dests in art.checking_table.items():
+                    t_ps = t0 + (pos[barrier] + 1) * update_ps
+                    for dest in dests:
+                        jobs += [GenJob(t_ps, packet) for packet in
+                                 self.generate_merged_packets(
+                                     dest, fired_mask, timestep)]
+            jobs.sort(key=attrgetter("create_ps"))
 
         n = len(pos)
-        busy_ps = t0 - t_start_ps + n * update * period
+        busy_ps = t0 - t_start_ps + n * update_ps
         self.acc = [0] * n
-        table = self.artifact.synapse_table
-        own = [idx for idx in fired if (self.coord, idx) in table]
+        own = [idx for idx in fired if (self.coord, idx) in art.synapse_table]
         self.self_pending = ([SpikePacket(self.coord, self.coord, timestep,
                                           tuple(own))] if own else [])
-        ids = self.artifact.neuron_ids
-        fired_globals = sorted(ids[idx] for idx in fired)
+        fired_globals = sorted(art.neuron_ids[idx] for idx in fired)
         return CoreStepResult(jobs, busy_ps, fired_globals, events, n)
 
     def _check_finite(self) -> None:

@@ -106,7 +106,8 @@ class _Router:
     that packet until its tail has left the buffer.  So a head entering slot
     ``s`` sets the packet ``pkt[s]`` and output port ``out_of[s]`` for every
     flit behind it, and its grant sets ``hop[s]``: the output slot, the next
-    router, that router's input slot and whether it ejects the packet.  A
+    router, that router's input slot and whether it ejects the packet; the
+    tail's leaving clears both, so an idle mesh holds no packet.  A
     buffered flit is its eligible cycle in ``in_q[s]`` (a flit still on its
     link is buffered already), and ``seq[s]`` numbers the front one.
     """
@@ -211,6 +212,8 @@ class _Router:
             won = o
             sent += 1
             tail = seq == len(pkt[0].indices)
+            if tail:    # the mesh holds no packet past its last flit
+                self.pkt[s] = self.hop[s] = None
             # free the input slot: a feeder that has stepped this cycle
             # reads the credit next cycle either way, so it returns at once
             up = self.up[s]

@@ -216,7 +216,6 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
 @dataclass
 class ComparisonResult:
     reports: dict[tuple[str, str], RunReport]
-    trains: dict[tuple[str, str], SpikeTrain]
     cores: dict[str, int]                   # per partitioner, cores deployed
     ratios: dict[str, dict[str, float]]     # per partitioner, baseline/unispike
     spike_digests_equal: bool
@@ -233,18 +232,15 @@ def run_comparison(graph: SnnGraph, cfg: SystemConfig,
     stimulus = build_stimulus(cfg.stimulus, graph.neuron_count, cfg.timesteps,
                               graph.frac_bits)
     reports = {}
-    trains = {}
     cores = {}
     for part_name in partitioners:
         bundle = deploy(graph, replace(cfg, partitioner=part_name))
         cores[part_name] = len(bundle.cores)
         for mode in modes:
             cell_cfg = replace(cfg, partitioner=part_name, mode=mode)
-            result = run_experiment(bundle, cell_cfg, stimulus,
-                                    workload, config_digest)
-            reports[(mode, part_name)] = result.report
-            trains[(mode, part_name)] = result.train
-    digests = {t.digest() for t in trains.values()}
+            reports[(mode, part_name)] = run_experiment(
+                bundle, cell_cfg, stimulus, workload, config_digest).report
+    digests = {r.spike_digest for r in reports.values()}
     reference = reference_simulate(graph, stimulus, cfg.timesteps, cfg.dt)
     ratios = {}
     if MODE_BASELINE in modes and MODE_UNISPIKE in modes:
@@ -252,5 +248,5 @@ def run_comparison(graph: SnnGraph, cfg: SystemConfig,
             ratios[part_name] = compare_reports(
                 reports[(MODE_BASELINE, part_name)],
                 reports[(MODE_UNISPIKE, part_name)])
-    return ComparisonResult(reports, trains, cores, ratios, len(digests) == 1,
+    return ComparisonResult(reports, cores, ratios, len(digests) == 1,
                             digests == {reference.digest()})

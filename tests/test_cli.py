@@ -223,6 +223,25 @@ def test_profile_stdout_and_empty_warning(tmp_path, capsys):
     assert "empty packet log" in captured.err
 
 
+def test_profile_of_out_of_order_steps(tmp_path, capsys):
+    header = ("pid,timestep,src_x,src_y,dest_x,dest_y,"
+              "body_flits,inject_ps,eject_ps\n")
+    rows = ["0,2,0,0,1,0,1,5,9\n", "1,0,0,0,1,0,2,5,9\n",
+            "2,2,0,0,1,0,3,5,9\n", "3,1,1,0,0,0,1,5,9\n",
+            "4,0,0,0,1,0,1,5,9\n"]
+    texts = []
+    for order in (rows, sorted(rows, key=lambda r: r.split(",")[1])):
+        log = tmp_path / "packets.csv"
+        log.write_text(header + "".join(order))
+        assert main(["profile", "--packets", str(log)]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    doc = json.loads(texts[0])
+    assert doc["packets_by_timestep"] == {"0": 2, "1": 1, "2": 2}
+    assert (doc["total_packets"], doc["effective_packets"],
+            doc["payload_flits"]) == (5, 3, 8)
+
+
 class TestExitCodes:
     def test_unknown_config_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -327,8 +346,11 @@ class TestExitCodes:
                        "body_flits,inject_ps,eject_ps\n"
                        "1,0,0,0,1,0,2,5,9\n2,0,0,0,1,0,two,5,9\n"
                        "3,0,0,0,1,0\n")
-        assert main(["profile", "--packets", str(log)]) == 2
+        out = tmp_path / "profile.json"
+        assert main(["profile", "--packets", str(log),
+                     "--out", str(out)]) == 2
         assert f"{log}:3: invalid literal" in capsys.readouterr().err
+        assert not out.exists()
         log.write_text("pid,timestep,src_x,src_y,dest_x,dest_y,"
                        "body_flits,inject_ps,eject_ps\n3,0,0,0,1,0\n")
         assert main(["profile", "--packets", str(log)]) == 2
@@ -382,6 +404,22 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(other), "--bundle", bundle_dir,
                      "--out", str(tmp_path / "run")]) == 2
         assert "mesh" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_budget_mismatch_between_bundle_and_config(self, tmp_path,
+                                                       config_path, capsys):
+        # the run prices neuron-state SRAM from the bundle's budget and
+        # stamps the config's digest, so the two must agree
+        bundle_dir = deployed(tmp_path, config_path)
+        other = tmp_path / "other.ini"
+        other.write_text(with_setting("partition", "neuron_bytes = 768",
+                                      "bytes_per_neuron_state = 48"))
+        assert main(["simulate", "--config", str(other), "--bundle",
+                     str(bundle_dir), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "bundle was deployed under MemoryBudget(" in err
+        assert "neuron_bytes=384" in err and "neuron_bytes=768" in err
+        assert "bytes_per_neuron_state=48" in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("setting,needle", [

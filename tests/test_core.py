@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spikenoc.artifact import ArtifactError, build_bundle
 from spikenoc.core import (CoreState, CoreTiming, MODE_BASELINE,
@@ -99,12 +100,6 @@ class TestDecode:
 
 
 class TestGeneration:
-    def test_baseline_one_packet_per_destination(self):
-        core = fanout_core(MODE_BASELINE)
-        packets = core.generate_baseline_packets(0, timestep=4)
-        assert [(p.dest, p.indices) for p in packets] == [(B, (0,)), (C, (0,))]
-        assert all(p.src == A and p.timestep == 4 for p in packets)
-
     def test_merged_masks_by_connection(self):
         core = fanout_core(MODE_UNISPIKE)
         fired = 0b111                    # everyone fired
@@ -217,3 +212,91 @@ class TestRunTimestep:
         assert res.fired_globals == [3]
         res = core.run_core_timestep([], None, 1, 0)
         assert res.fired_globals == []   # drive does not linger
+
+
+MESH = [(x, y) for y in range(2) for x in range(3)]
+
+
+@st.composite
+def deployments(draw):
+    """Cluster sizes, an adjacency without self-loops and the clusters'
+    cores on a 3x2 mesh."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    n = sum(sizes)
+    adjacency = [sorted(draw(st.sets(st.integers(0, n - 1).filter(
+        lambda post, pre=pre: post != pre), max_size=4))) for pre in range(n)]
+    coords = draw(st.permutations(MESH))[:len(sizes)]
+    return sizes, adjacency, coords
+
+
+def brute_force_jobs(art, mode, timing, fired, t0):
+    """A step's jobs as ``(create_ps, src, dest, indices)``, built from the
+    bitmaps, the checking table and the queue positions: by creation time,
+    then by row-major destination (baseline) or by checking-table entry and
+    chunk (unispike)."""
+    pos = {idx: p for p, idx in enumerate(art.exec_queue)}
+    step_ps = timing.update_cycles * timing.core_period_ps
+
+    def payload(dest):
+        return [i for i in range(art.local_count)
+                if art.conn_bitmaps[dest] >> i & 1 and i in fired]
+
+    jobs = []
+    if mode == MODE_BASELINE:
+        for idx in sorted(fired, key=pos.get):
+            for dest in sorted(art.conn_bitmaps, key=lambda c: (c[1], c[0])):
+                if idx in payload(dest):
+                    jobs.append((t0 + (pos[idx] + 1) * step_ps, art.coord,
+                                 dest, (idx,)))
+    else:
+        for barrier in sorted(art.checking_table, key=pos.get):
+            for dest in art.checking_table[barrier]:
+                addrs = payload(dest)
+                for i in range(0, len(addrs), timing.max_body):
+                    jobs.append((t0 + (pos[barrier] + 1) * step_ps,
+                                 art.coord, dest,
+                                 tuple(addrs[i:i + timing.max_body])))
+    return jobs
+
+
+# neuron 0 and neuron 1 each reach two cores, and core A's one barrier
+# releases both
+FORKED = ([2, 1, 1], [[2, 3], [2, 3], [], []], [A, B, (2, 0)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(deployment=deployments(), mode=st.sampled_from(
+           [MODE_BASELINE, MODE_UNISPIKE]),
+       max_body=st.integers(1, 3), decode=st.integers(0, 2),
+       drives=st.lists(st.sets(st.integers(0, 19)), min_size=1, max_size=3))
+@example(deployment=FORKED, mode=MODE_BASELINE, max_body=1, decode=1,
+         drives=[{0, 1}])
+@example(deployment=FORKED, mode=MODE_UNISPIKE, max_body=1, decode=1,
+         drives=[{0, 1}, {1}])
+def test_jobs_are_the_bitmaps_and_table_in_creation_order(
+        deployment, mode, max_body, decode, drives):
+    sizes, adjacency, coords = deployment
+    n = sum(sizes)
+    g = SnnGraph(n, [[(post, W) for post in posts] for posts in adjacency],
+                 model=MODEL)
+    ids = iter(range(n))
+    clusters = [tuple(next(ids) for _ in range(k)) for k in sizes]
+    bundle = build_bundle(g, dict(zip(coords, clusters)), 3, 2,
+                          MemoryBudget(neuron_bytes=max(sizes) * 24))
+    timing = CoreTiming(max_body=max_body, decode_cycles_per_accum=decode)
+    period = timing.core_period_ps
+    for art in bundle.cores:
+        core = CoreState(art, [MODEL] * art.local_count, g.frac_bits, timing,
+                         mode)
+        local = {nid: i for i, nid in enumerate(art.neuron_ids)}
+        for t, drive in enumerate(drives):
+            stim = [(local[nid], quantize_weight(2.0, 8))
+                    for nid in sorted(drive) if nid in local]
+            t_start = 1000 * t
+            res = core.run_core_timestep([], stim, t, t_start)
+            fired = {local[nid] for nid in res.fired_globals}
+            t0 = t_start + res.accum_events * decode * period
+            assert [(j.create_ps, j.packet.src, j.packet.dest,
+                     j.packet.indices) for j in res.jobs] == \
+                brute_force_jobs(art, mode, timing, fired, t0)
+            assert all(j.packet.timestep == t for j in res.jobs)

@@ -164,8 +164,8 @@ class TestLosslessness:
         result = run_comparison(g, cfg)
         assert result.spike_digests_equal
         assert result.matches_reference
-        for (mode, part), train in result.trains.items():
-            assert train.digest() == want.digest(), (mode, part)
+        for cell, report in result.reports.items():
+            assert report.spike_digest == want.digest(), cell
         assert result.cores == {
             p: len(make_partition(g, replace(cfg, partitioner=p)).clusters)
             for p in PARTITIONERS}
@@ -313,12 +313,35 @@ class TestPacketRecords:
         before = [o for o in gc.get_objects() if isinstance(o, PacketRecord)]
         old = {id(o) for o in before}
         result = run_experiment(bundle, cfg, stimulus)
-        # the mesh's routers point at each other, so only the collector
-        # frees the run's last buffered packets
         gc.collect()
         assert result.report.traffic["packets"] > 0
         assert [o for o in gc.get_objects()
                 if isinstance(o, PacketRecord) and id(o) not in old] == []
+
+    @pytest.mark.parametrize("mode", [MODE_BASELINE, MODE_UNISPIKE])
+    def test_no_record_outlives_the_run_without_the_collector(self, mode):
+        # the routers point at each other, so without the collector a run's
+        # records are freed only if the mesh holds no packet when it ends
+        graph = build_brunel(40, 10, conn_prob=0.15, w_exc=0.4, w_inh=-0.3,
+                             seed=4)
+        cfg = brunel_cfg(budget=MemoryBudget(neuron_bytes=6 * 24),
+                         stimulus=StimulusSpec(kind="poisson", amplitude=12.0,
+                                               rate=0.2, seed=4),
+                         timesteps=8, partitioner="hsfc", mode=mode)
+        stimulus = build_stimulus(cfg.stimulus, graph.neuron_count,
+                                  cfg.timesteps, graph.frac_bits)
+        bundle = deploy(graph, cfg)
+        gc.collect()
+        old = {id(o) for o in gc.get_objects() if isinstance(o, PacketRecord)}
+        gc.disable()
+        try:
+            result = run_experiment(bundle, cfg, stimulus)
+            alive = [o for o in gc.get_objects()
+                     if isinstance(o, PacketRecord) and id(o) not in old]
+        finally:
+            gc.enable()
+        assert result.report.traffic["packets"] > 0
+        assert alive == []
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**16), mode=st.sampled_from(
