@@ -6,8 +6,9 @@ Smaller cores spread a fixed network over more routers, so the same spike
 volume turns into more remote packets and more contention.  Merged dispatch
 removes duplicate head flits, which matters more the hotter the mesh gets;
 this sweep makes that trend visible in one table.  Each capacity runs through
-``run_comparison``; the sweep stops with exit 1 at the first capacity whose
-spike trains differ from the reference.
+``run_comparison`` on one stimulus and one reference train, built once for
+the sweep; the sweep stops with exit 1 at the first capacity whose spike
+trains differ from the reference.
 
 Example:
     python scripts/capacity_sweep.py --capacities 32,64,128 --timesteps 20
@@ -18,14 +19,15 @@ import csv
 import math
 import sys
 import time
+from dataclasses import replace
 
 from spikenoc.config import parse_layers
 from spikenoc.core import MODE_BASELINE
-from spikenoc.graph import build_conv_topology
+from spikenoc.graph import build_conv_topology, reference_simulate
 from spikenoc.neurons import LifParams
 from spikenoc.noc import MeshConfig
 from spikenoc.partition import MemoryBudget, hsfc_order, initial_partition
-from spikenoc.stimulus import StimulusSpec
+from spikenoc.stimulus import StimulusSpec, build_stimulus
 from spikenoc.system import SystemConfig, run_comparison
 
 
@@ -74,6 +76,13 @@ def sweep(args) -> int:
                                 * layers[0].height))
     spec = StimulusSpec(kind="constant", amplitude=args.amplitude,
                         neurons=input_neurons)
+    base = SystemConfig(stimulus=spec, timesteps=args.timesteps,
+                        partitioner="hsfc")
+    # neither depends on the deployment, so every capacity shares them
+    stimulus = build_stimulus(spec, graph.neuron_count, args.timesteps,
+                              graph.frac_bits)
+    reference_digest = reference_simulate(graph, stimulus, args.timesteps,
+                                          base.dt).digest()
     print(f"network: {graph.neuron_count} neurons, {graph.synapse_count} "
           f"synapses, {args.timesteps} steps")
 
@@ -86,11 +95,11 @@ def sweep(args) -> int:
         # the mesh is sized to the cut, which the hsfc deploy repeats
         w, h = mesh_dims(len(initial_partition(hsfc_order(graph), graph,
                                                budget).clusters))
-        cfg = SystemConfig(mesh=MeshConfig(w, h), budget=budget,
-                           stimulus=spec, timesteps=args.timesteps,
-                           partitioner="hsfc")
+        cfg = replace(base, mesh=MeshConfig(w, h), budget=budget)
         t0 = time.monotonic()
-        result = run_comparison(graph, cfg, partitioners=("hsfc",))
+        result = run_comparison(graph, cfg, partitioners=("hsfc",),
+                                stimulus=stimulus,
+                                reference_digest=reference_digest)
         seconds = time.monotonic() - t0
         ratios = result.ratios["hsfc"]
         lossless = result.spike_digests_equal and result.matches_reference

@@ -59,11 +59,12 @@ PACKET_LOG_COLUMNS = ("pid", "timestep", "src_x", "src_y", "dest_x",
                       "dest_y", "body_flits", "inject_ps", "eject_ps")
 
 
-def write_packet_log(records, writer) -> None:
+def write_packet_log(records, f) -> None:
     """Write one step's packet records, one ``PACKET_LOG_COLUMNS`` row each."""
-    writer.writerows([r.pid, r.timestep, r.src[0], r.src[1], r.dest[0],
-                      r.dest[1], r.body_count, r.inject_ps, r.eject_ps]
-                     for r in records)
+    f.write("".join([
+        f"{r.pid},{r.timestep},{r.src[0]},{r.src[1]},{r.dest[0]},"
+        f"{r.dest[1]},{r.body_count},{r.inject_ps},{r.eject_ps}\r\n"
+        for r in records]))
 
 
 def read_packet_log(path: str) -> Iterator[PacketRecord]:
@@ -84,9 +85,11 @@ def read_packet_log(path: str) -> Iterator[PacketRecord]:
                                eject)
 
 
-def write_flit_trace(rows, writer) -> None:
-    """Write one step's ``(time_ps, link, pid, kind)`` rows."""
-    writer.writerows(rows)
+def write_flit_trace(rows, f) -> None:
+    """Write one step's ``(time_ps, link, pid, kind)`` rows; a link label
+    holds a comma, so it is quoted."""
+    f.write("".join([f'{t},"{link}",{pid},{kind}\r\n'
+                     for t, link, pid, kind in rows]))
 
 
 TRACE_COLUMNS = ("time_ps", "link", "pid", "kind")
@@ -94,14 +97,16 @@ TRACE_COLUMNS = ("time_ps", "link", "pid", "kind")
 
 @contextlib.contextmanager
 def csv_sink(path: str, columns, write):
-    """A ``run_experiment`` sink that writes each step's rows to ``path``
-    with ``write(rows, writer)`` as the step ends; the file is removed if
-    the run fails."""
+    """A ``run_experiment`` sink that writes a header row of ``columns`` to
+    ``path``, then each step's rows with ``write(rows, f)`` as the step
+    ends; the file is removed if the run fails.
+
+    Rows are comma-separated and end in ``\r\n``, as ``csv.writer`` would
+    write them; a writer quotes any field that holds a comma."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(columns)
+        f.write(",".join(columns) + "\r\n")
         try:
-            yield lambda rows: write(rows, writer)
+            yield lambda rows: write(rows, f)
         except BaseException:
             f.close()
             os.remove(path)

@@ -29,6 +29,8 @@ from .stimulus import MAX_FRAC_BITS, StepEvents, check_stimulus
 RAW_MIN = -(1 << 15)
 RAW_MAX = (1 << 15) - 1
 
+_SYNAPSE = struct.Struct("<IIh")    # (pre, post, raw) as the digest hashes it
+
 
 def quantize_weight(value: float, frac_bits: int) -> int:
     """Round to the nearest representable raw weight, saturating at i16
@@ -122,9 +124,9 @@ class SnnGraph:
         if self.layer_tags is not None:
             for t in self.layer_tags:
                 h.update(f"t={t.layer},{t.channel},{t.x},{t.y}".encode())
+        pack = _SYNAPSE.pack
         for pre, edges in enumerate(self.adjacency):
-            for post, raw in edges:
-                h.update(struct.pack("<IIh", pre, post, raw))
+            h.update(b"".join([pack(pre, post, raw) for post, raw in edges]))
         return h.hexdigest()
 
 

@@ -13,6 +13,9 @@ Each core-side interface owns the packet generator pipeline and its bounded
 output queue, so back-pressure from the network stalls packet generation
 without ever stalling the neuron update engine.  A generated packet enters
 the queue only while it has room, no earlier than the moment room last opened.
+Only interfaces with work left are stepped: one leaves the cycle loop when it
+injects the tail of its last packet, since an idle interface's step changes
+nothing.
 
 A flit is no object: it is its packet's ``(packet, record)`` pair plus a
 sequence number, 0 for the head and ``len(indices)`` for the tail.  A freed
@@ -289,7 +292,9 @@ class _Ni:
         start = max(self.gen_busy_until, job.create_ps)
         return start + job.packet.flit_count * self.gen_ps_per_flit
 
-    def step(self, cycle: int, noc: "NocSim") -> None:
+    def step(self, cycle: int, noc: "NocSim") -> bool:
+        """Advance one cycle; True when this step injected the tail of the
+        last packet, which leaves the interface idle."""
         now_ps = cycle * self.cfg.noc_period_ps
         self.advance_gen(now_ps)
         if self.current is None and self.queue and self.queue[0][0] <= now_ps:
@@ -315,12 +320,14 @@ class _Ni:
             seq = self.cur_seq
             self.out_credit[self.cur_vc] -= 1
             self.cur_seq = seq + 1
-            if seq == len(pkt[0].indices):
-                self.current = None
             self.router.accept(self.cur_vc, pkt, seq,
                                cycle + self.cfg.router_pipeline_cycles)
             noc.active.add(self.router.rid)
             noc._progress += 1
+            if seq == len(pkt[0].indices):
+                self.current = None
+                return not self.queue and not self.gen_jobs
+        return False
 
 
 class NocSim:
@@ -423,6 +430,7 @@ class NocSim:
             ni.set_jobs(jobs, start_ps)
             if jobs:
                 live.append(ni)
+        busy = live.copy()      # the interfaces with work left
         routers = self.routers
         active = self.active
         landings = self.landings
@@ -443,8 +451,12 @@ class NocSim:
                     if was_tail:
                         rec.eject_ps = now_ps
                         self._delivered.append((now_ps, rec.pid, packet))
-            for ni in live:
-                ni.step(cycle, self)
+            went_idle = False
+            for ni in busy:
+                if ni.step(cycle, self):
+                    went_idle = True
+            if went_idle:
+                busy = [ni for ni in busy if not ni.idle]
             sent = 0
             for rid in sorted(active):
                 router = routers[rid]
@@ -456,7 +468,7 @@ class NocSim:
                 landings.append((cycle + link, self.ejecting))
                 self.ejecting = []
 
-            if not active and not landings and all(ni.idle for ni in live):
+            if not active and not landings and not busy:
                 drain_ps = cycle * period
                 break
 
@@ -478,7 +490,7 @@ class NocSim:
                 cycle += 1
                 continue
             cand = [landings[0][0]] if landings else []
-            for ni in live:
+            for ni in busy:
                 if ni.current is not None:
                     cand.append(cycle + 1)
                 elif ni.queue:

@@ -225,12 +225,19 @@ class ComparisonResult:
 def run_comparison(graph: SnnGraph, cfg: SystemConfig,
                    modes=MODES,
                    partitioners=PARTITIONERS,
-                   workload: str = "", config_digest: str = ""
+                   workload: str = "", config_digest: str = "",
+                   stimulus: list[StepEvents] | None = None,
+                   reference_digest: str | None = None
                    ) -> ComparisonResult:
     """Run every (mode, partitioner) cell on identical stimulus and check
-    each cell's spike train against one ``reference_simulate`` run."""
-    stimulus = build_stimulus(cfg.stimulus, graph.neuron_count, cfg.timesteps,
-                              graph.frac_bits)
+    each cell's spike train against one ``reference_simulate`` run.
+
+    A caller that runs several comparisons of one graph, stimulus spec and
+    step count may pass the ``build_stimulus`` result and the reference
+    train's digest, so neither is computed again."""
+    if stimulus is None:
+        stimulus = build_stimulus(cfg.stimulus, graph.neuron_count,
+                                  cfg.timesteps, graph.frac_bits)
     reports = {}
     cores = {}
     for part_name in partitioners:
@@ -241,7 +248,9 @@ def run_comparison(graph: SnnGraph, cfg: SystemConfig,
             reports[(mode, part_name)] = run_experiment(
                 bundle, cell_cfg, stimulus, workload, config_digest).report
     digests = {r.spike_digest for r in reports.values()}
-    reference = reference_simulate(graph, stimulus, cfg.timesteps, cfg.dt)
+    if reference_digest is None:
+        reference_digest = reference_simulate(graph, stimulus, cfg.timesteps,
+                                              cfg.dt).digest()
     ratios = {}
     if MODE_BASELINE in modes and MODE_UNISPIKE in modes:
         for part_name in partitioners:
@@ -249,4 +258,4 @@ def run_comparison(graph: SnnGraph, cfg: SystemConfig,
                 reports[(MODE_BASELINE, part_name)],
                 reports[(MODE_UNISPIKE, part_name)])
     return ComparisonResult(reports, cores, ratios, len(digests) == 1,
-                            digests == {reference.digest()})
+                            digests == {reference_digest})

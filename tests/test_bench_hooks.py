@@ -8,10 +8,12 @@ benchmark run; these checks fail in the test suite instead.
 """
 
 import importlib
+import json
 import os
 from dataclasses import replace
 
 from spikenoc import system
+from spikenoc.cli import main
 from spikenoc.core import MODE_BASELINE, MODE_UNISPIKE
 from spikenoc.graph import build_brunel
 from spikenoc.noc import MeshConfig
@@ -59,3 +61,28 @@ def test_count_hooks_match_the_report(monkeypatch):
             report.traffic["flit_hops"] > 0
         assert metrics[f"core.updates.{mode}"] > 0
         assert metrics[f"metrics.ledger_entries.{mode}"] > 0
+
+
+def test_trace_row_count_matches_the_report(monkeypatch, tmp_path):
+    # the traced benchmark counts the rows handed to the CLI's trace
+    # writer; each is one flit crossing one link
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    config = tmp_path / "brunel.ini"
+    config.write_text("[workload]\nn_exc = 40\nn_inh = 10\nconn_prob = 0.15\n"
+                      "seed = 4\n\n[run]\ntimesteps = 6\nstim_rate = 0.2\n\n"
+                      "[partition]\nneuron_bytes = 144\n\n"
+                      "[mesh]\nwidth = 3\nheight = 3\n")
+    hops = {}
+    with spans.installed(spans.Tracer()) as tracer:
+        for mode in (MODE_BASELINE, MODE_UNISPIKE):
+            tracer.mode = mode
+            out = tmp_path / mode
+            assert main(["simulate", "--config", str(config), "--mode", mode,
+                         "--trace", "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            hops[mode] = report["traffic"]["flit_hops"]
+    metrics = spans.layer_metrics(tracer, 0, 0)
+    for mode in (MODE_BASELINE, MODE_UNISPIKE):
+        assert metrics[f"cli.trace_rows.{mode}"] == hops[mode] > 0
+        assert metrics[f"cli.write_s.{mode}"] > 0

@@ -1,22 +1,28 @@
 import ast
+import csv
 import importlib.util
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spikenoc
 
 from spikenoc import cli, system
 from spikenoc.cli import main
 from spikenoc.config import parse_config_text
+from spikenoc.core import CoreTiming
 from spikenoc.graph import (SnnGraph, SpikeTrain, build_brunel, load_graph,
                             save_binary, save_text)
 from spikenoc.metrics import parse_report
 from spikenoc.neurons import IzhikevichParams
+from spikenoc.noc import MeshConfig, NocSim, PacketRecord
 
 CONFIG = """
 [workload]
@@ -240,6 +246,60 @@ def test_profile_of_out_of_order_steps(tmp_path, capsys):
     assert doc["packets_by_timestep"] == {"0": 2, "1": 1, "2": 2}
     assert (doc["total_packets"], doc["effective_packets"],
             doc["payload_flits"]) == (5, 3, 8)
+
+
+# every directed link label of a 4x4 mesh, as the trace writes it
+MESH_4X4_LINKS = tuple(link for r in NocSim(MeshConfig(4, 4), CoreTiming()).routers
+                       for link in r.link if link is not None)
+TIME_PS = st.integers(0, 2 ** 64) | st.sampled_from([0, 6250, 10 ** 18])
+TRACE_STEPS = st.lists(st.lists(st.tuples(
+    TIME_PS, st.sampled_from(MESH_4X4_LINKS), st.integers(0, 2 ** 40),
+    st.sampled_from("HB"))), max_size=4)
+COORD = st.tuples(st.integers(0, 3), st.integers(0, 3))
+PACKET_STEPS = st.lists(st.lists(st.builds(
+    PacketRecord, st.integers(0, 2 ** 40), COORD, COORD, st.integers(0, 10 ** 6),
+    st.integers(0, 300), TIME_PS, st.just(-1) | TIME_PS)), max_size=4)
+
+
+def sink_bytes(columns, write, steps) -> bytes:
+    """What ``csv_sink`` leaves in its file after ``steps``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        with cli.csv_sink(path, columns, write) as sink:
+            for rows in steps:
+                sink(rows)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+def csv_module_bytes(columns, rows) -> bytes:
+    """The same header and rows as the ``csv`` module writes them."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+@given(TRACE_STEPS)
+@example([[], [(10 ** 18, link, 7, "H") for link in MESH_4X4_LINKS], []])
+@settings(max_examples=100, deadline=None)
+def test_flit_trace_bytes_are_the_csv_modules(steps):
+    assert len(MESH_4X4_LINKS) == 48
+    assert sink_bytes(cli.TRACE_COLUMNS, cli.write_flit_trace, steps) == \
+        csv_module_bytes(cli.TRACE_COLUMNS,
+                         [row for rows in steps for row in rows])
+
+
+@given(PACKET_STEPS)
+@example([[]])
+@settings(max_examples=100, deadline=None)
+def test_packet_log_bytes_are_the_csv_modules(steps):
+    assert sink_bytes(cli.PACKET_LOG_COLUMNS, cli.write_packet_log, steps) == \
+        csv_module_bytes(cli.PACKET_LOG_COLUMNS, [
+            [r.pid, r.timestep, r.src[0], r.src[1], r.dest[0], r.dest[1],
+             r.body_count, r.inject_ps, r.eject_ps]
+            for rows in steps for r in rows])
 
 
 class TestExitCodes:
@@ -537,8 +597,8 @@ class TestExitCodes:
         monkeypatch.setattr(system.NocSim, "run_timestep", starve_from_step_3)
         written = []
         write_packet_log = cli.write_packet_log
-        monkeypatch.setattr(cli, "write_packet_log", lambda rows, writer: (
-            written.append(len(rows)), write_packet_log(rows, writer)))
+        monkeypatch.setattr(cli, "write_packet_log", lambda rows, f: (
+            written.append(len(rows)), write_packet_log(rows, f)))
         stall = tmp_path / "stall.ini"
         stall.write_text(CONFIG + "watchdog_cycles = 200\n")   # into [mesh]
         out_dir = tmp_path / "run"

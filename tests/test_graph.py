@@ -11,7 +11,8 @@ from spikenoc.graph import (ConvLayerSpec, LayerTag, SnnGraph, SpikeTrain,
                             load_binary, load_graph, load_text,
                             quantize_weight, reference_simulate, save_binary,
                             save_text, sha256)
-from spikenoc.neurons import IzhikevichParams, LifParams
+from spikenoc.neurons import (IzhikevichParams, LifParams, model_kind,
+                              params_to_fields)
 
 
 def chain_graph(n=3, w=1.0, model=None):
@@ -446,6 +447,52 @@ def test_sha256_equals_hashlib(chunks):
         theirs.update(chunk)
     assert ours.hexdigest() == theirs.hexdigest()
     assert sha256(b"".join(chunks)).hexdigest() == theirs.hexdigest()
+
+
+def per_synapse_digest(g: SnnGraph) -> str:
+    """``SnnGraph.digest`` as first written: one ``struct.pack`` and one
+    hash update per synapse."""
+    h = hashlib.sha256()
+    h.update(f"n={g.neuron_count};fb={g.frac_bits};"
+             f"model={model_kind(g.model)}"
+             f"{sorted(params_to_fields(g.model).items())}".encode())
+    for nid in sorted(g.model_overrides):
+        p = g.model_overrides[nid]
+        h.update(f"ov={nid}:{model_kind(p)}"
+                 f"{sorted(params_to_fields(p).items())}".encode())
+    if g.layer_tags is not None:
+        for t in g.layer_tags:
+            h.update(f"t={t.layer},{t.channel},{t.x},{t.y}".encode())
+    for pre, edges in enumerate(g.adjacency):
+        for post, raw in edges:
+            h.update(struct.pack("<IIh", pre, post, raw))
+    return h.hexdigest()
+
+
+@st.composite
+def graphs(draw):
+    """Graphs with empty rows, extreme weights, model overrides and tags."""
+    n = draw(st.integers(1, 12))
+    raws = st.sampled_from([-(1 << 15), -1, 0, 1, (1 << 15) - 1])
+    adjacency = [draw(st.dictionaries(st.integers(0, n - 1),
+                                      raws | st.integers(-300, 300),
+                                      max_size=n)).items()
+                 for _ in range(n)]
+    models = st.sampled_from([LifParams(), LifParams(tau_m=3.0),
+                              IzhikevichParams()])
+    overrides = draw(st.dictionaries(st.integers(0, n - 1), models,
+                                     max_size=3))
+    tags = draw(st.none() | st.just(tuple(
+        LayerTag(i % 2, i % 3, i, n - i) for i in range(n))))
+    return SnnGraph(n, [list(e) for e in adjacency], model=draw(models),
+                    model_overrides=overrides, frac_bits=draw(st.integers(0, 15)),
+                    layer_tags=tags)
+
+
+@given(graphs())
+@settings(max_examples=200, deadline=None)
+def test_digest_equals_the_per_synapse_formula(g):
+    assert g.digest() == per_synapse_digest(g)
 
 
 @pytest.fixture

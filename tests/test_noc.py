@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from itertools import groupby
 
 import pytest
@@ -9,7 +10,8 @@ from spikenoc.core import (CoreTiming, GenJob, MODE_BASELINE, MODE_UNISPIKE,
                            SpikePacket)
 from spikenoc.graph import build_brunel, reference_simulate
 from spikenoc.metrics import TrafficLedger
-from spikenoc.noc import DeadlockError, MeshConfig, NocSim, manhattan, xy_route
+from spikenoc.noc import (DeadlockError, MeshConfig, NocSim, _Ni, manhattan,
+                          xy_route)
 from spikenoc.partition import MemoryBudget
 from spikenoc.stimulus import StimulusSpec, build_stimulus
 from spikenoc.system import SystemConfig, deploy, run_experiment
@@ -250,6 +252,33 @@ class TestInjection:
         assert [r.pid for r in records] == [0, 1, 2]
         injects = [r.inject_ps for r in records]
         assert injects == sorted(injects) and injects[0] < injects[1] < injects[2]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_interface_steps_after_its_last_tail(self, monkeypatch, seed):
+        # the only way an interface with jobs goes idle is to inject its
+        # last tail, and an idle interface is not stepped again that timestep
+        steps, idle_steps = Counter(), []
+        step = _Ni.step
+
+        def counted(ni, cycle, noc):
+            steps[ni.coord] += 1
+            if ni.idle:
+                idle_steps.append((ni.coord, cycle))
+            return step(ni, cycle, noc)
+
+        monkeypatch.setattr(_Ni, "step", counted)
+        cfg = MeshConfig(5, 5, vcs=2, vc_buffer_depth=2)
+        sim = NocSim(cfg, CoreTiming(output_queue_packets=2))
+        rng = random.Random(seed)
+        start_ps, sources = 0, set()
+        for t in range(3):
+            jobs_by_core = random_jobs(rng, cfg, 80, start_ps=start_ps,
+                                       timestep=t)
+            sources |= set(jobs_by_core)
+            _, start_ps, _ = sim.run_timestep(jobs_by_core, start_ps, t)
+            assert all(ni.idle for ni in sim.nis)
+        assert set(steps) == sources
+        assert idle_steps == []
 
 
 class TestDeterminism:

@@ -1,10 +1,13 @@
 """Smoke tests: each script in scripts/ runs end to end on a tiny input."""
 
-import csv
 import importlib.util
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from spikenoc import system
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -45,18 +48,40 @@ def test_mode_comparison(tmp_path, capsys):
     assert "spike trains identical to reference: yes" in out
 
 
-def test_capacity_sweep(tmp_path):
+# the sweep below with its clock stopped, pinned from the script that built
+# the stimulus and ran the reference for every capacity: sharing them moves
+# no byte
+SWEEP_CSV = (b"capacity,cores,mesh,spikes,saving,speedup,energy_eff,lossless,"
+             b"seconds\r\n"
+             b"16,7,3x3,72,1.747,1.531,1.372,yes,0.0\r\n"
+             b"32,4,2x2,72,1.816,1.131,1.199,yes,0.0\r\n")
+
+
+def test_capacity_sweep(tmp_path, monkeypatch):
+    script = load_script("capacity_sweep")
+    monkeypatch.setattr(script, "time", SimpleNamespace(monotonic=lambda: 0.0))
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (script, system):
+        counted(module, "build_stimulus")
+        counted(module, "reference_simulate")
     out = tmp_path / "sweep.csv"
-    assert load_script("capacity_sweep").main(
+    assert script.main(
         ["--layers", "1x6x6, 2x6x6 k3 s1 p1", "--capacities", "16,32",
          "--timesteps", "3", "--out", str(out)]) == 0
-    with open(out, newline="") as f:
-        rows = list(csv.DictReader(f))
-    assert [(r["capacity"], r["lossless"]) for r in rows] == [("16", "yes"),
-                                                              ("32", "yes")]
-    # a deployment never changes the spike train, so neither does its count
-    assert int(rows[0]["spikes"]) > 0
-    assert rows[1]["spikes"] == rows[0]["spikes"]
+    # both capacities lossless, with the one spike count a deployment
+    # cannot change
+    assert out.read_bytes() == SWEEP_CSV
+    # the stimulus and the reference do not depend on the capacity
+    assert calls == {"build_stimulus": 1, "reference_simulate": 1}
 
 
 def test_mode_comparison_rejects_bad_input(tmp_path, capsys):
