@@ -208,14 +208,20 @@ class CoreState:
                                  self.generate_merged_packets(
                                      dest, fired_mask, timestep)]
             jobs.sort(key=attrgetter("create_ps"))
+            own = [idx for idx in fired
+                   if (self.coord, idx) in art.synapse_table]
+            self.self_pending = ([SpikePacket(self.coord, self.coord,
+                                              timestep, tuple(own))]
+                                 if own else [])
+            fired_globals = sorted(art.neuron_ids[idx] for idx in fired)
+        else:
+            self.self_pending = []
+            fired_globals = []
 
         n = len(pos)
         busy_ps = t0 - t_start_ps + n * update_ps
-        self.acc = [0] * n
-        own = [idx for idx in fired if (self.coord, idx) in art.synapse_table]
-        self.self_pending = ([SpikePacket(self.coord, self.coord, timestep,
-                                          tuple(own))] if own else [])
-        fired_globals = sorted(art.neuron_ids[idx] for idx in fired)
+        if events or stimulus:      # otherwise nothing was added
+            self.acc = [0] * n
         return CoreStepResult(jobs, busy_ps, fired_globals, events, n)
 
     def _check_finite(self) -> None:

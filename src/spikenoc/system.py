@@ -149,9 +149,11 @@ def run_experiment(bundle: DeploymentBundle, cfg: SystemConfig,
         decoded_body = 0
         for core, stim in zip(cores, stim_by_core):
             arrived = inbox.get(core.coord, [])
-            decoded_body += sum(len(p.indices) for p in arrived)
+            if arrived:
+                decoded_body += sum(len(p.indices) for p in arrived)
             res = core.run_core_timestep(arrived, stim, t, t_start)
-            jobs_by_core[core.coord] = res.jobs
+            if res.jobs:    # the mesh needs only the cores with jobs
+                jobs_by_core[core.coord] = res.jobs
             fired.extend(res.fired_globals)
             updates += res.update_count
             accum_events += res.accum_events

@@ -15,8 +15,8 @@ from dataclasses import replace
 from spikenoc import system
 from spikenoc.cli import main
 from spikenoc.core import MODE_BASELINE, MODE_UNISPIKE
-from spikenoc.graph import build_brunel
-from spikenoc.noc import MeshConfig
+from spikenoc.graph import ConvLayerSpec, build_brunel, build_conv_topology
+from spikenoc.noc import MeshConfig, NocSim
 from spikenoc.partition import MemoryBudget
 from spikenoc.stimulus import StimulusSpec, build_stimulus
 
@@ -61,6 +61,45 @@ def test_count_hooks_match_the_report(monkeypatch):
             report.traffic["flit_hops"] > 0
         assert metrics[f"core.updates.{mode}"] > 0
         assert metrics[f"metrics.ledger_entries.{mode}"] > 0
+
+
+def test_count_hooks_match_the_report_on_replayed_steps(monkeypatch):
+    # constant drive into a conv stack repeats its traffic, so the mesh
+    # replays most steps; a replayed step still returns every delivery
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    sims = []
+
+    class KeptNocSim(NocSim):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(system, "NocSim", KeptNocSim)
+    graph = build_conv_topology([ConvLayerSpec(1, 8, 8),
+                                 ConvLayerSpec(4, 8, 8, kernel=3, padding=1)],
+                                seed=2)
+    cfg = system.SystemConfig(
+        mesh=MeshConfig(4, 4), budget=MemoryBudget(neuron_bytes=480),
+        stimulus=StimulusSpec(kind="constant", amplitude=12.0,
+                              neurons=tuple(range(64))),
+        timesteps=20, partitioner="hsfc")
+    stim = build_stimulus(cfg.stimulus, graph.neuron_count, cfg.timesteps,
+                          graph.frac_bits)
+    bundle = system.deploy(graph, cfg)
+    reports = {}
+    with spans.installed(spans.Tracer()) as tracer:
+        for mode in (MODE_BASELINE, MODE_UNISPIKE):
+            tracer.mode = mode
+            reports[mode] = system.run_experiment(
+                bundle, replace(cfg, mode=mode), stim).report
+    assert [sim.replayed > 0 for sim in sims] == [True, True]
+    metrics = spans.layer_metrics(tracer, 0, 0)
+    for mode, report in reports.items():
+        traffic = report.traffic
+        assert metrics[f"noc.flit_hops.{mode}"] == traffic["flit_hops"] > 0
+        assert metrics[f"noc.packets.{mode}"] == traffic["packets"]
+        assert metrics[f"core.jobs.{mode}"] == traffic["packets"]
 
 
 def test_trace_row_count_matches_the_report(monkeypatch, tmp_path):

@@ -64,7 +64,11 @@ width = 4
 height = 4
 """
 
-NETWORKS = {"brunel": BRUNEL, "conv": CONV}
+# LIF's 2-step refractory period under constant drive repeats the traffic
+# every third step, so most of these steps are replayed, not simulated
+CONV_30 = CONV.replace("timesteps = 8", "timesteps = 30")
+
+NETWORKS = {"brunel": BRUNEL, "conv": CONV, "conv30": CONV_30}
 
 # (network, buffers, mode) -> sha256 of report.json, packets.csv, trace.csv
 GOLDEN = {
@@ -100,6 +104,23 @@ GOLDEN = {
         "ef0afe183325684f10c960aaa0cba6bb1b94ae8593c0d235d6b72a5b95a1b0f8",
         "764687a51992cc93b6e52b233bc1bb101dd1c294f7cd7e5df90bd21fb0ed0133",
         "95d4f370afcc524e4a79633c605797b46430d464e10def46b3d46570601f39c4"),
+    # taken from the simulator before it replayed repeated steps
+    ("conv30", "default", "baseline"): (
+        "dad835903650af7bdc2086619b56e9632c7e117df1353758d97af46a3c8082c2",
+        "f66585645f51ded5cef497075b18ac3b589100c1c83c091c2f23e21cc2845816",
+        "0ef1f3e6c9e753aeb7647681b79f5a581e18a3f8416b63e10fef429550f7805d"),
+    ("conv30", "default", "unispike"): (
+        "eba90260dccb97180642186670260606e05f86afc97535106ca58899d4949340",
+        "0cef8eb12873e54a615ba7070d2e5b61fc9f19fc7d9170823bab4045a8e5d9e9",
+        "f4bb5104fe8113c551ebba365a3e75fed6793168644465818bc6dee59c0b4973"),
+    ("conv30", "edge", "baseline"): (
+        "bf9a5ce94a988ff945776f19ee7c50487e13ffa7aaa92a6a57a4d028802a2999",
+        "9c4fe117d8a61542729f92a0093c73c747627e357fb2cc0dfa18a9cd53a8c829",
+        "8c1ff45084b3bbc9a0b53f308be897e87999beff5a2d97a5cb1c96d40464d90f"),
+    ("conv30", "edge", "unispike"): (
+        "9dcf045347cdcfc93c694350324849f6f5e92effc1d65d5c231175f67177bf87",
+        "66cc423583b04e9441eebf4a6cae9ec6e506ab35c48f4f10cbc0b6f1cf05c125",
+        "660de853aa9fae3d8b2c1a6515580da7494b6f2e9c4e30d6cce8de7f026583c2"),
 }
 
 

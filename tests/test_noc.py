@@ -1,17 +1,21 @@
+import gc
 import random
 import re
+import tracemalloc
 from collections import Counter
 from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spikenoc import system
 from spikenoc.core import (CoreTiming, GenJob, MODE_BASELINE, MODE_UNISPIKE,
                            SpikePacket)
-from spikenoc.graph import build_brunel, reference_simulate
+from spikenoc.graph import (ConvLayerSpec, build_brunel, build_conv_topology,
+                            reference_simulate)
 from spikenoc.metrics import TrafficLedger
-from spikenoc.noc import (DeadlockError, MeshConfig, NocSim, _Ni, manhattan,
-                          xy_route)
+from spikenoc.noc import (DeadlockError, MeshConfig, NocSim, _Ni, _StepMemo,
+                          manhattan, xy_route)
 from spikenoc.partition import MemoryBudget
 from spikenoc.stimulus import StimulusSpec, build_stimulus
 from spikenoc.system import SystemConfig, deploy, run_experiment
@@ -373,3 +377,121 @@ class TestBufferSweep:
         assert result.train.digest() == want.digest()
         traffic = result.report.traffic
         assert traffic["injected_flits"] == traffic["ejected_flits"] > 0
+
+
+def kept_mesh_run(graph, cfg, stim):
+    """Run ``cfg`` and return the run's mesh, kept alive past the run."""
+    sims = []
+
+    class KeptNocSim(NocSim):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(system, "NocSim", KeptNocSim)
+        run_experiment(deploy(graph, cfg), cfg, stim)
+    [sim] = sims
+    return sim
+
+
+def stored_steps() -> int:
+    gc.collect()
+    return sum(type(o) is _StepMemo for o in gc.get_objects())
+
+
+class TestStepMemo:
+    """The step memo holds one stored step at most, and nothing when no
+    step repeats."""
+
+    @pytest.mark.parametrize("mode", [MODE_BASELINE, MODE_UNISPIKE])
+    def test_periodic_run_keeps_one_stored_step(self, mode):
+        # constant drive into LIF with a 2-step refractory period: the
+        # traffic repeats every third step
+        g = build_conv_topology([ConvLayerSpec(1, 8, 8),
+                                 ConvLayerSpec(4, 8, 8, kernel=3, padding=1)],
+                                seed=2)
+        cfg = SystemConfig(
+            mesh=MeshConfig(4, 4), budget=MemoryBudget(neuron_bytes=480),
+            stimulus=StimulusSpec(kind="constant", amplitude=12.0,
+                                  neurons=tuple(range(64))),
+            timesteps=30, partitioner="hsfc", mode=mode)
+        stim = build_stimulus(cfg.stimulus, g.neuron_count, cfg.timesteps,
+                              g.frac_bits)
+        before = stored_steps()
+        sim = kept_mesh_run(g, cfg, stim)
+        assert sim.replayed > 0
+        assert stored_steps() == before + 1
+        del sim
+        assert stored_steps() == before
+
+    def test_brunel_run_stores_no_step(self):
+        g = build_brunel(40, 10, conn_prob=0.15, w_exc=0.4, w_inh=-0.3, seed=4)
+        cfg = SystemConfig(
+            mesh=MeshConfig(3, 3), budget=MemoryBudget(neuron_bytes=6 * 24),
+            stimulus=StimulusSpec(kind="poisson", amplitude=12.0, rate=0.2,
+                                  seed=4),
+            timesteps=20, partitioner="hsfc")
+        stim = build_stimulus(cfg.stimulus, g.neuron_count, cfg.timesteps,
+                              g.frac_bits)
+        before = stored_steps()
+        sim = kept_mesh_run(g, cfg, stim)
+        assert (sim.memo, sim.replayed) == (None, 0)
+        assert stored_steps() == before
+
+    @staticmethod
+    def traced_growth(steps: int) -> tuple[int, int]:
+        """Bytes a traced mesh holds after ``steps`` repeats of one step, and
+        its peak, both above the empty mesh's."""
+        cfg = MeshConfig(4, 4)
+        jobs_by_core = random_jobs(random.Random(9), cfg, 40, 6, 3000)
+        records, trace = [], []
+        tracemalloc.start()
+        try:
+            sim = NocSim(cfg, CoreTiming(), records, trace)
+            base = tracemalloc.get_traced_memory()[0]
+            start_ps = 0
+            for t in range(steps):
+                jobs = {c: [GenJob(j.create_ps + start_ps, j.packet)
+                            for j in js] for c, js in jobs_by_core.items()}
+                _, start_ps, _ = sim.run_timestep(jobs, start_ps, t)
+                records.clear()
+                trace.clear()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sim.replayed >= steps - 3
+        return held - base, peak - base
+
+    def test_traced_memory_does_not_grow_with_run_length(self):
+        self.traced_growth(3)       # first-use allocations land here
+        short = self.traced_growth(20)
+        long = self.traced_growth(80)
+        # one leaked step's 40 records and 595 trace rows take tens of KiB
+        assert long[0] <= short[0] + 8192
+        assert long[1] <= short[1] + 8192
+
+    def test_starved_repeat_raises_the_same_deadlock_each_time(
+            self, starved_credits):
+        # every credit and VC a step takes is lost: with two VCs the step
+        # drains twice, and its second sight is stored; the third cannot
+        # start, and its deadlock drops the stored step
+        cfg = MeshConfig(2, 1, vcs=2, vc_buffer_depth=4, watchdog_cycles=30)
+        errors = []
+        for _ in range(2):
+            sim = NocSim(cfg, CoreTiming())
+
+            def step(t):
+                start_ps = 10**7 * t
+                return sim.run_timestep(
+                    {(0, 0): [job((0, 0), (1, 0), 1, start_ps)]}, start_ps, t)
+
+            step(0)
+            step(1)
+            assert sim.memo is not None
+            with pytest.raises(DeadlockError) as err:
+                step(2)
+            assert (sim.memo, sim.replayed) == (None, 0)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert "no flit progress for 30 cycles at t=2" in errors[0]
