@@ -150,6 +150,20 @@ def cmd_partition(args) -> int:
     return EXIT_OK
 
 
+def check_bundle_config(bundle, sys_cfg) -> None:
+    """Raise ConfigError when the bundle's mesh or memory budget differs
+    from the config's."""
+    if (bundle.mesh_width, bundle.mesh_height) != (sys_cfg.mesh.width,
+                                                   sys_cfg.mesh.height):
+        raise ConfigError(
+            f"bundle was deployed on a {bundle.mesh_width}x"
+            f"{bundle.mesh_height} mesh but the config says "
+            f"{sys_cfg.mesh.width}x{sys_cfg.mesh.height}")
+    if bundle.budget != sys_cfg.budget:
+        raise ConfigError(f"bundle was deployed under {bundle.budget} "
+                          f"but the config says {sys_cfg.budget}")
+
+
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     run_over = {}
@@ -163,15 +177,7 @@ def cmd_simulate(args) -> int:
     sys_cfg = to_system_config(cfg)
     if args.bundle:
         bundle = load_bundle(args.bundle)
-        if (bundle.mesh_width, bundle.mesh_height) != (sys_cfg.mesh.width,
-                                                       sys_cfg.mesh.height):
-            raise ConfigError(
-                f"bundle was deployed on a {bundle.mesh_width}x"
-                f"{bundle.mesh_height} mesh but the config says "
-                f"{sys_cfg.mesh.width}x{sys_cfg.mesh.height}")
-        if bundle.budget != sys_cfg.budget:
-            raise ConfigError(f"bundle was deployed under {bundle.budget} "
-                              f"but the config says {sys_cfg.budget}")
+        check_bundle_config(bundle, sys_cfg)
     else:
         bundle = deploy(build_graph(cfg), sys_cfg)
     stimulus = build_stimulus(sys_cfg.stimulus, bundle.graph.neuron_count,
@@ -259,14 +265,26 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    """Check a config, a bundle, or both; given both, the bundle must hold
+    the config's network on its mesh under its budget."""
+    if not args.config and not args.bundle:
+        raise ConfigError("nothing to validate: pass --config and/or --bundle")
     if args.config:
-        load_config(args.config)
+        cfg = _load(args)
         print(f"{args.config}: ok")
     if args.bundle:
         bundle = load_bundle(args.bundle)
         print(f"{args.bundle}: {len(bundle.cores)} cores ok")
-    if not args.config and not args.bundle:
-        raise ConfigError("nothing to validate: pass --config and/or --bundle")
+    if args.config and args.bundle:
+        check_bundle_config(bundle, to_system_config(cfg))
+        graph = build_graph(cfg)
+        held, built = bundle.graph.digest(), graph.digest()
+        if held != built:
+            raise ConfigError(
+                f"bundle holds a {bundle.graph.neuron_count}-neuron graph "
+                f"with digest {held[:16]} but the config builds a "
+                f"{graph.neuron_count}-neuron graph with digest {built[:16]}")
+        print(f"{args.bundle}: holds the network of {args.config}")
     return EXIT_OK
 
 
@@ -334,8 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("validate", help="re-check a config or bundle on disk")
-    p.add_argument("--config")
-    p.add_argument("--bundle")
+    common(p)
+    p.add_argument("--bundle", help="bundle directory; with --config, it "
+                                    "must hold the config's network")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("show-config",

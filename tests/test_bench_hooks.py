@@ -102,6 +102,50 @@ def test_count_hooks_match_the_report_on_replayed_steps(monkeypatch):
         assert metrics[f"core.jobs.{mode}"] == traffic["packets"]
 
 
+def test_count_hooks_match_a_fresh_decode_on_replayed_decodes(monkeypatch):
+    # the repeating conv run's cores reuse stored decodes; the traced core
+    # counts must equal those of the same run whose cores never reuse one
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    cores = []
+
+    class KeptCore(system.CoreState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            cores.append(self)
+
+    class ForgetfulCore(system.CoreState):
+        def run_core_timestep(self, *args):
+            res = super().run_core_timestep(*args)
+            self.memo = None
+            return res
+
+    graph = build_conv_topology([ConvLayerSpec(1, 8, 8),
+                                 ConvLayerSpec(4, 8, 8, kernel=3, padding=1)],
+                                seed=2)
+    cfg = system.SystemConfig(
+        mesh=MeshConfig(4, 4), budget=MemoryBudget(neuron_bytes=480),
+        stimulus=StimulusSpec(kind="constant", amplitude=12.0,
+                              neurons=tuple(range(64))),
+        timesteps=20, partitioner="hsfc")
+    stim = build_stimulus(cfg.stimulus, graph.neuron_count, cfg.timesteps,
+                          graph.frac_bits)
+    bundle = system.deploy(graph, cfg)
+    metrics = {}
+    for core_class in (KeptCore, ForgetfulCore):
+        monkeypatch.setattr(system, "CoreState", core_class)
+        with spans.installed(spans.Tracer()) as tracer:
+            for mode in (MODE_BASELINE, MODE_UNISPIKE):
+                tracer.mode = mode
+                system.run_experiment(bundle, replace(cfg, mode=mode), stim)
+        metrics[core_class] = spans.layer_metrics(tracer, 0, 0)
+    assert {core.mode for core in cores if core.replayed} == {
+        MODE_BASELINE, MODE_UNISPIKE}
+    for mode in (MODE_BASELINE, MODE_UNISPIKE):
+        for name in (f"core.accum_events.{mode}", f"core.updates.{mode}"):
+            assert metrics[KeptCore][name] == metrics[ForgetfulCore][name] > 0
+
+
 def test_trace_row_count_matches_the_report(monkeypatch, tmp_path):
     # the traced benchmark counts the rows handed to the CLI's trace
     # writer; each is one flit crossing one link

@@ -482,6 +482,45 @@ class TestExitCodes:
         assert "bytes_per_neuron_state=48" in err
         assert not (tmp_path / "run").exists()
 
+    def test_validate_rejects_a_bundle_of_another_network(self, tmp_path,
+                                                          config_path,
+                                                          capsys):
+        bundle_dir = deployed(tmp_path, config_path)
+        other = tmp_path / "other.ini"
+        other.write_text(CONFIG.replace("n_exc = 40", "n_exc = 44"))
+        assert main(["validate", "--config", str(other), "--bundle",
+                     str(bundle_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "bundle holds a 50-neuron graph with digest" in err
+        assert "the config builds a 54-neuron graph with digest" in err
+
+    @pytest.mark.parametrize("setting,needle", [
+        ("width = 4", "deployed on a 3x3 mesh but the config says 4x3"),
+        ("neuron_bytes = 768", "neuron_bytes=384"),
+    ])
+    def test_validate_rejects_a_bundle_off_the_config(
+            self, tmp_path, config_path, capsys, setting, needle):
+        bundle_dir = deployed(tmp_path, config_path)
+        section = "mesh" if setting.startswith("width") else "partition"
+        other = tmp_path / "other.ini"
+        other.write_text(with_setting(section, setting))
+        assert main(["validate", "--config", str(other), "--bundle",
+                     str(bundle_dir)]) == 2
+        assert needle in capsys.readouterr().err
+
+    def test_validate_reads_the_seed_as_partition_does(self, tmp_path,
+                                                       config_path, capsys):
+        # the seed builds another Brunel network of the same size
+        bundle_dir = tmp_path / "bundle"
+        assert main(["partition", "--config", config_path, "--seed", "9",
+                     "--out", str(bundle_dir)]) == 0
+        args = ["validate", "--config", config_path, "--bundle",
+                str(bundle_dir)]
+        assert main(args) == 2
+        assert "50-neuron graph" in capsys.readouterr().err
+        assert main(args + ["--seed", "9"]) == 0
+        assert "holds the network of" in capsys.readouterr().out
+
     @pytest.mark.parametrize("setting,needle", [
         ("sss_iters = -5", "sss_iters must be non-negative"),
         ("sss_cooling = 1.5", "sss_cooling must be in [0, 1]"),

@@ -300,3 +300,85 @@ def test_jobs_are_the_bitmaps_and_table_in_creation_order(
                      j.packet.indices) for j in res.jobs] == \
                 brute_force_jobs(art, mode, timing, fired, t0)
             assert all(j.packet.timestep == t for j in res.jobs)
+
+
+# core B holds 3..5 and hears A's 0..2 and C's 6, 7; 3 -> 4 -> 5 stay on B,
+# so a fire of 3 or 4 sends B a self-packet next step; 5 feeds A, so B has
+# jobs.  One input of weight 0.6 does not fire a neuron, two do.
+H = quantize_weight(0.6, 8)
+REPLAY_ADJ = ([[(3, H)], [(4, H)], [(5, H)], [(4, H)], [(5, H)], [(0, W)],
+               [(3, H)], [(4, H)]])
+SHORT = {A: (0, 1), C: (0,)}        # a source's addresses, one left over
+EXTRA = {A: 2, C: 1}
+VARIANTS = ("same", "more", "source", "reorder", "empty")
+
+
+def replay_core(mode):
+    g = SnnGraph(8, REPLAY_ADJ, model=MODEL)
+    bundle = build_bundle(g, {A: (0, 1, 2), B: (3, 4, 5), C: (6, 7)}, 2, 2,
+                          MemoryBudget(neuron_bytes=3 * 24))
+    [art] = [c for c in bundle.cores if c.coord == B]
+    return CoreState(art, [MODEL] * 3, g.frac_bits, CoreTiming(), mode)
+
+
+def variant(base, kind, t):
+    """``base``'s ``(src, indices)`` list as step ``t``'s packets, changed
+    as ``kind`` says."""
+    pairs = list(base)
+    if kind == "empty":
+        return []
+    if kind == "more":
+        src, indices = pairs[0]
+        pairs[0] = (src, indices + (EXTRA[src],))
+    elif kind == "source":
+        src, indices = pairs[0]
+        pairs[0] = (C if src == A else A, indices)
+    elif kind == "reorder":
+        pairs.reverse()
+    return [SpikePacket(src, B, t, indices) for src, indices in pairs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from([MODE_BASELINE, MODE_UNISPIKE]),
+       base=st.lists(st.sampled_from([A, C]).flatmap(
+           lambda src: st.tuples(st.just(src), st.lists(
+               st.sampled_from(SHORT[src]), min_size=1, unique=True).map(
+                   tuple))), min_size=1, max_size=3),
+       steps=st.lists(st.tuples(st.sampled_from(VARIANTS),
+                                st.sampled_from([None, 2.0, -1.0])),
+                      min_size=1, max_size=8))
+@example(mode=MODE_UNISPIKE, base=[(A, (1,))],
+         steps=[("same", None), ("same", -1.0), ("same", None),
+                ("empty", None), ("same", 2.0), ("same", None),
+                ("same", None)])
+@example(mode=MODE_BASELINE, base=[(A, (0,)), (C, (0,))],
+         steps=[("same", None), ("same", -1.0), ("reorder", None),
+                ("reorder", -1.0), ("reorder", None)])
+def test_replayed_decode_equals_a_fresh_one(mode, base, steps):
+    # a fire on B (a positive drive, or a self-packet) changes the next
+    # step's packets, a negative drive holds one back; the store must
+    # follow every change and take no drive in
+    core, fresh = replay_core(mode), replay_core(mode)
+    calls = []
+    decode = core.decode_packet
+    core.decode_packet = lambda p: calls.append(p) or decode(p)
+    stored = None       # the (src, indices) list of the last non-empty step
+    for t, (kind, drive) in enumerate(steps):
+        arrived = variant(base, kind, t)
+        stim = [(0, quantize_weight(drive, 8))] if drive else None
+        pairs = [(p.src, p.indices) for p in arrived + core.self_pending]
+        replays = core.replayed
+        calls.clear()
+        res = core.run_core_timestep(arrived, stim, t, 10**6 * t)
+        want = fresh.run_core_timestep(list(arrived), stim, t, 10**6 * t)
+        fresh.memo = None
+        assert res == want
+        assert (core.v, core.w, core.refrac) == (fresh.v, fresh.w,
+                                                 fresh.refrac)
+        if pairs and pairs == stored:
+            assert (core.replayed, calls) == (replays + 1, [])
+        else:
+            assert core.replayed == replays
+            assert [(p.src, p.indices) for p in calls] == pairs
+            stored = pairs or stored
+    assert fresh.replayed == 0

@@ -1,13 +1,16 @@
 import gc
 import re
+import tracemalloc
 from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spikenoc.core import CoreTiming, MODE_BASELINE, MODE_UNISPIKE
-from spikenoc.graph import (SnnGraph, build_brunel, build_conv_topology,
-                            quantize_weight, reference_simulate)
+from spikenoc import system
+from spikenoc.core import CoreState, CoreTiming, MODE_BASELINE, MODE_UNISPIKE
+from spikenoc.graph import (ConvLayerSpec, SnnGraph, build_brunel,
+                            build_conv_topology, quantize_weight,
+                            reference_simulate)
 from spikenoc.config import (build_graph, parse_config_text, parse_layers,
                              to_system_config)
 from spikenoc.neurons import (AdexParams, IzhikevichParams, LifParams,
@@ -405,6 +408,56 @@ SETTING_CASES = [
     (dict(seg_ratio=0.0), "seg_ratio must be in (0, 1]"),
     (dict(seg_ratio=1.5), "seg_ratio must be in (0, 1]"),
 ]
+
+
+class TestDecodeStore:
+    """Each core keeps one stored decode, however long the run."""
+
+    @staticmethod
+    def traced_growth(steps: int, mode: str) -> int:
+        """Bytes a run of ``steps`` repeating steps leaves held once its
+        result (per-step rows and spike train) is dropped, above what was
+        held before it; its cores are kept alive."""
+        g = build_conv_topology([ConvLayerSpec(1, 8, 8),
+                                 ConvLayerSpec(4, 8, 8, kernel=3, padding=1)],
+                                seed=2)
+        cfg = SystemConfig(
+            mesh=MeshConfig(4, 4), budget=MemoryBudget(neuron_bytes=480),
+            stimulus=StimulusSpec(kind="constant", amplitude=12.0,
+                                  neurons=tuple(range(64))),
+            timesteps=steps, partitioner="hsfc", mode=mode)
+        stim = build_stimulus(cfg.stimulus, g.neuron_count, cfg.timesteps,
+                              g.frac_bits)
+        bundle = deploy(g, cfg)
+        cores = []
+
+        class KeptCore(CoreState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                cores.append(self)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(system, "CoreState", KeptCore)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                result = run_experiment(bundle, cfg, stim)
+                del result
+                gc.collect()        # the finished mesh's routers form cycles
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        assert sum(core.replayed for core in cores) >= steps - 10
+        return held - base
+
+    @pytest.mark.parametrize("mode", [MODE_BASELINE, MODE_UNISPIKE])
+    def test_traced_memory_does_not_grow_with_run_length(self, mode):
+        self.traced_growth(3, mode)     # first-use allocations land here
+        short = self.traced_growth(20, mode)
+        long = self.traced_growth(200, mode)
+        # one step's packets kept per core would take tens of KiB
+        assert long <= short + 8192
 
 
 class TestGuards:
