@@ -41,7 +41,7 @@ EXIT_CONFIG = 2
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = override_seed(cfg, args.seed)
     return cfg
 
@@ -305,11 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "address-merged multicast delivery.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--config", help="experiment configuration file (INI)")
-        if seed:
-            p.add_argument("--seed", type=int,
-                           help="override every stochastic seed in the config")
+        p.add_argument("--seed", type=int,
+                       help="override every stochastic seed in the config")
 
     p = sub.add_parser("generate", help="build a network and write it to disk")
     common(p)
@@ -359,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("show-config",
                        help="print the fully resolved configuration")
-    common(p, seed=True)
+    common(p)
     p.set_defaults(func=cmd_show_config)
 
     return parser

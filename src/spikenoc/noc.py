@@ -25,9 +25,10 @@ first, then routers by ascending id), and is otherwise applied at the top
 of the next processed cycle, as every ejection's credit is; whatever could
 read it sooner makes the very next cycle an event.
 
-A step whose start repeats a stored one is replayed, not simulated: its
-records, trace rows, deliveries and end state are the stored step's, shifted
-in time and renumbered (see ``NocSim.run_timestep``).
+Interfaces start every step fresh, so only the routers' round-robin pointers
+and the NoC clock phase carry over between steps.  A step whose jobs, phase
+and pointers repeat a stored one's is replayed, not simulated, shifted in
+time and renumbered (see ``NocSim.run_timestep``).
 """
 
 from __future__ import annotations
@@ -127,19 +128,19 @@ def _same_jobs(a: LiveJobs, a_start: int, b: LiveJobs, b_start: int) -> bool:
 @dataclass(slots=True)
 class _StepMemo:
     """One simulated step's outcome, with times relative to its start, pids
-    relative to its first and packets as indices into its flattened jobs."""
+    relative to its first and packets as indices into its flattened jobs.
+    Interfaces start every step fresh, so the routers' pointers ``rr_after``
+    are the only state it restores."""
 
-    live: LiveJobs          # the key: jobs, clock phase and rr at the start
+    live: LiveJobs          # the key: jobs, start_ps's clock phase and rr
     start_ps: int
-    phase: int
     rr: list[list[int]]
     records: list[tuple[int, int, int]]   # (packet, inject, eject) by pid
     trace: list | None                    # rows; None for an untraced step
     delivered: list[tuple[int, int]]      # (packet, eject), delivery order
     drain_ps: int
-    gen_done: list[tuple["_Ni", int]]
+    gen_done: list[tuple[Coord, int]]
     rr_after: list[list[int]]
-    room: list[tuple["_Ni", int]]         # interfaces whose room_ps moved
 
 
 class _Router:
@@ -309,10 +310,11 @@ class _Ni:
         return not self.gen_jobs and not self.queue and self.current is None
 
     def set_jobs(self, jobs: list[GenJob], start_ps: int) -> None:
+        """Start a step: no earlier step's times reach this one's packets."""
         if not self.idle:
             raise RuntimeError("sources must drain before the next timestep")
         self.gen_jobs = deque(sorted(jobs, key=lambda j: j.create_ps))
-        self.gen_busy_until = start_ps
+        self.gen_busy_until = self.room_ps = start_ps
 
     def advance_gen(self, now_ps: int) -> None:
         """Queue every packet generated by ``now_ps``, while the queue has
@@ -403,7 +405,7 @@ class NocSim:
         self._delivered: list[tuple[int, int, SpikePacket]] = []
         self._progress = 0
         self.memo: _StepMemo | None = None      # the one stored step
-        self._prev: tuple[LiveJobs, int] | None = None  # last step with jobs
+        self._prev: tuple[LiveJobs, int] = ([], 0)  # last step with jobs
         self.replayed = 0                       # steps replayed so far
 
     def _wire(self) -> None:
@@ -449,17 +451,17 @@ class NocSim:
 
         A step ends only once the mesh has drained, so at a step boundary
         every buffer is empty, every credit is back and every VC and
-        interface queue is free; only the routers' round-robin pointers
-        ``rr`` carry over, with the NoC clock phase ``start_ps %
-        noc_period_ps``.  A step's outcome is therefore fixed by each core's
-        jobs (``create_ps - start_ps``, dest and indices, in list order), that
-        phase and every ``rr``.  When a step's jobs equal those of the last
-        step that had jobs, its outcome is stored under that key, replacing
-        the one stored before.  A later step with the same key is replayed:
-        the stored records, trace rows, deliveries, drain and generator-done
-        times are shifted to its start, with pids numbered on from
-        ``injected`` and its own packets in place of the stored ones, and
-        ``rr``, ``room_ps`` and ``gen_busy_until`` take their stored
+        interface queue is free, and each interface with jobs starts afresh
+        at ``start_ps``; only the routers' round-robin pointers ``rr`` carry
+        over, with the NoC clock phase ``start_ps % noc_period_ps``.  A step's
+        outcome is therefore fixed by each core's jobs (``create_ps -
+        start_ps``, dest and indices, in list order), that phase and every
+        ``rr``.  When a step's jobs equal those of the last step that had
+        jobs, its outcome is stored under that key, replacing the one stored
+        before.  A later step with the same key is replayed: the stored
+        records, trace rows, deliveries, drain and generator-done times are
+        shifted to its start, with pids numbered on from ``injected`` and its
+        own packets in place of the stored ones, and ``rr`` takes its stored
         after-step values.  A step without jobs leaves the store alone; one
         that raises stores nothing and drops what was stored."""
         width, height = self.cfg.width, self.cfg.height
@@ -483,41 +485,36 @@ class NocSim:
                 # only a key with no jobs gets here
                 raise ValueError(f"core {coord} is off the {width}x{height} "
                                  f"mesh")
-        order = sorted(jobs_by_core, key=lambda c: (c[1], c[0]))
         live = [(self.nis[c[1] * width + c[0]], jobs_by_core[c])
-                for c in order if jobs_by_core[c]]
+                for c in sorted(jobs_by_core, key=lambda c: (c[1], c[0]))
+                if jobs_by_core[c]]
         memo = self.memo
-        if live and memo is not None and self._matches(memo, live, start_ps):
-            return self._replay(memo, live, start_ps)
-        store = (bool(live) and self._prev is not None
-                 and _same_jobs(*self._prev, live, start_ps))
-        if store:
-            before = (self.injected, len(self.packet_records),
-                      None if self.flit_trace is None else len(self.flit_trace),
-                      [r.rr.copy() for r in self.routers],
-                      [ni.room_ps for ni in self.nis])
-        self.memo = None        # a step that raises leaves nothing to replay
-        out = self._simulate(order, live, jobs_by_core, start_ps, timestep)
-        self.memo = memo
-        if live:
-            if store:
-                self.memo = self._capture(live, start_ps, before, *out)
-            self._prev = (live, start_ps)
-        self._delivered = []    # the step's packets are the caller's now
-        return out
-
-    def _matches(self, memo: _StepMemo, live: LiveJobs, start_ps: int) -> bool:
-        return (start_ps % self.cfg.noc_period_ps == memo.phase
-                and (self.flit_trace is None or memo.trace is not None)
+        if (live and memo is not None
+                and (start_ps - memo.start_ps) % self.cfg.noc_period_ps == 0
                 and all(r.rr == rr for r, rr in zip(self.routers, memo.rr))
-                and _same_jobs(memo.live, memo.start_ps, live, start_ps))
+                and _same_jobs(memo.live, memo.start_ps, live, start_ps)):
+            out = self._replay(memo, live, start_ps)
+        else:
+            store = bool(live) and _same_jobs(*self._prev, live, start_ps)
+            if store:
+                before = (self.injected, len(self.packet_records),
+                          len(self.flit_trace or ()),
+                          [r.rr.copy() for r in self.routers])
+            self.memo = None    # a step that raises leaves nothing to replay
+            out = self._simulate(live, start_ps, timestep)
+            self.memo = (self._capture(live, start_ps, before, *out)
+                         if store else memo)
+            self._delivered = []    # the step's packets are the caller's now
+        if live:
+            self._prev = (live, start_ps)
+        return out
 
     def _capture(self, live: LiveJobs, start_ps: int, before: tuple,
                  delivered: list[tuple[SpikePacket, int]], drain_ps: int,
                  gen_done: dict[Coord, int]) -> _StepMemo | None:
         """The step just simulated as a memo; None when a packet object is
         handed in twice, so packets cannot stand for jobs."""
-        pid0, n_records, n_trace, rr, room = before
+        pid0, n_records, n_trace, rr = before
         packets = [job.packet for _, jobs in live for job in jobs]
         index_of = {id(p): i for i, p in enumerate(packets)}
         if len(index_of) != len(packets):
@@ -525,24 +522,23 @@ class NocSim:
         job_of = [0] * len(packets)
         for _, pid, packet in self._delivered:
             job_of[pid - pid0] = index_of[id(packet)]
-        trace = None if n_trace is None else [
+        trace = None if self.flit_trace is None else [
             (t - start_ps, link, pid - pid0, kind)
             for t, link, pid, kind in self.flit_trace[n_trace:]]
         return _StepMemo(
-            live, start_ps, start_ps % self.cfg.noc_period_ps, rr,
+            live, start_ps, rr,
             [(job_of[r.pid - pid0], r.inject_ps - start_ps,
               r.eject_ps - start_ps) for r in self.packet_records[n_records:]],
             trace,
             [(index_of[id(p)], ps - start_ps) for p, ps in delivered],
             drain_ps - start_ps,
-            [(ni, gen_done[ni.coord] - start_ps) for ni, _ in live],
-            [r.rr.copy() for r in self.routers],
-            [(ni, ni.room_ps - start_ps)
-             for ni, old in zip(self.nis, room) if ni.room_ps != old])
+            [(c, ps - start_ps) for c, ps in gen_done.items()],
+            [r.rr.copy() for r in self.routers])
 
     def _replay(self, memo: _StepMemo, live: LiveJobs, start_ps: int):
         """``memo``'s outcome for this step's packets, starting at
-        ``start_ps``; leaves the mesh as simulating the step would."""
+        ``start_ps``; leaves the routers' pointers as simulating the step
+        would."""
         packets = [job.packet for _, jobs in live for job in jobs]
         pid0 = self.injected
         records = self.packet_records
@@ -557,27 +553,19 @@ class NocSim:
         self.injected += len(memo.records)
         for router, rr in zip(self.routers, memo.rr_after):
             router.rr[:] = rr
-        for ni, room_ps in memo.room:
-            ni.room_ps = start_ps + room_ps
-        gen_done = {}
-        for ni, done_ps in memo.gen_done:
-            ni.gen_busy_until = gen_done[ni.coord] = start_ps + done_ps
-        self._prev = (live, start_ps)
         self.replayed += 1
         return ([(packets[i], start_ps + ps) for i, ps in memo.delivered],
-                start_ps + memo.drain_ps, gen_done)
+                start_ps + memo.drain_ps,
+                {c: start_ps + ps for c, ps in memo.gen_done})
 
-    def _simulate(self, order: list[Coord], live: LiveJobs,
-                  jobs_by_core: dict[Coord, list[GenJob]], start_ps: int,
-                  timestep: int) -> tuple[list[tuple[SpikePacket, int]], int,
-                                          dict[Coord, int]]:
+    def _simulate(self, live: LiveJobs, start_ps: int, timestep: int
+                  ) -> tuple[list[tuple[SpikePacket, int]], int,
+                             dict[Coord, int]]:
         """Run the step cycle by cycle until the mesh drains."""
-        width = self.cfg.width
         self._delivered = []
         period = self.cfg.noc_period_ps
-        for coord in order:
-            self.nis[coord[1] * width + coord[0]].set_jobs(jobs_by_core[coord],
-                                                          start_ps)
+        for ni, jobs in live:
+            ni.set_jobs(jobs, start_ps)
         busy = [ni for ni, _ in live]   # the interfaces with work left
         routers = self.routers
         active = self.active

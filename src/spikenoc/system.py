@@ -225,7 +225,6 @@ class ComparisonResult:
 
 
 def run_comparison(graph: SnnGraph, cfg: SystemConfig,
-                   modes=MODES,
                    partitioners=PARTITIONERS,
                    workload: str = "", config_digest: str = "",
                    stimulus: list[StepEvents] | None = None,
@@ -245,7 +244,7 @@ def run_comparison(graph: SnnGraph, cfg: SystemConfig,
     for part_name in partitioners:
         bundle = deploy(graph, replace(cfg, partitioner=part_name))
         cores[part_name] = len(bundle.cores)
-        for mode in modes:
+        for mode in MODES:
             cell_cfg = replace(cfg, partitioner=part_name, mode=mode)
             reports[(mode, part_name)] = run_experiment(
                 bundle, cell_cfg, stimulus, workload, config_digest).report
@@ -253,11 +252,8 @@ def run_comparison(graph: SnnGraph, cfg: SystemConfig,
     if reference_digest is None:
         reference_digest = reference_simulate(graph, stimulus, cfg.timesteps,
                                               cfg.dt).digest()
-    ratios = {}
-    if MODE_BASELINE in modes and MODE_UNISPIKE in modes:
-        for part_name in partitioners:
-            ratios[part_name] = compare_reports(
-                reports[(MODE_BASELINE, part_name)],
-                reports[(MODE_UNISPIKE, part_name)])
+    ratios = {part_name: compare_reports(reports[(MODE_BASELINE, part_name)],
+                                         reports[(MODE_UNISPIKE, part_name)])
+              for part_name in partitioners}
     return ComparisonResult(reports, cores, ratios, len(digests) == 1,
                             digests == {reference_digest})

@@ -42,10 +42,11 @@ def random_step(rng, cfg, timestep, count, max_body, spread_ps):
 
 def random_steps(rng, cfg, nsteps, max_body):
     """``nsteps`` steps of random jobs, each starting exactly at the last
-    drain or some cycles later."""
+    drain, some cycles later or some time before it."""
     steps = []
     for t in range(nsteps):
-        gap_ps = 0 if rng.random() < 0.5 else rng.randrange(1, 40000)
+        gap_ps = rng.choice([0, rng.randrange(1, 40000),
+                             -rng.randrange(1, 10**6)])
         jobs = random_step(rng, cfg, t, rng.randint(1, 30), max_body,
                            rng.choice([1, 5000, 40000]))
         steps.append((gap_ps, jobs))
@@ -53,14 +54,15 @@ def random_steps(rng, cfg, nsteps, max_body):
 
 
 def run_steps(sim, steps, after_step=None, before_step=None):
-    """Run each ``(gap_ps, jobs)`` step ``gap_ps`` after the previous drain,
+    """Run each ``(gap_ps, jobs)`` step ``gap_ps`` after the previous drain
+    (a negative gap starts it before that drain, but no earlier than 0),
     calling ``before_step(jobs, start_ps)`` before each and ``after_step()``
     after each; returns per-step (delivered ids and times, drain,
     generator-done)."""
     out = []
     start_ps = 0
     for t, (gap_ps, jobs_by_core) in enumerate(steps):
-        start_ps += gap_ps
+        start_ps = max(0, start_ps + gap_ps)
         jobs = {c: [GenJob(j.create_ps + start_ps, j.packet) for j in js]
                 for c, js in jobs_by_core.items()}
         if before_step is not None:
@@ -159,15 +161,62 @@ class TestSeedOracle:
         assert outcomes[0] == outcomes[1]
 
 
+class TestInterfacesStartFresh:
+    """No interface time outlives its step, so only the routers' pointers
+    carry over."""
+
+    def test_step_starting_before_the_last_drain(self):
+        # four long packets leave (0,0)'s one-packet queue late; a step
+        # started at 0 again must not wait for that queue's last room
+        cfg = MeshConfig(3, 1, vcs=1, vc_buffer_depth=1)
+        timing = CoreTiming(output_queue_packets=1)
+        outs = []
+        for sim_class in (NocSim, SeedNocSim):
+            records = []
+            sim = sim_class(cfg, timing, records)
+            _, drain_ps, _ = sim.run_timestep({(0, 0): [GenJob(0, SpikePacket(
+                (0, 0), (2, 0), 0, tuple(range(8)))) for _ in range(4)]}, 0, 0)
+            assert drain_ps == 931_250
+            delivered, drain_ps, gen_done = sim.run_timestep({(0, 0): [GenJob(
+                0, SpikePacket((0, 0), (2, 0), 1, (0,)))]}, 0, 1)
+            outs.append(([(p.indices, ps) for p, ps in delivered], drain_ps,
+                         gen_done, records))
+        assert outs[0] == outs[1]
+        assert outs[0][3][-1].inject_ps == 6250
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           width=st.integers(2, 4), height=st.integers(1, 3),
+           queue=st.integers(1, 3), nsteps=st.integers(1, 4))
+    def test_late_interface_times_change_nothing(self, seed, width, height,
+                                                 queue, nsteps):
+        cfg = MeshConfig(width, height, vcs=1, vc_buffer_depth=1)
+        timing = CoreTiming(output_queue_packets=queue)
+        steps = random_steps(random.Random(seed), cfg, nsteps, 8)
+        records, want_records = [], []
+        sim = NocSim(cfg, timing, records)
+
+        def make_late(_jobs, start_ps):
+            for ni in sim.nis:
+                ni.room_ps = ni.gen_busy_until = start_ps + 10**9
+
+        head = run_steps(sim, steps, before_step=make_late)
+        want = run_steps(NocSim(cfg, timing, want_records), steps)
+        assert head == want
+        assert records == want_records
+
+
 def repeating_steps(rng, cfg, nsteps, max_body):
     """``nsteps`` steps, most repeating one of two job sets or a variant of
     one, some empty and some fresh; each starts at the last drain, a whole
-    number of NoC periods later, or some picoseconds off the NoC clock."""
+    number of NoC periods before or after it, or some picoseconds off the NoC
+    clock."""
     bases = [random_step(rng, cfg, 0, rng.randint(1, 12), max_body,
                          rng.choice([1, 5000, 40000])) for _ in range(2)]
     steps = []
     for t in range(nsteps):
         gap_ps = rng.choice([0, rng.randint(1, 4) * cfg.noc_period_ps,
+                             -rng.randint(1, 100) * cfg.noc_period_ps,
                              rng.randrange(1, 40000)])
         draw = rng.random()
         if draw < 0.15:
@@ -196,9 +245,9 @@ def repeating_steps(rng, cfg, nsteps, max_body):
 
 
 def mesh_state(sim):
-    """What a step leaves behind besides its outputs."""
-    return ([r.rr.copy() for r in sim.routers],
-            [(ni.room_ps, ni.gen_busy_until) for ni in sim.nis])
+    """What a step leaves behind besides its outputs: the routers' pointers,
+    since interfaces start every step fresh."""
+    return [r.rr.copy() for r in sim.routers]
 
 
 def simulated_states(cfg, timing, steps):
@@ -363,7 +412,7 @@ class TestStepReplay:
         head, seen = run_watched(NocSim(cfg, CoreTiming()), steps)
         assert [replayed for _, replayed, _, _ in seen] == \
             [False, False, False, True, False]
-        rr_before, rr_after = seen[2][3][0], seen[3][3][0]
+        rr_before, rr_after = seen[2][3], seen[3][3]
         assert rr_before != rr_after
         assert [state for *_, state in seen] == \
             simulated_states(cfg, CoreTiming(), steps)
