@@ -26,7 +26,7 @@ from .config import (ConfigError, ExperimentConfig, build_graph, load_config,
                      override_seed, render_config, to_system_config)
 from .core import MODES
 from .graph import load_graph, save_binary, save_text
-from .metrics import emit_report, redundancy_profile
+from .metrics import emit_report, redundancy_profile, step_attribution
 from .neurons import NumericError
 from .noc import DeadlockError, PacketRecord
 from .partition import destination_objective, map_clusters
@@ -238,10 +238,15 @@ def cmd_compare(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for (mode, part), report in sorted(result.reports.items()):
         emit_report(report, os.path.join(args.out, f"{mode}_{part}.json"))
+    attribution: dict[str, dict] = {}
+    for (mode, part), report in result.reports.items():
+        attribution.setdefault(part, {})[mode] = step_attribution(
+            report.per_timestep)
     summary = {
         "spike_digests_equal": result.spike_digests_equal,
         "matches_reference": result.matches_reference,
         "ratios": result.ratios,
+        "step_attribution": attribution,
     }
     with open(os.path.join(args.out, "comparison.json"), "w") as f:
         json.dump(summary, f, sort_keys=True, indent=2)
@@ -254,6 +259,13 @@ def cmd_compare(args) -> int:
             continue
         r = result.ratios[part]
         print("  ".join([f"{part:>18}"] + [f"{r[c]:>18.4f}" for c in cols[1:]]))
+    cols = ["partitioner", "mode", "busy_ps", "tail_ps",
+            "steps_ending_on_network"]
+    print("  ".join(f"{c:>18}" for c in cols))
+    for part in PARTITIONERS:
+        for mode, a in attribution.get(part, {}).items():
+            print("  ".join([f"{part:>18}", f"{mode:>18}"]
+                            + [f"{a[c]:>18}" for c in cols[2:]]))
     if not result.spike_digests_equal:
         print("error: spike trains diverged between runs", file=sys.stderr)
         return EXIT_RUNTIME

@@ -220,6 +220,24 @@ def _ratio(a: float, b: float) -> float:
     return a / b
 
 
+def step_attribution(rows: list[TimestepRow]) -> dict[str, int]:
+    """Split a run's steps into core time and network tail.
+
+    A row's ``busy_ps`` is its busiest core's pass plus generation and its
+    ``drain_ps`` is the whole step, so ``drain_ps - busy_ps`` is the tail the
+    step spends waiting on the network alone.  Returns the summed busy time,
+    the summed tail, and the number of steps with a tail, which end on the
+    network rather than on a core."""
+    busy = tail = steps = 0
+    for r in rows:
+        busy += r.busy_ps
+        t = r.drain_ps - r.busy_ps
+        tail += t
+        if t > 0:
+            steps += 1
+    return {"busy_ps": busy, "tail_ps": tail, "steps_ending_on_network": steps}
+
+
 def compare_reports(baseline: RunReport, other: RunReport) -> dict[str, float]:
     """Improvement ratios of ``other`` relative to ``baseline`` (>1 is better)."""
     return {

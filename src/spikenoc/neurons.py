@@ -5,8 +5,10 @@ All models advance with forward-Euler integration at a fixed timestep ``dt``
 (``v >= v_th``), after which the model's reset rule is applied.  The golden
 single-process simulation steps one neuron at a time with ``step_neuron``; the
 per-core simulation steps a core's neurons of one parameter set together with
-``step_population``, which performs the same floating-point operations in the
-same order, so both produce bit-identical trajectories.
+``step_population``, which gives the same results bit for bit, so both produce
+bit-identical trajectories.  It performs ``step_neuron``'s floating-point
+operations in the same order, except that its Izhikevich update omits two
+identities: adding a zero input, and multiplying by ``dt`` when ``dt`` is 1.0.
 """
 
 from __future__ import annotations
@@ -178,10 +180,24 @@ def step_population(params: ModelParams, members: list[int], v: list[float],
     timestep in place; return the members that fired, in ``members`` order.
 
     ``v``, ``w`` and ``refrac`` hold the state of neuron ``i`` at index ``i``,
-    and its input current is ``acc[i] * scale``.  Each neuron goes through the
-    same floating-point operations in the same order as ``step_neuron``, so
-    the results are bit-identical.  Unlike ``step_neuron`` this does not check
-    for non-finite values: the caller checks inputs and states afterwards.
+    and its input current is ``acc[i] * scale`` for a finite ``scale``.  The
+    results equal ``step_neuron``'s bit for bit: each neuron goes through the
+    same floating-point operations in the same order, except that the
+    Izhikevich update omits two that cannot change a bit.
+
+    - It skips adding a zero input: ``0 * scale`` is a zero, and a zero added
+      to the bracket ``0.04*x*x + 5*x + 140 - u`` returns it unchanged, since
+      a round-to-nearest sum is -0.0 only when both addends are, and the
+      bracket is never -0.0 (its ``+ 140`` term never gives -0.0, and a
+      difference is -0.0 only for -0.0 minus +0.0).
+    - At ``dt == 1.0`` it skips both ``dt *`` products: ``1.0 * y`` is exactly
+      ``y`` for every float, NaN and infinities included.
+
+    The LIF update adds every input: its bracket ``-(x - v_rest)`` can be
+    -0.0, and at ``x = v_rest = -0.0`` skipping the +0.0 input would leave
+    ``v`` at -0.0 where ``step_neuron`` gives +0.0.  Unlike
+    ``step_neuron`` this does not check for non-finite values: the caller
+    checks inputs and states afterwards.
     """
     fired = []
     if isinstance(params, LifParams):
@@ -204,17 +220,39 @@ def step_population(params: ModelParams, members: list[int], v: list[float],
     elif isinstance(params, IzhikevichParams):
         a, b, c, d = params.a, params.b, params.c, params.d
         v_peak = params.v_peak
-        for i in members:
-            x, u = v[i], w[i]
-            nx = x + dt * (0.04 * x * x + 5.0 * x + 140.0 - u + acc[i] * scale)
-            nu = u + dt * (a * (b * x - u))
-            if nx >= v_peak:
-                v[i] = c
-                w[i] = nu + d
-                fired.append(i)
-            else:
-                v[i] = nx
-                w[i] = nu
+        if dt == 1.0:
+            for i in members:
+                x, u = v[i], w[i]
+                raw = acc[i]
+                if raw:
+                    nx = x + (0.04 * x * x + 5.0 * x + 140.0 - u + raw * scale)
+                else:
+                    nx = x + (0.04 * x * x + 5.0 * x + 140.0 - u)
+                nu = u + a * (b * x - u)
+                if nx >= v_peak:
+                    v[i] = c
+                    w[i] = nu + d
+                    fired.append(i)
+                else:
+                    v[i] = nx
+                    w[i] = nu
+        else:
+            for i in members:
+                x, u = v[i], w[i]
+                raw = acc[i]
+                if raw:
+                    nx = x + dt * (0.04 * x * x + 5.0 * x + 140.0 - u
+                                   + raw * scale)
+                else:
+                    nx = x + dt * (0.04 * x * x + 5.0 * x + 140.0 - u)
+                nu = u + dt * (a * (b * x - u))
+                if nx >= v_peak:
+                    v[i] = c
+                    w[i] = nu + d
+                    fired.append(i)
+                else:
+                    v[i] = nx
+                    w[i] = nu
     elif isinstance(params, AdexParams):
         c_m, e_l, v_t = params.c_m, params.e_l, params.v_t
         delta_t, a, b, tau_w = params.delta_t, params.a, params.b, params.tau_w

@@ -167,12 +167,25 @@ def test_compare_matrix(tmp_path, config_path, capsys):
     assert main(["compare", "--config", config_path, "--out", str(out_dir)]) == 0
     out = capsys.readouterr().out
     assert "traffic_saving" in out and "hsfc-sss" in out
+    assert "steps_ending_on_network" in out
     summary = json.loads((out_dir / "comparison.json").read_text())
     assert summary["spike_digests_equal"] is True
     assert summary["matches_reference"] is True
     assert set(summary["ratios"]) == {"naive", "hsfc", "hsfc-sss"}
     for name in ("baseline_naive", "unispike_hsfc", "baseline_hsfc-sss"):
         assert (out_dir / f"{name}.json").exists()
+    # each cell's step attribution, derived again from its report's rows
+    assert set(summary["step_attribution"]) == {"naive", "hsfc", "hsfc-sss"}
+    for part, by_mode in summary["step_attribution"].items():
+        assert set(by_mode) == {"baseline", "unispike"}
+        for mode, got in by_mode.items():
+            rows = parse_report(str(out_dir / f"{mode}_{part}.json")).per_timestep
+            tails = [r.drain_ps - r.busy_ps for r in rows]
+            assert min(tails) >= 0
+            assert got == {
+                "busy_ps": sum(r.busy_ps for r in rows),
+                "tail_ps": sum(tails),
+                "steps_ending_on_network": sum(1 for t in tails if t)}
 
 
 def test_compare_fails_when_every_run_differs_from_the_reference(

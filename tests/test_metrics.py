@@ -6,7 +6,8 @@ import pytest
 
 from spikenoc.metrics import (EnergyCostTable, RedundancyProfile, RunReport,
                               TimestepRow, TrafficLedger, compare_reports,
-                              emit_report, parse_report, redundancy_profile)
+                              emit_report, parse_report, redundancy_profile,
+                              step_attribution)
 from spikenoc.noc import PacketRecord
 
 A, B, C = (0, 0), (1, 0), (1, 1)
@@ -199,3 +200,13 @@ class TestComparison:
         silent = make_report(flit_hops=0)
         assert compare_reports(base, silent)["traffic_saving"] == math.inf
         assert compare_reports(silent, silent)["traffic_saving"] == 1.0
+
+    def test_step_attribution_splits_busy_time_from_tail(self):
+        # steps end on a core, on the network, and on both at once
+        rows = [TimestepRow(t, 0, 0, 0, busy, drain, 0.0, 0.0)
+                for t, (busy, drain) in enumerate(
+                    [(500, 500), (300, 800), (0, 0), (200, 450)])]
+        assert step_attribution(rows) == {
+            "busy_ps": 1000, "tail_ps": 750, "steps_ending_on_network": 2}
+        assert step_attribution([]) == {
+            "busy_ps": 0, "tail_ps": 0, "steps_ending_on_network": 0}

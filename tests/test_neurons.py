@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spikenoc.neurons import (AdexParams, IzhikevichParams, LifParams,
                               NeuronState, NumericError, model_kind,
@@ -210,11 +210,46 @@ def test_params_from_fields_rejects_unknowns():
 ADEX_NO_FIRE = AdexParams(v_th=1e7)
 
 
-def _neurons(v_lo, v_hi, w_lo, w_hi, refrac_hi):
-    """Lists of (v, w, refractory count, raw input) for one population."""
-    return st.lists(st.tuples(
+# zero input and dt = 1.0 each take a branch of their own in the Izhikevich
+# kernel, and a uniform draw would almost never hit either
+_RAW = st.one_of(st.just(0), st.integers(-4000, 4000))
+_DT = st.one_of(st.just(1.0), st.floats(0.01, 2.0))
+
+
+@st.composite
+def _population(draw, v_lo, v_hi, w_lo, w_hi, refrac_hi):
+    """A population as a list of (v, w, refractory count, raw input), and
+    the members to step: either all of them in index order, as ``CoreState``
+    passes them, or a random subset in random order."""
+    neurons = draw(st.lists(st.tuples(
         st.floats(v_lo, v_hi), st.floats(w_lo, w_hi),
-        st.integers(0, refrac_hi), st.integers(-4000, 4000)), max_size=12)
+        st.integers(0, refrac_hi), _RAW), max_size=12))
+    order = draw(st.permutations(range(len(neurons))))
+    members = draw(st.one_of(st.just(list(range(len(neurons)))),
+                             st.integers(0, len(order)).map(
+                                 lambda k: order[:k])))
+    return neurons, members
+
+
+def _izhikevich_oracle(params, members, v, w, acc, scale, dt):
+    """The Izhikevich loop of ``step_population`` before it skipped zero
+    inputs and unit-dt products, kept verbatim.  Unlike ``step_neuron`` it
+    steps non-finite states without raising."""
+    fired = []
+    a, b, c, d = params.a, params.b, params.c, params.d
+    v_peak = params.v_peak
+    for i in members:
+        x, u = v[i], w[i]
+        nx = x + dt * (0.04 * x * x + 5.0 * x + 140.0 - u + acc[i] * scale)
+        nu = u + dt * (a * (b * x - u))
+        if nx >= v_peak:
+            v[i] = c
+            w[i] = nu + d
+            fired.append(i)
+        else:
+            v[i] = nx
+            w[i] = nu
+    return fired
 
 
 class TestPopulationKernel:
@@ -241,31 +276,59 @@ class TestPopulationKernel:
         return fired
 
     @settings(max_examples=100, deadline=None)
-    @given(neurons=_neurons(-2.0, 2.0, 0.0, 0.0, 3),
+    @given(population=_population(-2.0, 2.0, 0.0, 0.0, 3),
            params=st.builds(LifParams, tau_m=st.floats(0.5, 20.0),
                             v_rest=st.floats(-0.5, 0.5),
                             refractory_steps=st.integers(0, 3)),
-           dt=st.floats(0.01, 2.0), data=st.data())
-    def test_lif(self, neurons, params, dt, data):
-        members = self._members(neurons, data)
+           dt=_DT)
+    def test_lif(self, population, params, dt):
+        neurons, members = population
         self.check(params, neurons, dt, members)
 
     @settings(max_examples=100, deadline=None)
-    @given(neurons=_neurons(-90.0, 40.0, -20.0, 20.0, 0),
+    @given(population=_population(-90.0, 40.0, -20.0, 20.0, 0),
            params=st.sampled_from([IzhikevichParams(),
                                    IzhikevichParams(a=0.1, d=2.0)]),
-           dt=st.floats(0.01, 2.0), data=st.data())
-    def test_izhikevich(self, neurons, params, dt, data):
-        members = self._members(neurons, data)
+           dt=_DT)
+    # x = 0, u = 140 makes the bracket exactly +0.0; then signed zeros in v
+    # and u, each with and without input, at unit and general dt
+    @example(population=([(0.0, 140.0, 0, 0), (0.0, 140.0, 0, 5)], [0, 1]),
+             params=IzhikevichParams(), dt=1.0)
+    @example(population=([(0.0, 140.0, 0, 0), (-0.0, 140.0, 0, 0)], [1, 0]),
+             params=IzhikevichParams(), dt=0.5)
+    @example(population=([(-0.0, 0.0, 0, 0), (-0.0, -0.0, 0, -3)], [0, 1]),
+             params=IzhikevichParams(), dt=1.0)
+    @example(population=([(-0.0, 0.0, 0, 0), (0.0, -0.0, 0, 0)], [0, 1]),
+             params=IzhikevichParams(a=0.1, d=2.0), dt=0.5)
+    def test_izhikevich(self, population, params, dt):
+        neurons, members = population
         self.check(params, neurons, dt, members)
 
     @settings(max_examples=100, deadline=None)
-    @given(neurons=_neurons(-90.0, -1.0, -200.0, 200.0, 0),
+    @given(population=_population(-90.0, -1.0, -200.0, 200.0, 0),
            params=st.sampled_from([AdexParams(), ADEX_NO_FIRE]),
-           dt=st.floats(0.01, 2.0), data=st.data())
-    def test_adex(self, neurons, params, dt, data):
-        members = self._members(neurons, data)
+           dt=_DT)
+    def test_adex(self, population, params, dt):
+        neurons, members = population
         self.check(params, neurons, dt, members)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(), u=st.floats(), raw=_RAW,
+           dt=st.one_of(st.just(1.0), st.floats()))
+    @example(x=0.0, u=math.inf, raw=0, dt=1.0)
+    @example(x=0.0, u=-math.inf, raw=7, dt=0.5)
+    @example(x=0.0, u=math.nan, raw=0, dt=0.5)
+    @example(x=math.nan, u=0.0, raw=-7, dt=1.0)
+    def test_izhikevich_matches_old_loop_on_any_float(self, x, u, raw, dt):
+        # step_neuron raises on a non-finite state, so the old loop is the
+        # oracle here, compared by repr so NaN and signed zeros count
+        params = IzhikevichParams()
+        got_v, got_w, want_v, want_w = [x], [u], [x], [u]
+        fired = step_population(params, [0], got_v, got_w, [0], [raw],
+                                1.0 / 256, dt)
+        assert fired == _izhikevich_oracle(params, [0], want_v, want_w,
+                                           [raw], 1.0 / 256, dt)
+        assert (repr(got_v), repr(got_w)) == (repr(want_v), repr(want_w))
 
     def test_examples_reach_every_branch(self):
         # a refractory LIF counts down while a driven one fires and resets
@@ -284,8 +347,3 @@ class TestPopulationKernel:
         with pytest.raises(TypeError):
             step_population(object(), [0], [0.0], [0.0], [0], [0], 1.0)
 
-    @staticmethod
-    def _members(neurons, data):
-        """A random subset of the population in random order."""
-        order = data.draw(st.permutations(range(len(neurons))))
-        return order[:data.draw(st.integers(0, len(order)))]

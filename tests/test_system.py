@@ -142,20 +142,24 @@ class TestLosslessness:
                          stimulus=drive, partitioner="hsfc")
         stimulus = build_stimulus(cfg.stimulus, g.neuron_count, cfg.timesteps,
                                   g.frac_bits)
-        want = reference_simulate(g, stimulus, cfg.timesteps, cfg.dt)
-        # every parameter set fires, so a wrong kernel branch shows
-        fired = {g.params_of(n) for step in want.steps for n in step}
-        assert fired == {g.params_of(n) for n in range(g.neuron_count)}
         bundle = deploy(g, cfg)
         if kind == "mixed":
             assert any(len({g.params_of(n) for n in art.neuron_ids}) > 1
                        for art in bundle.cores)
-        for mode in (MODE_BASELINE, MODE_UNISPIKE):
-            result = run_experiment(bundle, replace(cfg, mode=mode), stimulus)
-            assert result.train.steps == want.steps, mode
-            traffic = result.report.traffic
-            assert traffic["packets"] > 0
-            assert traffic["injected_flits"] == traffic["ejected_flits"]
+        # the Izhikevich kernel has a loop of its own for dt = 1.0
+        dts = (1.0, 0.5) if kind in ("izhikevich", "mixed") else (1.0,)
+        for dt in dts:
+            want = reference_simulate(g, stimulus, cfg.timesteps, dt)
+            # every parameter set fires, so a wrong kernel branch shows
+            fired = {g.params_of(n) for step in want.steps for n in step}
+            assert fired == {g.params_of(n) for n in range(g.neuron_count)}, dt
+            for mode in (MODE_BASELINE, MODE_UNISPIKE):
+                result = run_experiment(
+                    bundle, replace(cfg, mode=mode, dt=dt), stimulus)
+                assert result.train.steps == want.steps, (mode, dt)
+                traffic = result.report.traffic
+                assert traffic["packets"] > 0
+                assert traffic["injected_flits"] == traffic["ejected_flits"]
 
     def test_all_cells_match_reference(self):
         g = build_brunel(48, 12, conn_prob=0.1, w_exc=0.4, w_inh=-0.3, seed=6)
