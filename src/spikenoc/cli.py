@@ -2,9 +2,8 @@
 
 Stages hand off through files: `generate` writes a network, `partition`
 deploys it into a bundle directory, `simulate` validates and runs a deployed
-bundle and writes reports, `profile` post-processes a packet log, `compare`
-runs the whole mode/partitioner matrix, and `validate` re-checks a bundle on
-disk.
+bundle and writes reports, `compare` runs the whole mode/partitioner matrix,
+and `validate` re-checks a bundle on disk.
 
 Exit codes: 0 success, 1 runtime failure (deadlock, numeric blow-up),
 2 configuration or validation failure.
@@ -14,21 +13,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import os
 import sys
-from collections.abc import Iterator
 
 from .artifact import ArtifactError, build_bundle, load_bundle, save_bundle
 from .config import (ConfigError, ExperimentConfig, build_graph, load_config,
                      override_seed, render_config, to_system_config)
 from .core import MODES
 from .graph import load_graph, save_binary, save_text
-from .metrics import emit_report, redundancy_profile, step_attribution
+from .metrics import emit_report, step_attribution
 from .neurons import NumericError
-from .noc import DeadlockError, PacketRecord
+from .noc import DeadlockError
 from .partition import destination_objective, map_clusters
 from .stimulus import build_stimulus
 from .system import (PARTITIONERS, deploy, make_partition, run_comparison,
@@ -65,24 +62,6 @@ def write_packet_log(records, f) -> None:
         f"{r.pid},{r.timestep},{r.src[0]},{r.src[1]},{r.dest[0]},"
         f"{r.dest[1]},{r.body_count},{r.inject_ps},{r.eject_ps}\r\n"
         for r in records]))
-
-
-def read_packet_log(path: str) -> Iterator[PacketRecord]:
-    """Yield a packet log's records in file order; a missing column or a
-    non-integer field raises ValueError naming the file (and the line)."""
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for col in PACKET_LOG_COLUMNS:
-            if col not in (reader.fieldnames or ()):
-                raise ValueError(f"{path}: no {col!r} column")
-        for row in reader:
-            try:
-                (pid, step, sx, sy, dx, dy, body, inject,
-                 eject) = (int(row[col]) for col in PACKET_LOG_COLUMNS)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            yield PacketRecord(pid, (sx, sy), (dx, dy), step, body, inject,
-                               eject)
 
 
 def write_flit_trace(rows, f) -> None:
@@ -206,29 +185,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_profile(args) -> int:
-    by_step: dict[int, int] = {}
-
-    def counted(records):
-        for r in records:
-            by_step[r.timestep] = by_step.get(r.timestep, 0) + 1
-            yield r
-
-    prof = redundancy_profile(counted(read_packet_log(args.packets)))
-    doc = dataclasses.asdict(prof)
-    doc["packets_by_timestep"] = {str(t): n for t, n in sorted(by_step.items())}
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-    if prof.empty:
-        print("warning: empty packet log, ratio reported as 1",
-              file=sys.stderr)
-    return EXIT_OK
-
-
 def cmd_compare(args) -> int:
     cfg = _load(args)
     sys_cfg = to_system_config(cfg)
@@ -349,12 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write a per-flit link trace")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("profile",
-                       help="redundancy profile from a packet log CSV")
-    p.add_argument("--packets", required=True, help="packets.csv from simulate")
-    p.add_argument("--out", help="output JSON path (stdout when omitted)")
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("compare",
                        help="run both modes across all partitioners")

@@ -1,9 +1,11 @@
+import argparse
 import ast
 import csv
 import importlib.util
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -124,12 +126,14 @@ def test_full_pipeline(tmp_path, config_path, capsys):
     train = SpikeTrain.load_text(f"{out_dir}/spikes.txt")
     assert train.total_spikes() == report.total_spikes
 
-    prof_path = str(tmp_path / "profile.json")
-    assert main(["profile", "--packets", f"{out_dir}/packets.csv",
-                 "--out", prof_path]) == 0
-    with open(prof_path) as f:
-        prof = json.load(f)
-    assert prof["total_packets"] == report.redundancy["total_packets"]
+    # packets.csv, timesteps.csv and the report count the same packets
+    with open(f"{out_dir}/packets.csv", newline="") as f:
+        logged = [int(row["timestep"]) for row in csv.DictReader(f)]
+    with open(f"{out_dir}/timesteps.csv", newline="") as f:
+        per_step = [int(row["packets"]) for row in csv.DictReader(f)]
+    assert len(logged) == report.redundancy["total_packets"]
+    assert [logged.count(t) for t in range(len(per_step))] == per_step
+    assert sum(per_step) == report.traffic["packets"]
 
     assert main(["validate", "--config", config_path,
                  "--bundle", bundle_dir]) == 0
@@ -232,33 +236,19 @@ def test_seed_override_changes_outputs(tmp_path, config_path, capsys):
     assert "seed = 9" in seeded
 
 
-def test_profile_stdout_and_empty_warning(tmp_path, capsys):
-    empty = tmp_path / "packets.csv"
-    empty.write_text("pid,timestep,src_x,src_y,dest_x,dest_y,"
-                     "body_flits,inject_ps,eject_ps\n")
-    assert main(["profile", "--packets", str(empty)]) == 0
-    captured = capsys.readouterr()
-    assert json.loads(captured.out)["empty"] is True
-    assert "empty packet log" in captured.err
-
-
-def test_profile_of_out_of_order_steps(tmp_path, capsys):
-    header = ("pid,timestep,src_x,src_y,dest_x,dest_y,"
-              "body_flits,inject_ps,eject_ps\n")
-    rows = ["0,2,0,0,1,0,1,5,9\n", "1,0,0,0,1,0,2,5,9\n",
-            "2,2,0,0,1,0,3,5,9\n", "3,1,1,0,0,0,1,5,9\n",
-            "4,0,0,0,1,0,1,5,9\n"]
-    texts = []
-    for order in (rows, sorted(rows, key=lambda r: r.split(",")[1])):
-        log = tmp_path / "packets.csv"
-        log.write_text(header + "".join(order))
-        assert main(["profile", "--packets", str(log)]) == 0
-        texts.append(capsys.readouterr().out)
-    assert texts[0] == texts[1]
-    doc = json.loads(texts[0])
-    assert doc["packets_by_timestep"] == {"0": 2, "1": 1, "2": 2}
-    assert (doc["total_packets"], doc["effective_packets"],
-            doc["payload_flits"]) == (5, 3, 8)
+def test_readme_quick_start_names_every_subcommand_and_no_other():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "README.md")
+    with open(readme) as f:
+        text = f.read()
+    quick_start = text.split("\n## Quick start\n")[1].split("\n## ")[0]
+    in_table = set(re.findall(r"^\| `([\w-]+)` \|", quick_start, re.M))
+    in_examples = set(re.findall(r"^spikenoc ([\w-]+)", quick_start, re.M))
+    registered = set(next(
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)).choices)
+    assert in_table == registered
+    assert in_examples == registered
 
 
 # every directed link label of a 4x4 mesh, as the trace writes it
@@ -323,7 +313,16 @@ class TestExitCodes:
         assert "unknown key" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
-        assert main(["profile", "--packets", str(tmp_path / "nope.csv")]) == 2
+        missing = tmp_path / "nope.ini"
+        assert main(["show-config", "--config", str(missing)]) == 2
+        assert (f"error: [Errno 2] No such file or directory: '{missing}'"
+                in capsys.readouterr().err)
+        out_dir = tmp_path / "run"
+        assert main(["simulate", "--bundle", str(tmp_path / "nope"),
+                     "--out", str(out_dir)]) == 2
+        assert (f"error: [Errno 2] No such file or directory: "
+                f"'{tmp_path / 'nope'}" in capsys.readouterr().err)
+        assert not out_dir.exists()
 
     def test_validate_needs_a_target(self, capsys):
         assert main(["validate"]) == 2
@@ -405,29 +404,6 @@ class TestExitCodes:
         assert f"error: {bundle_dir / 'manifest.json'}: " in err
         assert needle in err
         assert not (tmp_path / "run").exists()
-
-    def test_profile_missing_column(self, tmp_path, capsys):
-        log = tmp_path / "packets.csv"
-        log.write_text("pid,timestep,src_y,dest_x,dest_y,"
-                       "body_flits,inject_ps,eject_ps\n1,0,0,1,0,2,5,9\n")
-        assert main(["profile", "--packets", str(log)]) == 2
-        assert f"{log}: no 'src_x' column" in capsys.readouterr().err
-
-    def test_profile_non_integer_field(self, tmp_path, capsys):
-        log = tmp_path / "packets.csv"
-        log.write_text("pid,timestep,src_x,src_y,dest_x,dest_y,"
-                       "body_flits,inject_ps,eject_ps\n"
-                       "1,0,0,0,1,0,2,5,9\n2,0,0,0,1,0,two,5,9\n"
-                       "3,0,0,0,1,0\n")
-        out = tmp_path / "profile.json"
-        assert main(["profile", "--packets", str(log),
-                     "--out", str(out)]) == 2
-        assert f"{log}:3: invalid literal" in capsys.readouterr().err
-        assert not out.exists()
-        log.write_text("pid,timestep,src_x,src_y,dest_x,dest_y,"
-                       "body_flits,inject_ps,eject_ps\n3,0,0,0,1,0\n")
-        assert main(["profile", "--packets", str(log)]) == 2
-        assert f"{log}:2: " in capsys.readouterr().err
 
     def test_truncated_binary_graph_exits_2(self, tmp_path, config_path,
                                             capsys):

@@ -282,6 +282,41 @@ class TestRunReportContents:
         assert uni.traffic["injected_flits"] <= base.traffic["injected_flits"]
         assert uni.traffic["flit_hops"] <= base.traffic["flit_hops"]
 
+    @settings(max_examples=25, deadline=None)
+    @given(topology=st.sampled_from(["brunel", "conv"]),
+           seed=st.integers(0, 2**16), max_body=st.integers(1, 16),
+           width=st.integers(2, 3), height=st.integers(1, 3),
+           rate=st.sampled_from([0.05, 0.2, 0.5]))
+    # one body flit per packet: every unispike packet carries one address
+    @example(topology="conv", seed=1, max_body=1, width=3, height=3, rate=0.5)
+    def test_merging_removes_only_head_flits(self, topology, seed, max_body,
+                                             width, height, rate):
+        if topology == "brunel":
+            g = build_brunel(40, 10, conn_prob=0.2, w_exc=0.4, w_inh=-0.3,
+                             seed=seed)
+        else:
+            g = build_conv_topology(parse_layers("1x6x6, 2x6x6 k3 p1"),
+                                    seed=seed, model=FAST)
+        cfg = brunel_cfg(
+            mesh=MeshConfig(width, height),
+            budget=MemoryBudget(
+                neuron_bytes=24 * -(-g.neuron_count // (width * height))),
+            stimulus=StimulusSpec(kind="poisson", amplitude=20.0, rate=rate,
+                                  seed=seed),
+            timesteps=5, partitioner="hsfc",
+            timing=CoreTiming(max_body=max_body))
+        stimulus = build_stimulus(cfg.stimulus, g.neuron_count, cfg.timesteps,
+                                  g.frac_bits)
+        bundle = deploy(g, cfg)
+        base, uni = (run_experiment(bundle, replace(cfg, mode=mode),
+                                    stimulus).report
+                     for mode in (MODE_BASELINE, MODE_UNISPIKE))
+        assert uni.traffic["body_flits"] == base.traffic["body_flits"]
+        assert (uni.redundancy["effective_packets"]
+                == base.redundancy["effective_packets"])
+        assert (base.traffic["injected_flits"] - uni.traffic["injected_flits"]
+                == base.traffic["packets"] - uni.traffic["packets"])
+
     def test_trace_collection_is_optional(self):
         g = chain_graph(3)
         cfg = SystemConfig(mesh=MeshConfig(2, 1),
@@ -373,10 +408,12 @@ class TestPacketRecords:
         stimulus = build_stimulus(cfg.stimulus, g.neuron_count, cfg.timesteps,
                                   g.frac_bits)
         steps = []
+        counts = []
         records = []
 
         def sink(step_records):
             steps.append({r.timestep for r in step_records})
+            counts.append(len(step_records))
             records.extend(step_records)
 
         report = run_experiment(deploy(g, cfg), cfg, stimulus,
@@ -387,6 +424,7 @@ class TestPacketRecords:
         assert len(steps) == timesteps
         assert [r.pid for r in records] == list(range(len(records)))
         assert len(records) == report.traffic["packets"]
+        assert [row.packets for row in report.per_timestep] == counts
         if rate == 0.0:
             assert report.redundancy == {
                 "total_packets": 0, "effective_packets": 0,
