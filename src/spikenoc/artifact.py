@@ -1,9 +1,13 @@
 """Per-core deployment artifacts and the on-disk bundle.
 
 A core artifact carries everything one core needs at runtime: its neuron
-roster, the incoming synapse table keyed by (source core, source-local
-index), per-destination connection bitmaps, and the execution queue plus
-checking table produced by the scheduler.  The bitmaps are the one form of
+roster, the incoming synapse table, per-destination connection bitmaps, and
+the execution queue plus checking table produced by the scheduler.  The
+synapse table holds one row per source core, indexed by the source's local
+index, with ``None`` where that neuron has no synapse on this core: a decode
+reads ``row[idx]`` rather than hashing a ``(coord, idx)`` key, and rows take
+less memory than such a dict once more than about one slot in eight is
+filled, as on every benchmark workload.  The bitmaps are the one form of
 "which local neurons feed destination d".  All of it follows from the graph
 and the placement (core coord -> global neuron ids in local-index order), so
 ``build_bundle`` derives every core from it, in memory and on load alike.
@@ -32,8 +36,18 @@ from .partition import MemoryBudget, Placement
 from .schedule import build_checking_table, validate_schedule
 
 Coord = tuple[int, int]
-# (src core coord, src local index) -> ((local post index, raw weight), ...)
-SynapseTable = dict[tuple[Coord, int], tuple[tuple[int, int], ...]]
+# src core coord -> a row indexed by src local index: that neuron's
+# ((local post index, raw weight), ...), or None where it has no synapse
+# here; a row ends at its last filled index.  A slot costs 8 bytes where a
+# (coord, index) key costs 60-115 with its dict entry, so rows are the
+# smaller form once more than about one slot in eight is filled.
+SynapseTable = dict[Coord, tuple[tuple[tuple[int, int], ...] | None, ...]]
+
+
+def synapse_count(table: SynapseTable) -> int:
+    """How many synapses ``table`` holds."""
+    return sum(len(pairs) for row in table.values() for pairs in row
+               if pairs is not None)
 
 
 class ArtifactError(Exception):
@@ -84,10 +98,10 @@ def derive_tables(graph: SnnGraph, placement: Placement
     """Each core's synapse table and connection bitmaps, as the graph gives
     them for ``placement`` (core coord -> global ids in local-index order).
 
-    Keys ascend; a remote key's pairs ascend by (local post, raw), an
-    intra-core key's pairs follow the graph's post order; bitmaps are in
-    row-major destination order.  The placement must hold every neuron of
-    the graph exactly once.
+    Source coords ascend; a remote sender's pairs ascend by (local post,
+    raw), an intra-core sender's pairs follow the graph's post order;
+    bitmaps are in row-major destination order.  The placement must hold
+    every neuron of the graph exactly once.
     """
     where: list[tuple[Coord, int] | None] = [None] * graph.neuron_count
     senders: list[int] = []         # in synapse-key order
@@ -107,12 +121,17 @@ def derive_tables(graph: SnnGraph, placement: Placement
             incoming[to[0]].setdefault(key, []).append(pair)
     tables = {coord: ({}, {}) for coord in placement}
     for coord in sorted(placement, key=lambda c: (c[1], c[0])):
-        for key, pairs in incoming[coord].items():
-            if key[0] != coord:
+        rows = tables[coord][0]
+        for (src, i), pairs in incoming[coord].items():
+            if src != coord:
                 pairs.sort()
-                out = tables[key[0]][1]
-                out[coord] = out.get(coord, 0) | 1 << key[1]
-            tables[coord][0][key] = tuple(pairs)
+                out = tables[src][1]
+                out[coord] = out.get(coord, 0) | 1 << i
+            row = rows.setdefault(src, [])
+            row += [None] * (i - len(row))
+            row.append(tuple(pairs))
+        for src, row in rows.items():
+            rows[src] = tuple(row)
     return tables
 
 
@@ -132,7 +151,7 @@ def build_bundle(graph: SnnGraph, placement: Placement, mesh_width: int,
         if problems:
             raise ArtifactError(f"core {coord}: {problems[0]}")
         check_t = {b: tuple(v) for b, v in check.items()}
-        synapses, dests = sum(len(v) for v in table.values()), len(bitmaps)
+        synapses, dests = synapse_count(table), len(bitmaps)
         if not budget.fits(synapses, n, dests):
             raise ArtifactError(f"core {coord}: cluster exceeds memory budget")
         # 2-byte entry count; per entry a 2-byte neuron index, 2-byte

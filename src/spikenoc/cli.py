@@ -56,19 +56,25 @@ PACKET_LOG_COLUMNS = ("pid", "timestep", "src_x", "src_y", "dest_x",
                       "dest_y", "body_flits", "inject_ps", "eject_ps")
 
 
+# rows per ``write`` call, so a step's text is formatted a piece at a time
+WRITE_ROWS = 1024
+
+
 def write_packet_log(records, f) -> None:
     """Write one step's packet records, one ``PACKET_LOG_COLUMNS`` row each."""
-    f.write("".join([
-        f"{r.pid},{r.timestep},{r.src[0]},{r.src[1]},{r.dest[0]},"
-        f"{r.dest[1]},{r.body_count},{r.inject_ps},{r.eject_ps}\r\n"
-        for r in records]))
+    for i in range(0, len(records), WRITE_ROWS):
+        f.write("".join([
+            f"{r.pid},{r.timestep},{r.src[0]},{r.src[1]},{r.dest[0]},"
+            f"{r.dest[1]},{r.body_count},{r.inject_ps},{r.eject_ps}\r\n"
+            for r in records[i:i + WRITE_ROWS]]))
 
 
 def write_flit_trace(rows, f) -> None:
     """Write one step's ``(time_ps, link, pid, kind)`` rows; a link label
     holds a comma, so it is quoted."""
-    f.write("".join([f'{t},"{link}",{pid},{kind}\r\n'
-                     for t, link, pid, kind in rows]))
+    for i in range(0, len(rows), WRITE_ROWS):
+        f.write("".join([f'{t},"{link}",{pid},{kind}\r\n'
+                         for t, link, pid, kind in rows[i:i + WRITE_ROWS]]))
 
 
 TRACE_COLUMNS = ("time_ps", "link", "pid", "kind")

@@ -9,6 +9,12 @@ the checking table) ends its update.  A step's jobs are in creation order,
 and jobs created together keep their row-major destination (baseline) or
 checking-table (unispike) order.
 
+Decoding reads the artifact's synapse table: one row per source core,
+indexed by the source's local index, so an arriving address costs one
+``row[idx]`` read, where a dict keyed by ``(src, idx)`` would build and hash
+a key.  A slot with no synapse holds ``None``; rows beat such a dict in
+memory once more than about one slot in eight is filled.
+
 A core's accumulator is all zeros when a step starts, so after decoding it
 depends only on the step's packets.  Each core keeps its last non-empty
 decode (packets, accumulator, accumulation count) and reuses it when the
@@ -138,12 +144,14 @@ class CoreState:
     # -- decode -------------------------------------------------------------
 
     def decode_packet(self, packet: SpikePacket) -> int:
-        """Accumulate one arrived packet; returns synapse accumulation count."""
+        """Accumulate one arrived packet; returns synapse accumulation count.
+        An index with no synapses here, in or past its source's row, or a
+        source with no row, raises ArtifactError."""
         events = 0
-        table = self.artifact.synapse_table
+        row = self.artifact.synapse_table.get(packet.src, ())
         acc = self.acc
         for idx in packet.indices:
-            pairs = table.get((packet.src, idx))
+            pairs = row[idx] if 0 <= idx < len(row) else None
             if pairs is None:
                 raise ArtifactError(
                     f"core {self.coord}: no synapses for {packet.src} index {idx}")
@@ -245,8 +253,9 @@ class CoreState:
                                  self.generate_merged_packets(
                                      dest, fired_mask, timestep)]
             jobs.sort(key=attrgetter("create_ps"))
+            row = art.synapse_table.get(self.coord, ())
             own = [idx for idx in fired
-                   if (self.coord, idx) in art.synapse_table]
+                   if idx < len(row) and row[idx] is not None]
             self.self_pending = ([SpikePacket(self.coord, self.coord,
                                               timestep, tuple(own))]
                                  if own else [])

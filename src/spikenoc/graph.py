@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 # CPython's built-in SHA-256, as random.py takes its _sha512: importing
@@ -170,12 +171,16 @@ def build_brunel(n_exc: int, n_inh: int, conn_prob: float = 0.1,
     n = n_exc + n_inh
     raw_exc = quantize_weight(w_exc, frac_bits)
     raw_inh = quantize_weight(w_inh, frac_bits)
+    # one (post, raw) tuple per population and post, shared by its synapses
+    pairs_exc = [(post, raw_exc) for post in range(n)]
+    pairs_inh = [(post, raw_inh) for post in range(n)]
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for pre in range(n):
-        raw = raw_exc if pre < n_exc else raw_inh
+        pairs = pairs_exc if pre < n_exc else pairs_inh
+        row = adjacency[pre]
         for post in range(n):
             if pre != post and rng.random() < conn_prob:
-                adjacency[pre].append((post, raw))
+                row.append(pairs[post])
     return SnnGraph(n, adjacency, model=model, frac_bits=frac_bits)
 
 
@@ -451,9 +456,7 @@ def load_text(path: str) -> SnnGraph:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     if neuron_count is None:
         raise ValueError(f"{path}: missing neuron count")
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(neuron_count)]
-    for pre, post, raw in synapses:
-        adjacency[pre].append((post, raw))
+    adjacency = _shared_rows(neuron_count, synapses)
     layer_tags = None
     if tags:
         if len(tags) != neuron_count:
@@ -461,6 +464,22 @@ def load_text(path: str) -> SnnGraph:
         layer_tags = tuple(tags[i] for i in range(neuron_count))
     return SnnGraph(neuron_count, adjacency, model=model, model_overrides=overrides,
                     frac_bits=frac_bits, layer_tags=layer_tags)
+
+
+def _shared_rows(neuron_count: int, synapses) -> list[list[tuple[int, int]]]:
+    """Adjacency rows of ``(pre, post, raw)`` synapses with in-range posts,
+    under ``SnnGraph``'s rule: a pair equal to the last one seen for its
+    post is that same tuple.  A post's pairs share one post int too."""
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(neuron_count)]
+    last: list[tuple[int, int] | None] = [None] * neuron_count
+    for pre, post, raw in synapses:
+        pair = last[post]
+        if pair is None:
+            pair = last[post] = (post, raw)
+        elif pair[1] != raw:
+            pair = last[post] = (pair[0], raw)
+        adjacency[pre].append(pair)
+    return adjacency
 
 
 _MAGIC = b"SNNB"
@@ -495,6 +514,18 @@ class _Reader:
     def take(self, fmt: str):
         fmt = "<" + fmt
         return struct.unpack(fmt, self.take_bytes(struct.calcsize(fmt)))
+
+    def take_array(self, items, count: int):
+        """Fill the empty ``array`` ``items`` with ``count`` little-endian
+        items, read without copying the bytes first; returns it."""
+        n = count * items.itemsize
+        if self.off + n > len(self.buf):
+            raise ValueError(f"{self.path}: truncated at byte {self.off}")
+        items.frombytes(memoryview(self.buf)[self.off:self.off + n])
+        self.off += n
+        if sys.byteorder == "big":
+            items.byteswap()
+        return items
 
 
 def _unpack_model(r: _Reader) -> ModelParams:
@@ -566,9 +597,12 @@ def load_binary(path: str) -> SnnGraph:
     if has_tags:
         tags = tuple(LayerTag(*r.take("iiii")) for _ in range(neuron_count))
     (m,) = r.take("Q")
-    pres = r.take(f"{m}I")
-    posts = r.take(f"{m}I")
-    raws = r.take(f"{m}h")
+    # array is a shared library: only a binary graph's load maps it in
+    from array import array
+    u32 = "I" if array("I").itemsize == 4 else "L"
+    pres = r.take_array(array(u32), m)
+    posts = r.take_array(array(u32), m)
+    raws = r.take_array(array("h"), m)
     if r.off != len(buf):
         raise ValueError(f"{path}: trailing bytes at byte {r.off}")
     for what, ids in (("synapse source", pres), ("synapse target", posts),
@@ -576,11 +610,11 @@ def load_binary(path: str) -> SnnGraph:
         if ids and max(ids) >= neuron_count:
             raise ValueError(f"{path}: {what} neuron {max(ids)} outside "
                              f"0..{neuron_count - 1}")
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(neuron_count)]
-    for pre, post, raw in zip(pres, posts, raws):
-        adjacency[pre].append((post, raw))
-    return SnnGraph(neuron_count, adjacency, model=model, model_overrides=overrides,
-                    frac_bits=frac_bits, layer_tags=tags)
+    adjacency = _shared_rows(neuron_count, zip(pres, posts, raws))
+    del buf, r, pres, posts, raws       # the rows hold the synapses now
+    return SnnGraph(neuron_count, adjacency, model=model,
+                    model_overrides=overrides, frac_bits=frac_bits,
+                    layer_tags=tags)
 
 
 def load_graph(path: str) -> SnnGraph:

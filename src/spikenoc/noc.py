@@ -222,6 +222,8 @@ class _Router:
         alloc = self.out_alloc
         eligible = cycle + noc.hop_cycles
         trace = noc.flit_trace
+        if trace is not None:       # the tick's rows share one time int
+            now_ps = cycle * noc.cfg.noc_period_ps
         granted_ports = 0
         won = -1
         sent = 0
@@ -276,8 +278,8 @@ class _Router:
                 nbr.accept(t, pkt, seq, eligible)
                 noc.active.add(nbr.rid)
             if trace is not None:
-                trace.append((cycle * noc.cfg.noc_period_ps, self.link[o],
-                              pkt[1].pid, "H" if seq == 0 else "B"))
+                trace.append((now_ps, self.link[o], pkt[1].pid,
+                              "H" if seq == 0 else "B"))
         return sent
 
 

@@ -305,6 +305,38 @@ def test_packet_log_bytes_are_the_csv_modules(steps):
             for rows in steps for r in rows])
 
 
+class Writes:
+    """A text file that keeps each ``write`` call's string."""
+
+    def __init__(self):
+        self.calls: list[str] = []
+
+    def write(self, text: str) -> None:
+        self.calls.append(text)
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 3079])
+def test_bounded_writes_are_the_joined_rows(n):
+    trace = [(6250 * i, MESH_4X4_LINKS[i % 48], i, "HB"[i % 2])
+             for i in range(n)]
+    records = [PacketRecord(i, (i % 4, 1), (2, i % 3), i // 7, i % 17,
+                            10 * i, -1 if i % 5 else 10 * i + 3)
+               for i in range(n)]
+    cases = (
+        (cli.write_flit_trace, trace, "".join([
+            f'{t},"{link}",{pid},{kind}\r\n' for t, link, pid, kind in trace])),
+        (cli.write_packet_log, records, "".join([
+            f"{r.pid},{r.timestep},{r.src[0]},{r.src[1]},{r.dest[0]},"
+            f"{r.dest[1]},{r.body_count},{r.inject_ps},{r.eject_ps}\r\n"
+            for r in records])))
+    for write, rows, joined in cases:
+        f = Writes()
+        write(rows, f)
+        assert "".join(f.calls) == joined
+        assert len(f.calls) == -(-n // 1024)
+        assert all(text.count("\n") <= 1024 for text in f.calls)
+
+
 class TestExitCodes:
     def test_unknown_config_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -726,20 +758,35 @@ def test_cli_imports_only_the_standard_library():
     assert loaded - set(sys.stdlib_module_names) - {"spikenoc"} == set()
 
 
-def test_cli_import_does_not_load_openssl():
-    # hashlib loads OpenSSL (_hashlib), several MiB of resident memory that
-    # a run never needs; spikenoc hashes with the built-in SHA-256 module
-    if not any(importlib.util.find_spec(m) for m in ("_sha256", "_sha2")):
-        pytest.skip("this interpreter has no built-in SHA-256 module")
+def loaded_by_cli_import(module: str) -> bool:
+    """Whether importing ``spikenoc.cli`` in a fresh interpreter loads
+    ``module``."""
     code = ("import sys\n"
             "import spikenoc.cli\n"
-            "print('_hashlib' in sys.modules)\n")
+            f"print({module!r} in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(spikenoc.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
-    assert proc.stdout.split() == ["False"]
+    return {"True": True, "False": False}[proc.stdout.strip()]
+
+
+def test_cli_import_does_not_load_openssl():
+    # hashlib loads OpenSSL (_hashlib), several MiB of resident memory that
+    # a run never needs; spikenoc hashes with the built-in SHA-256 module
+    if not any(importlib.util.find_spec(m) for m in ("_sha256", "_sha2")):
+        pytest.skip("this interpreter has no built-in SHA-256 module")
+    assert not loaded_by_cli_import("_hashlib")
+
+
+def test_cli_import_does_not_load_array():
+    # array is a shared library (about 0.13 MiB of resident memory); only
+    # load_binary needs it, so a run that never reads a binary graph never
+    # maps it in
+    if "array" in sys.builtin_module_names:
+        pytest.skip("this interpreter has array built in")
+    assert not loaded_by_cli_import("array")
 
 
 def test_hashlib_is_imported_only_as_the_sha256_fallback():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -87,11 +88,17 @@ class TestDecode:
         assert core.decode_packet(SpikePacket(A, B, 0, (0, 2))) == 2
 
     def test_unknown_source_index_raises(self):
-        core = fanin_core()
-        with pytest.raises(ArtifactError):
-            core.decode_packet(SpikePacket(A, B, 0, (7,)))
-        with pytest.raises(ArtifactError):
-            core.decode_packet(SpikePacket(C, B, 0, (0,)))
+        # A-neurons 0 and 2 feed core B; neuron 1 feeds only its own core
+        adjacency = [[(3, W)], [(0, W)], [(5, W)], [], [], []]
+        core = make_core(adjacency, [(0, 1, 2), (3, 4, 5)], [A, B], which=1)
+        assert [pairs is None for pairs in core.artifact.synapse_table[A]] \
+            == [False, True, False]
+        # a source core with no row here, indices past the end of A's row,
+        # and a slot of A's row with no synapse
+        for src, idx in ((C, 0), (A, 3), (A, 7), (A, 1)):
+            with pytest.raises(ArtifactError, match=re.escape(
+                    f"no synapses for {src} index {idx}")):
+                core.decode_packet(SpikePacket(src, B, 0, (idx,)))
 
     def test_stimulus_indexed_by_local_index(self):
         core = fanin_core()   # holds global neurons 3, 4, 5

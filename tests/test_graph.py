@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import math
 import re
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -514,10 +516,10 @@ def plain_adjacency(adjacency):
     return tuple(tuple(sorted(edges)) for edges in adjacency)
 
 
-def tuples_per_post(g: SnnGraph) -> list[int]:
+def tuples_per_post(adjacency) -> list[int]:
     """How many distinct pair objects, by identity, each post is named by."""
-    ids: list[set[int]] = [set() for _ in range(g.neuron_count)]
-    for edges in g.adjacency:
+    ids: list[set[int]] = [set() for _ in range(len(adjacency))]
+    for edges in adjacency:
         for pair in edges:
             ids[pair[0]].add(id(pair))
     return [len(s) for s in ids]
@@ -531,16 +533,23 @@ class TestPairSharing:
         save_binary(g, path)
         loaded = load_binary(path)
         for graph, adjacency in zip((g, loaded), built_from):
-            assert max(tuples_per_post(graph)) <= 2
+            # builder and loader alike make no tuple per synapse on the way
+            assert max(tuples_per_post(adjacency)) <= 2
+            assert max(tuples_per_post(graph.adjacency)) <= 2
             assert graph.adjacency == plain_adjacency(adjacency)
             assert graph.digest() == g.digest()
 
-    def test_conv_adjacency_is_unchanged(self, built_from):
+    def test_conv_adjacency_is_unchanged(self, tmp_path, built_from):
         layers = [ConvLayerSpec(2, 8, 8), ConvLayerSpec(3, 6, 6, kernel=3),
                   ConvLayerSpec(2, 3, 3, kernel=2, stride=2)]
         g = build_conv_topology(layers, seed=5)
         assert g.adjacency == plain_adjacency(built_from[0])
         assert g.synapse_count == sum(map(len, built_from[0]))
+        path = str(tmp_path / "g.snnb")
+        save_binary(g, path)
+        loaded = load_binary(path)
+        assert loaded.adjacency == g.adjacency
+        assert loaded.digest() == g.digest()
 
     @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.lists(st.tuples(st.integers(0, n - 1),
@@ -555,3 +564,31 @@ class TestPairSharing:
         assert g.in_degrees == tuple(
             sum(post == i for edges in adjacency for post, _ in edges)
             for i in range(n))
+
+
+def traced(fn):
+    """``fn()``, with the traced memory it leaves held and its traced peak,
+    both counted from the call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held - base, peak - base
+
+
+def test_brunel_build_and_load_peak_near_the_graph(tmp_path):
+    # a tuple per synapse on the way, as a fresh (post, raw) per append,
+    # reads 6.4x the graph on build and 9.7x on load
+    build_brunel(10, 2)         # first-use allocations land here
+    g, graph_bytes, peak = traced(lambda: build_brunel(480, 120,
+                                                      conn_prob=0.1))
+    assert peak <= 2.5 * graph_bytes
+    path = str(tmp_path / "g.snnb")
+    save_binary(g, path)
+    loaded, _, peak = traced(lambda: load_binary(path))
+    assert loaded.digest() == g.digest()
+    assert peak <= 4 * graph_bytes
